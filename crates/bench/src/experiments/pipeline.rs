@@ -28,11 +28,10 @@
 //!   writer count and batch size.
 //! * **I/O-ring read fan-out** — one client thread holding 8 read
 //!   accesses in flight through `Client::read_many` over the async
-//!   per-disk ring (`SystemConfig::io_ring`), against the blocking
-//!   one-block-at-a-time oracle on a backend with real per-block read
-//!   latency. A cancellation A/B records backend block reads actually
-//!   serviced vs blocks stored: once a file decodes, its still-queued
-//!   speculative reads are revoked before they cost disk time.
+//!   per-disk ring, on a backend with real per-block read latency. The
+//!   cancellation row records backend block reads actually serviced vs
+//!   blocks stored: once a file decodes, its still-queued speculative
+//!   reads are revoked before they cost disk time.
 //! * **Trial fan-out** — [`run_trials_threaded`]'s per-trial simulation
 //!   spread over worker threads.
 //!
@@ -194,11 +193,6 @@ pub fn bench_pipeline(trials: u64) -> String {
                     // measures encode/I-O overlap, so the disk latency
                     // must stay per write.
                     group_commit: 1,
-                    // Blocking dispatch: the ring's async flush would
-                    // overlap disk writes even at depth 0, dissolving
-                    // the barrier this stage exists to measure. Stage A5
-                    // benchmarks the ring itself.
-                    io_ring: false,
                     ..Default::default()
                 },
             );
@@ -312,10 +306,6 @@ pub fn bench_pipeline(trials: u64) -> String {
                 pipeline_depth: 4,
                 admission_capacity: 64,
                 group_commit,
-                // Blocking dispatch: this stage measures the per-disk
-                // shard locks and group commit in isolation; the ring's
-                // own contrast is stage A5.
-                io_ring: false,
                 ..Default::default()
             },
         );
@@ -447,11 +437,11 @@ pub fn bench_pipeline(trials: u64) -> String {
 
     // --- Stage A5: io-ring open-loop reads + speculative cancellation ---
     // One client thread holds 8 read accesses in flight over a backend
-    // with real per-block read latency. The blocking oracle serves them
-    // one block at a time; the ring fans the per-disk queues out to
-    // workers, so the disk sleeps overlap across accesses — and once a
-    // file decodes, its still-queued reads are revoked before service,
-    // which shows up as fewer backend block reads than blocks stored.
+    // with real per-block read latency. The ring fans the per-disk queues
+    // out to workers, so the disk sleeps overlap across accesses — and
+    // once a file decodes, its still-queued reads are revoked before
+    // service, which shows up as fewer backend block reads than blocks
+    // stored.
     let ring_files = 8usize;
     let ring_bytes: usize = if quick { 64 << 10 } else { 256 << 10 };
     let read_delay = Duration::from_micros(400);
@@ -460,66 +450,38 @@ pub fn bench_pipeline(trials: u64) -> String {
             .map(|i| ((i * 17 + f * 53) % 251) as u8)
             .collect()
     };
-    // Committed write state: per-disk usage plus each file's (layout,
-    // odd-parity ids) — the ring and blocking setups must agree before
-    // their reads are comparable.
-    type RingState = (Vec<u64>, Vec<(Vec<(usize, Vec<u32>)>, Vec<u32>)>);
-    let ring_setup = |io_ring: bool| -> (System, Client, RingState) {
-        let sys = System::with_backend(
-            Box::new(DelayBackend::with_read_delay(
-                InMemoryBackend::uniform(8, 50e6),
-                read_delay,
-            )),
-            SystemConfig {
-                block_bytes: 16 << 10,
-                encode_threads: 1,
-                pipeline_depth: 4,
-                io_ring,
-                ..Default::default()
-            },
-        );
-        assert_eq!(sys.uses_io_ring(), io_ring);
-        let client = Client::connect(&sys, sys.register_user());
-        // 3x redundancy so speculative cancellation has stored blocks
-        // left to revoke once the decoder completes.
-        let qos = QosOptions::best_effort().with_redundancy(3.0);
-        for f in 0..ring_files {
-            let mut h = client
-                .open(&format!("ring-{f}"), AccessMode::Write, qos.clone())
-                .expect("open for write");
-            client.write(&mut h, &ring_payload(f)).expect("write");
-            client.close(h).expect("close");
-        }
-        let mut per_file = Vec::new();
-        for f in 0..ring_files {
-            let meta = sys.export_meta(&format!("ring-{f}")).expect("meta");
-            let mut odd: Vec<u32> = meta.odd_keys.iter().copied().collect();
-            odd.sort_unstable();
-            per_file.push((meta.layout.clone(), odd));
-        }
-        let used = (0..8).map(|d| sys.disk_used(d)).collect();
-        (sys, client, (used, per_file))
-    };
-    let (ring_sys, ring_client, ring_written) = ring_setup(true);
-    let (block_sys, block_client, block_written) = ring_setup(false);
-    assert_eq!(
-        ring_written, block_written,
-        "io-ring write path committed different state than blocking"
+    let ring_sys = System::with_backend(
+        Box::new(DelayBackend::with_read_delay(
+            InMemoryBackend::uniform(8, 50e6),
+            read_delay,
+        )),
+        SystemConfig {
+            block_bytes: 16 << 10,
+            encode_threads: 1,
+            pipeline_depth: 4,
+            ..Default::default()
+        },
     );
-    let stored_total: usize = (0..ring_files)
-        .map(|f| {
-            ring_sys
-                .export_meta(&format!("ring-{f}"))
-                .expect("meta")
-                .stored_blocks()
-        })
-        .sum();
+    let ring_client = Client::connect(&ring_sys, ring_sys.register_user());
+    // 3x redundancy so speculative cancellation has stored blocks left
+    // to revoke once the decoder completes.
+    let ring_qos = QosOptions::best_effort().with_redundancy(3.0);
     let names: Vec<String> = (0..ring_files).map(|f| format!("ring-{f}")).collect();
+    for (f, name) in names.iter().enumerate() {
+        let mut h = ring_client
+            .open(name, AccessMode::Write, ring_qos.clone())
+            .expect("open for write");
+        ring_client.write(&mut h, &ring_payload(f)).expect("write");
+        ring_client.close(h).expect("close");
+    }
+    let stored_total: usize = names
+        .iter()
+        .map(|n| ring_sys.export_meta(n).expect("meta").stored_blocks())
+        .sum();
     let mut ring_rate = 0f64;
-    let mut block_rate = 0f64;
-    let mut serviced = [0u64; 2]; // rep-0 backend block reads: [ring, blocking]
+    let mut serviced = 0u64; // rep-0 backend block reads
     for rep in 0..reps.min(3) {
-        // Ring: one thread, every access in flight through read_many.
+        // One thread, every access in flight through read_many.
         let handles: Vec<_> = names
             .iter()
             .map(|n| {
@@ -534,7 +496,7 @@ pub fn bench_pipeline(trials: u64) -> String {
         let results = ring_client.read_many(&handle_refs);
         let elapsed = t.elapsed().as_secs_f64();
         if rep == 0 {
-            serviced[0] = ring_sys.backend_stats().0 - before;
+            serviced = ring_sys.backend_stats().0 - before;
         }
         for (f, r) in results.into_iter().enumerate() {
             let (got, _) = r.expect("ring read");
@@ -544,51 +506,22 @@ pub fn bench_pipeline(trials: u64) -> String {
             ring_client.close(h).expect("close");
         }
         ring_rate = ring_rate.max((ring_files * ring_bytes) as f64 / 1e6 / elapsed);
-
-        // Blocking oracle: the same accesses served one block at a time
-        // (decoded bytes verified outside the timed region).
-        let before = block_sys.backend_stats().0;
-        let t = Instant::now();
-        let mut decoded = Vec::new();
-        for n in &names {
-            let h = block_client
-                .open(n, AccessMode::Read, QosOptions::best_effort())
-                .expect("open for read");
-            decoded.push(block_client.read(&h).expect("read"));
-            block_client.close(h).expect("close");
-        }
-        let elapsed = t.elapsed().as_secs_f64();
-        if rep == 0 {
-            serviced[1] = block_sys.backend_stats().0 - before;
-        }
-        for (f, got) in decoded.into_iter().enumerate() {
-            assert_eq!(got, ring_payload(f), "blocking read corrupted ring-{f}");
-        }
-        block_rate = block_rate.max((ring_files * ring_bytes) as f64 / 1e6 / elapsed);
     }
     assert_eq!(ring_sys.pool_outstanding_bytes(), 0, "ring reads leaked");
-    assert_eq!(
-        block_sys.pool_outstanding_bytes(),
-        0,
-        "blocking reads leaked"
-    );
-    for (config, rate) in [("ring", ring_rate), ("blocking", block_rate)] {
-        rows.push(Row {
-            section: "io-ring",
-            config: format!(
-                "{ring_files}x{}KiB rdelay={}us {config}",
-                ring_bytes >> 10,
-                read_delay.as_micros()
-            ),
-            threads: ring_files,
-            value: rate,
-            unit: "MB/s",
-        });
-    }
-    let reclaimed_ms = (stored_total as f64 - serviced[0] as f64) * read_delay.as_secs_f64() * 1e3;
+    rows.push(Row {
+        section: "io-ring",
+        config: format!(
+            "{ring_files}x{}KiB rdelay={}us ring",
+            ring_bytes >> 10,
+            read_delay.as_micros()
+        ),
+        threads: ring_files,
+        value: ring_rate,
+        unit: "MB/s",
+    });
+    let reclaimed_ms = (stored_total as f64 - serviced as f64) * read_delay.as_secs_f64() * 1e3;
     for (config, value, unit) in [
-        ("serviced reads ring", serviced[0] as f64, "blocks"),
-        ("serviced reads blocking", serviced[1] as f64, "blocks"),
+        ("serviced reads ring", serviced as f64, "blocks"),
         ("blocks stored", stored_total as f64, "blocks"),
         ("disk time reclaimed", reclaimed_ms, "ms"),
     ] {
@@ -600,21 +533,13 @@ pub fn bench_pipeline(trials: u64) -> String {
             unit,
         });
     }
-    let ring_speedup = ring_rate / block_rate;
     if !quick {
         // The acceptance bar for the ring: with decoded output already
-        // asserted byte-identical, fewer disk ops serviced than stored
-        // (cancellation-at-the-queue reclaims real disk time)...
+        // asserted byte-exact, fewer disk ops serviced than stored
+        // (cancellation-at-the-queue reclaims real disk time).
         assert!(
-            (serviced[0] as usize) < stored_total,
-            "cancellation reclaimed nothing: {} reads serviced, {stored_total} stored",
-            serviced[0]
-        );
-        // ...and at least 1.5x read throughput at 8 concurrent accesses
-        // on one client thread (soft floor; the JSON records the curve).
-        assert!(
-            ring_speedup >= 1.5,
-            "io-ring read fan-out collapsed: {ring_speedup:.2}x at {ring_files} accesses"
+            (serviced as usize) < stored_total,
+            "cancellation reclaimed nothing: {serviced} reads serviced, {stored_total} stored"
         );
     }
 
@@ -713,11 +638,11 @@ pub fn bench_pipeline(trials: u64) -> String {
          the barrier\n  \
          sharded backend: concurrent client write {:.2}x from 1 to 8 writers, \
          group commit {:.2}x at 4 writers\n  \
-         io ring: open-loop read {:.2}x over blocking at {ring_files} accesses \
-         on one thread; cancellation serviced {} of {} stored block reads \
+         io ring: open-loop read {:.1} MB/s at {ring_files} accesses on one \
+         thread; cancellation serviced {} of {} stored block reads \
          ({:.1}ms disk time reclaimed)\n\
          All stages are deterministic: thread count, pipeline depth, writer \
-         count, group commit, and the io ring change wall-clock only.\n{}\n",
+         count and group commit change wall-clock only.\n{}\n",
         speedup("segment-encode"),
         speedup("client-write"),
         speedup("trial-fanout"),
@@ -725,8 +650,8 @@ pub fn bench_pipeline(trials: u64) -> String {
         sim_of("stream") / sim_of("barrier"),
         sweep_scaling,
         gc_rates[1] / gc_rates[0],
-        ring_speedup,
-        serviced[0],
+        ring_rate,
+        serviced,
         stored_total,
         reclaimed_ms,
         json_note

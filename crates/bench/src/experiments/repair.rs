@@ -149,12 +149,10 @@ pub fn repair(trials: u64) -> String {
                 block_bytes: block_bytes as u64,
                 encode_threads: 1,
                 pipeline_depth: 4,
-                io_ring: true,
                 read_repair: false, // the repair service is the only healer
                 ..Default::default()
             },
         );
-        assert!(sys.uses_io_ring());
         let client = Client::connect(&sys, sys.register_user());
         let qos = QosOptions::best_effort().with_redundancy(3.0);
         for f in 0..hot_files {

@@ -25,10 +25,11 @@
 //! * [`sharded`] — the sharded submission layer: per-disk locks, routing
 //!   by disk id, and group commit, so concurrent accesses to different
 //!   disks proceed in parallel (the per-disk-queue regime of §5).
-//! * [`ring`] — the async per-disk submission/completion ring: one worker
-//!   per disk services queued ops, coalescing writes across accesses into
-//!   one group-commit dispatch, and speculative reads are cancelled in
-//!   the queue once decode succeeds (`SystemConfig::io_ring`).
+//! * [`ring`] — the async per-disk submission/completion ring, the one
+//!   data path of every access: one worker per disk services queued ops,
+//!   coalescing writes across accesses into one group-commit dispatch,
+//!   and speculative reads are cancelled in the queue once decode
+//!   succeeds.
 //! * [`chaos`] — a fault-injecting backend wrapper driven by seeded
 //!   write- and read-fault plans, for crash-consistency and
 //!   degraded-read testing.
@@ -41,10 +42,10 @@
 //!   hash-sharded across WAL-backed shards, each replicated with
 //!   majority-quorum commits, crash recovery with torn-tail truncation
 //!   and read-repair, and snapshot+compaction to bound replay
-//!   (`SystemConfig::metastore`; the in-memory server remains the
-//!   differential oracle).
+//!   (`SystemConfig::metastore`). The in-memory [`metadata`] server is
+//!   the reference implementation its differential test compares against.
 //! * [`locks`] — reader/writer file locks with epoch-based stale-lock
-//!   reclaim, shared by both metadata planes.
+//!   reclaim, shared by the metastore and the reference server.
 //! * [`repair`] — the prioritised, rate-limited repair service over the
 //!   scrubber: a risk queue ordering files most-at-risk-first (weighted
 //!   by disk health), a token-bucket MB/s budget on repair I/O, a
@@ -115,7 +116,7 @@ pub use file_backend::FileBackend;
 pub use integrity::crc32c;
 pub use locks::LockTable;
 pub use metadata::{gen_key, AccessMode, CodingSpec, DiskInfo, FileMeta, MetadataServer};
-pub use metastore::{MemReplica, MetaPlane, MetaShard, Metastore, MetastoreConfig, RecoveryReport};
+pub use metastore::{MemReplica, MetaShard, Metastore, MetastoreConfig, RecoveryReport};
 pub use planner::{LayoutPlanner, ReadPolicy};
 // The wave-policy vocabulary lives in `robustore-schemes` (pure
 // bookkeeping, like the RRAID-A planner); re-exported here because

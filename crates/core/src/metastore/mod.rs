@@ -15,10 +15,10 @@
 //! for the record codec.
 //!
 //! [`Metastore`] fronts the shards with the same open/commit/close
-//! surface as the in-memory [`MetadataServer`], which stays available
-//! behind [`MetaPlane`] as the differential oracle
-//! (`SystemConfig::metastore: None`). File locks are volatile by
-//! design — recovery reclaims them all conservatively (a pre-crash
+//! surface as the in-memory [`MetadataServer`](crate::metadata::MetadataServer),
+//! which stays in [`crate::metadata`] as the reference implementation the
+//! differential test drives side by side with this plane. File locks are
+//! volatile by design — recovery reclaims them all conservatively (a pre-crash
 //! handle's commits are refused anyway) — and the disk registry is
 //! volatile with logged usage hints.
 
@@ -32,7 +32,7 @@ use std::sync::Arc;
 
 use crate::error::StoreError;
 use crate::locks::LockTable;
-use crate::metadata::{AccessMode, DiskInfo, FileMeta, MetadataServer};
+use crate::metadata::{AccessMode, DiskInfo, FileMeta};
 
 use record::MetaRecord;
 pub use shard::{MetaShard, RecoveryReport};
@@ -418,159 +418,6 @@ impl Metastore {
     /// Total files across all shard images.
     pub fn file_count(&self) -> usize {
         self.shards.iter().map(|s| s.image().len()).sum()
-    }
-}
-
-/// The metadata plane behind `System`: the durable [`Metastore`]
-/// (default) or the in-memory [`MetadataServer`] kept as the
-/// differential oracle. Both expose the same lock/commit surface;
-/// dispatch is a plain match so call sites read identically.
-pub enum MetaPlane {
-    /// In-memory oracle plane (`SystemConfig::metastore: None`).
-    Memory(MetadataServer),
-    /// Durable WAL-backed plane.
-    Durable(Box<Metastore>),
-}
-
-impl MetaPlane {
-    /// Register a storage server/disk.
-    pub fn register_disk(&mut self, info: DiskInfo) {
-        match self {
-            MetaPlane::Memory(m) => m.register_disk(info),
-            MetaPlane::Durable(m) => m.register_disk(info),
-        }
-    }
-
-    /// Current disk registry snapshot.
-    pub fn disks(&self) -> &[DiskInfo] {
-        match self {
-            MetaPlane::Memory(m) => m.disks(),
-            MetaPlane::Durable(m) => m.disks(),
-        }
-    }
-
-    /// Update dynamic information for a disk.
-    pub fn update_disk(&mut self, id: usize, used_bytes: u64, load: f64) {
-        match self {
-            MetaPlane::Memory(m) => m.update_disk(id, used_bytes, load),
-            MetaPlane::Durable(m) => m.update_disk(id, used_bytes, load),
-        }
-    }
-
-    /// Whether `name` exists.
-    pub fn exists(&self, name: &str) -> bool {
-        match self {
-            MetaPlane::Memory(m) => m.exists(name),
-            MetaPlane::Durable(m) => m.exists(name),
-        }
-    }
-
-    /// Acquire the lock for `mode` and return the file's metadata.
-    pub fn open(&mut self, name: &str, mode: AccessMode) -> Result<Option<FileMeta>, StoreError> {
-        match self {
-            MetaPlane::Memory(m) => m.open(name, mode),
-            MetaPlane::Durable(m) => m.open(name, mode),
-        }
-    }
-
-    /// Release the lock taken by `open`.
-    pub fn close(&mut self, name: &str, mode: AccessMode) {
-        match self {
-            MetaPlane::Memory(m) => m.close(name, mode),
-            MetaPlane::Durable(m) => m.close(name, mode),
-        }
-    }
-
-    /// Advance the stale-lock reclaim epoch.
-    pub fn begin_lock_epoch(&mut self) -> u64 {
-        match self {
-            MetaPlane::Memory(m) => m.begin_lock_epoch(),
-            MetaPlane::Durable(m) => m.begin_lock_epoch(),
-        }
-    }
-
-    /// Locks reclaimed from presumed-crashed holders so far.
-    pub fn locks_reclaimed(&self) -> u64 {
-        match self {
-            MetaPlane::Memory(m) => m.locks_reclaimed(),
-            MetaPlane::Durable(m) => m.locks_reclaimed(),
-        }
-    }
-
-    /// Try to upgrade a sole-reader lock to the writer lock.
-    pub fn try_upgrade(&mut self, name: &str) -> bool {
-        match self {
-            MetaPlane::Memory(m) => m.try_upgrade(name),
-            MetaPlane::Durable(m) => m.try_upgrade(name),
-        }
-    }
-
-    /// Downgrade the writer lock back to a single reader.
-    pub fn downgrade(&mut self, name: &str) {
-        match self {
-            MetaPlane::Memory(m) => m.downgrade(name),
-            MetaPlane::Durable(m) => m.downgrade(name),
-        }
-    }
-
-    /// Allocate a file id for a new file. Only the durable plane can
-    /// fail (quorum loss on the id-floor record).
-    pub fn allocate_file_id(&mut self) -> Result<u64, StoreError> {
-        match self {
-            MetaPlane::Memory(m) => Ok(m.allocate_file_id()),
-            MetaPlane::Durable(m) => m.allocate_file_id(),
-        }
-    }
-
-    /// Commit metadata after a write/update (requires the writer lock).
-    pub fn commit(&mut self, meta: FileMeta) -> Result<(), StoreError> {
-        match self {
-            MetaPlane::Memory(m) => m.commit(meta),
-            MetaPlane::Durable(m) => m.commit(meta),
-        }
-    }
-
-    /// Remove a file's metadata (requires the writer lock).
-    pub fn remove(&mut self, name: &str) -> Result<FileMeta, StoreError> {
-        match self {
-            MetaPlane::Memory(m) => m.remove(name),
-            MetaPlane::Durable(m) => m.remove(name),
-        }
-    }
-
-    /// Look up without locking.
-    pub fn stat(&self, name: &str) -> Option<&FileMeta> {
-        match self {
-            MetaPlane::Memory(m) => m.stat(name),
-            MetaPlane::Durable(m) => m.stat(name),
-        }
-    }
-
-    /// All known file names, sorted.
-    pub fn list(&self) -> Vec<String> {
-        match self {
-            MetaPlane::Memory(m) => m.list(),
-            MetaPlane::Durable(m) => m.list(),
-        }
-    }
-
-    /// Bootstrap-restore metadata, bypassing locks.
-    pub fn restore(&mut self, meta: FileMeta) -> Result<(), StoreError> {
-        match self {
-            MetaPlane::Memory(m) => {
-                m.restore(meta);
-                Ok(())
-            }
-            MetaPlane::Durable(m) => m.restore(meta),
-        }
-    }
-
-    /// The durable plane, if this is one (chaos hooks, recovery).
-    pub fn as_durable_mut(&mut self) -> Option<&mut Metastore> {
-        match self {
-            MetaPlane::Memory(_) => None,
-            MetaPlane::Durable(m) => Some(m),
-        }
     }
 }
 

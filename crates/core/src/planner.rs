@@ -23,8 +23,10 @@ use crate::qos::QosOptions;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ReadPolicy {
     /// The paper's 2007 policy: request every stored block up front in
-    /// nominal arrival order, cancel leftovers on decode. Kept as the
-    /// differential oracle — byte-identical data, maximal disk pressure.
+    /// nominal arrival order, cancel leftovers on decode. Byte-identical
+    /// data to the adaptive policy at maximal disk pressure — the
+    /// baseline `xp tail` measures against, and a timing-independent
+    /// schedule for tests.
     Static,
     /// Queue-aware staged waves sized from the decoder's expected need
     /// and ordered by live per-disk completion estimates.
@@ -45,9 +47,8 @@ impl ReadPolicy {
 
     /// Build the submission schedule for one access: `slots` describe the
     /// file's layout, `k` is the decoder's block need, `load` the live
-    /// ring telemetry (empty on the blocking path). Static policy — and
-    /// adaptive with no telemetry — yield the request-everything schedule
-    /// in nominal arrival order.
+    /// ring telemetry. Static policy — and adaptive with no telemetry —
+    /// yield the request-everything schedule in nominal arrival order.
     pub fn schedule(&self, slots: &[WaveSlot], k: usize, load: &DiskLoadMap) -> WaveSchedule {
         match self {
             ReadPolicy::Static => AdaptiveReadPolicy::static_schedule(slots),

@@ -33,20 +33,23 @@
 //!   backlog can never starve serving traffic. Background queue depth is
 //!   excluded from [`IoRing::load_map`]'s `queued` for the same reason.
 //!
-//! Workers share the blocking path's read-retry helper
-//! ([`ShardedBackend::read_block_retry`]) so that per-disk fault budgets
-//! and retry counters are consumed identically on both paths; the
-//! differential suites assert committed state byte-identical with the
-//! ring on and off.
+//! Workers run the shared bounded read-retry helper
+//! ([`ShardedBackend::read_block_retry`]), so per-disk fault budgets are
+//! consumed in each disk's service (= submission) order and a successful
+//! read is counted exactly once.
+//!
+//! Accesses that need their completions *in submission order* with a
+//! bounded number in flight — writes, updates, scrub fetches, deletes —
+//! go through [`OrderedWindow`], the one reorder buffer over the ring.
 //!
 //! Each worker also exports live load telemetry — queue depth, in-flight
 //! count, and an EWMA of per-op service time — behind the lock-free
 //! [`IoRing::load_map`] snapshot, which feeds the queue-aware
 //! [`robustore_schemes::AdaptiveReadPolicy`].
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::Sender;
+use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 
@@ -63,8 +66,7 @@ pub struct RingConfig {
     /// Read attempts per op (>= 1); transient faults retry up to this.
     pub read_attempts: u32,
     /// Base backoff before a read retry, doubled per attempt. Plain
-    /// exponential (no jitter): the jittered sleep of the blocking path
-    /// is wall-clock-only behaviour, and workers must stay seed-free.
+    /// exponential, no jitter: workers stay seed-free.
     pub backoff_micros: u64,
 }
 
@@ -423,6 +425,128 @@ impl IoRing {
     }
 }
 
+/// Handler an [`OrderedWindow`] feeds completions to: `(tag, kind)` in
+/// strict tag (= submission) order. An error stops the access.
+pub(crate) type OnCompletion<'h> = dyn FnMut(u64, CompletionKind) -> Result<(), StoreError> + 'h;
+
+/// Bounded in-order submission window over an [`IoRing`]: ops are tagged
+/// in submission order, at most `window` are in flight, and completions
+/// are handed to the caller's handler strictly in tag order through a
+/// reorder buffer — so the caller's bookkeeping sees a deterministic
+/// sequence whatever order the disks finish in. One access, one window.
+///
+/// A completion channel that closes with ops still outstanding (the
+/// worker servicing them died) surfaces as [`StoreError::DiskFault`] on
+/// the lost op's disk instead of a hang or a panic; the caller then runs
+/// its normal rollback via [`OrderedWindow::abort`].
+pub(crate) struct OrderedWindow<'a> {
+    ring: &'a IoRing,
+    access: u64,
+    priority: Priority,
+    window: u64,
+    /// `None` once submission is over ([`OrderedWindow::finish`] /
+    /// [`OrderedWindow::abort`]): with the window's own sender gone, a
+    /// lost op closes the channel instead of blocking the drain forever.
+    tx: Option<Sender<Completion>>,
+    rx: Receiver<Completion>,
+    /// Target disk per tag; `disks.len()` ops have been submitted.
+    disks: Vec<usize>,
+    /// Tags `0..next` have been handed to the handler, in order.
+    next: u64,
+    /// Completions received so far (handled or parked).
+    received: u64,
+    /// Out-of-order completions parked until `next` reaches their tag.
+    parked: BTreeMap<u64, CompletionKind>,
+}
+
+impl<'a> OrderedWindow<'a> {
+    pub(crate) fn new(ring: &'a IoRing, access: u64, priority: Priority, window: usize) -> Self {
+        let (tx, rx) = std::sync::mpsc::channel();
+        OrderedWindow {
+            ring,
+            access,
+            priority,
+            window: window.max(1) as u64,
+            tx: Some(tx),
+            rx,
+            disks: Vec::new(),
+            next: 0,
+            received: 0,
+            parked: BTreeMap::new(),
+        }
+    }
+
+    fn submitted(&self) -> u64 {
+        self.disks.len() as u64
+    }
+
+    /// The error for an op that will never complete: its disk's worker
+    /// dropped it, which is a storage server failing mid-I/O.
+    fn lost(&self) -> StoreError {
+        StoreError::DiskFault {
+            disk: self.disks.get(self.next as usize).copied().unwrap_or(0),
+        }
+    }
+
+    /// Submit one op, first handing completions to `handle` until fewer
+    /// than `window` ops are in flight.
+    pub(crate) fn submit(
+        &mut self,
+        disk: usize,
+        op: SubmitOp,
+        handle: &mut OnCompletion<'_>,
+    ) -> Result<(), StoreError> {
+        while self.submitted() - self.next >= self.window {
+            self.pump(handle)?;
+        }
+        // `None` only after `finish`: refuse rather than queue an op whose
+        // completion nobody will harvest.
+        let Some(tx) = self.tx.as_ref() else {
+            return Err(self.lost());
+        };
+        self.ring
+            .submit_with(disk, self.access, self.submitted(), op, self.priority, tx);
+        self.disks.push(disk);
+        Ok(())
+    }
+
+    /// Receive one completion, then hand every in-order one to `handle`.
+    fn pump(&mut self, handle: &mut OnCompletion<'_>) -> Result<(), StoreError> {
+        let c = self.rx.recv().map_err(|_| self.lost())?;
+        self.received += 1;
+        self.parked.insert(c.tag, c.kind);
+        while let Some(kind) = self.parked.remove(&self.next) {
+            self.next += 1;
+            handle(self.next - 1, kind)?;
+        }
+        Ok(())
+    }
+
+    /// Submission is over: hand every outstanding completion to `handle`.
+    pub(crate) fn finish(&mut self, handle: &mut OnCompletion<'_>) -> Result<(), StoreError> {
+        self.tx = None;
+        while self.next < self.submitted() {
+            self.pump(handle)?;
+        }
+        Ok(())
+    }
+
+    /// The access failed: revoke everything still queued, drain every
+    /// outstanding completion, and return the ones the handler never saw
+    /// — so the caller can roll back writes that landed anyway and
+    /// recycle buffers.
+    pub(crate) fn abort(mut self) -> Vec<(u64, CompletionKind)> {
+        self.tx = None;
+        self.ring.cancel(self.access);
+        while self.received < self.submitted() {
+            let Ok(c) = self.rx.recv() else { break };
+            self.received += 1;
+            self.parked.insert(c.tag, c.kind);
+        }
+        self.parked.into_iter().collect()
+    }
+}
+
 impl Drop for IoRing {
     fn drop(&mut self) {
         for queue in self.queues.iter() {
@@ -569,8 +693,7 @@ fn service_write_batch(
     }
 }
 
-/// Service one op on the calling thread, replicating the blocking read
-/// retry policy.
+/// Service one op on the calling thread, with the bounded read retry.
 fn service_op(
     disk: usize,
     op: SubmitOp,
@@ -943,6 +1066,50 @@ mod tests {
         assert_eq!(cancelled + serviced, 32);
         assert_eq!(r.background_backlog(), vec![0]);
         assert!(rx.try_recv().is_err());
+    }
+
+    #[test]
+    fn ordered_window_delivers_in_submission_order_within_the_bound() {
+        let r = ring(4);
+        let mut w = OrderedWindow::new(&r, 3, Priority::Foreground, 4);
+        let mut seen = Vec::new();
+        let mut max_in_flight = 0;
+        for tag in 0..32u64 {
+            let mut on = |t: u64, kind: CompletionKind| {
+                assert!(matches!(kind, CompletionKind::Write(WriteOutcome::Done)));
+                seen.push(t);
+                Ok(())
+            };
+            let op = SubmitOp::Write {
+                key: tag,
+                data: vec![tag as u8; 8],
+            };
+            w.submit((tag % 4) as usize, op, &mut on).unwrap();
+            max_in_flight = max_in_flight.max(w.submitted() - w.next);
+        }
+        w.finish(&mut |t, _| {
+            seen.push(t);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, (0..32).collect::<Vec<u64>>());
+        assert!(max_in_flight <= 4, "window overrun: {max_in_flight}");
+        assert!(w.abort().is_empty(), "nothing left to drain");
+    }
+
+    #[test]
+    fn ordered_window_reports_a_closed_channel_as_a_disk_fault() {
+        let r = ring(2);
+        let mut w = OrderedWindow::new(&r, 4, Priority::Foreground, 4);
+        // An op whose worker died holding it: submitted to disk 1, its
+        // sender dropped without a completion.
+        w.disks.push(1);
+        // `finish` releases the window's own sender — the last one — so
+        // the wait sees a closed channel instead of blocking forever.
+        let err = w.finish(&mut |_, _| Ok(())).unwrap_err();
+        assert_eq!(err, StoreError::DiskFault { disk: 1 });
+        // The rollback drain terminates too, with nothing to hand back.
+        assert!(w.abort().is_empty());
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //! contend when they land on the same disk at the same instant, which is
 //! exactly the per-disk-queue regime the paper's analysis models.
 //!
-//! Backends that cannot shard (`try_shard() == None`) fall back to
-//! `Whole` mode: one mutex around the whole backend, taken per block
-//! operation. That is also the configuration knob
-//! (`SystemConfig::sharded = false`) the differential tests use as the
-//! single-lock oracle — by construction both modes issue the identical
-//! per-disk operation sequences, so committed state must match.
+//! Backends that cannot shard (`try_shard() == None`, the trait default)
+//! fall back to `Whole` mode: one mutex around the whole backend, taken
+//! per block operation. By construction both modes issue the identical
+//! per-disk operation sequences, so committed state matches — the
+//! differential tests check that with a non-sharding wrapper backend.
 //!
 //! Group commit rides on the same seam: [`ShardedBackend::commit_batch`]
 //! hands a run of consecutive same-disk writes to the shard in one lock
@@ -148,10 +147,10 @@ impl ShardedBackend {
     /// Fetch a block with the shared bounded-retry policy: transient
     /// faults retry up to `max_attempts` total attempts, calling
     /// `backoff(attempt)` before each retry (the caller supplies the
-    /// sleep — plain exponential on the ring workers, seeded jitter on
-    /// the blocking path, nothing during scrub). A successful read is
-    /// counted against the disk here, so the retry accounting and the
-    /// per-disk read counters cannot drift between the two paths.
+    /// sleep — plain exponential on the ring workers, nothing for the
+    /// read-repair audit). A successful read is counted against the disk
+    /// here, so retry accounting and per-disk read counters cannot drift
+    /// between callers.
     /// Returns the final result and the number of retries performed;
     /// exhausted retries surface the last `TransientIo` error.
     pub fn read_block_retry(

@@ -16,11 +16,17 @@
 //! * **pool accounting** — `pool_outstanding_bytes() == 0` once every
 //!   thread is done.
 //!
+//! Once the threads are joined and the faults cleared, every schedule
+//! ends in [`common::check_committed_state`].
+//!
 //! Accesses pin their layout (`QosOptions::with_pinned_disks`) so the
 //! plan is a pure function of the request: dynamic disk selection reads
 //! live usage and would make committed layouts depend on thread
 //! interleaving, which is exactly what these tests must rule out.
 
+mod common;
+
+use common::check_committed_state;
 use robustore::core::{
     AccessMode, ChaosBackend, Client, FaultSwitch, InMemoryBackend, PublicKey, QosOptions,
     Scrubber, StoreError, System, SystemConfig,
@@ -122,10 +128,10 @@ fn concurrent_writers_commit_disjoint_files() {
                 scope.spawn(move || overwrite(&sys, owner, f, 2).unwrap());
             }
         });
+        let committed = check_committed_state(&sys);
         for f in 0..FILES {
-            assert_eq!(read_back(&client, f), payload(f, 2), "file {f} corrupted");
+            assert_eq!(committed[&name(f)], payload(f, 2), "file {f} corrupted");
         }
-        assert_eq!(sys.pool_outstanding_bytes(), 0, "leaked pool buffers");
         used_snapshot(&sys)
     };
     let unbatched = run(1);
@@ -194,7 +200,7 @@ fn mid_write_failure_rolls_back_only_the_unlucky_accesses() {
         snapshot,
         "aborted accesses left orphans or destroyed committed blocks"
     );
-    assert_eq!(sys.pool_outstanding_bytes(), 0, "leaked pool buffers");
+    check_committed_state(&sys);
 }
 
 /// Seeded refusing disks under concurrency: refusals are stateless, so
@@ -237,7 +243,7 @@ fn refusing_disks_concurrent_state_replays_identically() {
                 "refused disk {d} still holds bytes after GC"
             );
         }
-        assert_eq!(sys.pool_outstanding_bytes(), 0, "leaked pool buffers");
+        check_committed_state(&sys);
         (refused, state, used_snapshot(&sys))
     };
     let a = run(77, 8);
@@ -343,14 +349,14 @@ fn concurrent_read_write_scrub_stress() {
 
     // Quiesced: every file decodes to its final version and the pool
     // accounts for every byte that moved during the storm.
+    let committed = check_committed_state(&sys);
     for f in 0..FILES {
         assert_eq!(
-            read_back(&client, f),
+            committed[&name(f)],
             payload(f, 1 + ROUNDS),
             "file {f} lost its final committed version"
         );
     }
-    assert_eq!(sys.pool_outstanding_bytes(), 0, "leaked pool buffers");
     let (transient, corrupt, torn) = switch.injected_read_faults();
     assert!(
         transient + corrupt + torn > 0,

@@ -15,16 +15,25 @@
 //!   before latent faults accumulate past decodability;
 //! * every exit path — success, decode failure, hard I/O error — returns
 //!   all buffers to the shared pool (`pool_outstanding_bytes() == 0`).
+//!
+//! Reads are speculative: a request already queued when the decoder
+//! completes may still be serviced, and its result discarded, before the
+//! cancel reaches it. The report counts only what the decoder consumed,
+//! so a *consumable* fault budget can be drawn down by reads the report
+//! never mentions. Tests that compare injected-fault counters with the
+//! report therefore pin [`ReadPolicy::Static`] (each disk then services
+//! the file's blocks in one fixed submission order) and spend the whole
+//! budget before the decode point by construction; each says how.
 
 use robustore::core::{
-    AccessMode, ChaosBackend, Client, FaultSwitch, InMemoryBackend, QosOptions, ReadReport,
-    Scrubber, StoreError, System, SystemConfig,
+    AccessMode, ChaosBackend, Client, FaultSwitch, InMemoryBackend, QosOptions, ReadPolicy,
+    ReadReport, Scrubber, StoreError, System, SystemConfig,
 };
 use robustore::simkit::{ReadFaultPlan, ReadFaultScenario, SeedSequence};
 
 const DISKS: usize = 8;
 
-fn chaos_system() -> (System, FaultSwitch) {
+fn chaos_system_with(read_policy: ReadPolicy, read_repair: bool) -> (System, FaultSwitch) {
     let speeds: Vec<f64> = (0..DISKS).map(|i| 10e6 + i as f64 * 6e6).collect();
     let (backend, switch) = ChaosBackend::new(InMemoryBackend::new(speeds));
     let sys = System::with_backend(
@@ -33,16 +42,16 @@ fn chaos_system() -> (System, FaultSwitch) {
             block_bytes: 4 << 10,
             encode_threads: 4,
             pipeline_depth: 8,
-            // Blocking path pinned: this suite asserts *exact* injected
-            // fault and retry counts against seeded budgets, and the ring
-            // may service a few already-queued requests past the decode
-            // point (legitimately consuming extra budget). Ring-mode
-            // chaos semantics are covered by tests/ring_chaos.rs.
-            io_ring: false,
+            read_policy,
+            read_repair,
             ..Default::default()
         },
     );
     (sys, switch)
+}
+
+fn chaos_system() -> (System, FaultSwitch) {
+    chaos_system_with(ReadPolicy::default(), true)
 }
 
 fn payload(len: usize, salt: u8) -> Vec<u8> {
@@ -71,7 +80,7 @@ fn read_with_report(sys: &System, client: &Client, name: &str) -> (Vec<u8>, Read
 
 #[test]
 fn transient_faults_are_retried_not_fatal() {
-    let (sys, switch) = chaos_system();
+    let (sys, switch) = chaos_system_with(ReadPolicy::Static, true);
     let client = Client::connect(&sys, sys.register_user());
     let data = payload(150_000, 1);
     put(&client, "flaky", &data);
@@ -85,6 +94,12 @@ fn transient_faults_are_retried_not_fatal() {
     assert!(rr.transient_retries > 0, "retry policy never engaged");
     assert_eq!(rr.blocks_missing, 0, "transients within budget cost data");
     assert_eq!(rr.blocks_corrupt, 0);
+    // Exact, not `>=`: each budget is spent inside the disk's *first*
+    // read (fail, fail, succeed), and in the static schedule every
+    // disk's first block is among the first 22 requests — the slowest
+    // disk delivers one block in the time the other seven deliver 21 —
+    // while the decoder needs K = 37, so no budget outlives the decode
+    // point for a speculative read to find.
     assert_eq!(switch.injected_read_faults().0, rr.transient_retries);
 }
 
@@ -172,19 +187,7 @@ fn scrubber_restores_full_redundancy_unscrubbed_store_decays() {
         // damage set on any read that trips over damage, so a store
         // that merely keeps reading never decays — only a store with no
         // healer at all demonstrates the decay the scrubber prevents.
-        let speeds: Vec<f64> = (0..DISKS).map(|i| 10e6 + i as f64 * 6e6).collect();
-        let (backend, _switch) = ChaosBackend::new(InMemoryBackend::new(speeds));
-        let sys = System::with_backend(
-            Box::new(backend),
-            SystemConfig {
-                block_bytes: 4 << 10,
-                encode_threads: 4,
-                pipeline_depth: 8,
-                io_ring: false,
-                read_repair: scrubbed,
-                ..Default::default()
-            },
-        );
+        let (sys, _switch) = chaos_system_with(ReadPolicy::default(), scrubbed);
         let client = Client::connect(&sys, sys.register_user());
         put(&client, "wear", &data);
         let mut ok_rounds = 0;
@@ -233,10 +236,22 @@ fn scrubber_restores_full_redundancy_unscrubbed_store_decays() {
 
 #[test]
 fn seeded_read_chaos_replays_bit_identically() {
+    // The injected-fault counters replay exactly (not merely `>=` what
+    // the report shows) because every budget is spent before the decode
+    // point: under the static schedule the slowest disk's third read —
+    // the last one any budget covers — is at most the 71st request (the
+    // other seven disks deliver 68 blocks meanwhile), and the decoder
+    // cannot finish before K = 98 blocks are in. Speculative reads past
+    // the decode point find nothing left to consume, so their timing
+    // cannot show. Of the report, everything the decode point determines
+    // is compared; `blocks_deferred` (how far submission had run ahead
+    // when the decoder finished) is wall-clock and left out.
     let run = |seed: u64| {
-        let (sys, switch) = chaos_system();
+        let (sys, switch) = chaos_system_with(ReadPolicy::Static, true);
         let client = Client::connect(&sys, sys.register_user());
-        put(&client, "replay", &payload(160_000, 6));
+        put(&client, "replay", &payload(400_000, 6));
+        let meta = sys.export_meta("replay").unwrap();
+        assert!(meta.coding.k >= 98 && meta.layout.iter().all(|(_, ids)| ids.len() >= 3));
         let plan = ReadFaultPlan::generate(
             &ReadFaultScenario::Mixed {
                 transient: 2,
@@ -249,11 +264,17 @@ fn seeded_read_chaos_replays_bit_identically() {
         );
         switch.apply_read(&plan);
         let (got, rr) = read_with_report(&sys, &client, "replay");
-        (got, format!("{rr:?}"), switch.injected_read_faults())
+        let decode_point = (
+            (rr.blocks_fetched, rr.blocks_cancelled, rr.transient_retries),
+            (rr.blocks_missing, rr.blocks_corrupt, rr.blocks_unverified),
+            rr.blocks_repaired,
+        );
+        (got, decode_point, switch.injected_read_faults())
     };
     let a = run(99);
     let b = run(99);
     assert_eq!(a, b, "same seed must replay bit-identically");
+    assert_eq!(a.2, (6, 6, 3), "every armed budget was spent");
     let c = run(100);
     assert_eq!(a.0, c.0, "data is correct under any seed");
 }
@@ -288,16 +309,19 @@ fn hard_read_fault_aborts_without_leaking_pool_buffers() {
     );
     switch.clear();
 
-    // The warm pool survived the failure: a follow-up read allocates
-    // nothing new.
+    // The warm pool survived the failure: a follow-up read runs on its
+    // buffers. Not `fresh_after == fresh_before`: how many requests are
+    // in flight at a read's peak is wall-clock, so a later read may top
+    // the pool up by a few buffers — where a lost pool would cost a full
+    // read's worth (`fresh_before`) again.
     let (got, _) = read_with_report(&sys, &client, "leaky");
     assert_eq!(got, data);
     let (fresh_after, reuses) = sys.pool_stats();
-    assert_eq!(
-        fresh_after, fresh_before,
-        "pool was lost in the failed read"
+    assert!(
+        fresh_after - fresh_before < fresh_before / 2,
+        "pool was lost in the failed read: {fresh_before} -> {fresh_after} fresh allocations"
     );
-    assert!(reuses > 0);
+    assert!(reuses >= fresh_before, "the follow-up read ran on the pool");
 }
 
 #[test]

@@ -11,8 +11,13 @@
 //!   anywhere (backend byte counts return to their pre-access snapshot).
 //!
 //! In both outcomes the shared buffer pool must account for every byte
-//! (`pool_outstanding_bytes() == 0`).
+//! (`pool_outstanding_bytes() == 0`), and every test ends in
+//! [`common::check_committed_state`]: each committed block present and
+//! checksummed, each disk holding exactly its committed blocks.
 
+mod common;
+
+use common::check_committed_state;
 use robustore::core::{
     AccessMode, ChaosBackend, Client, FaultSwitch, InMemoryBackend, QosOptions, StoreError, System,
     SystemConfig,
@@ -105,7 +110,7 @@ fn failed_overwrite_preserves_previous_version() {
         .unwrap();
     client.write(&mut h, &v2).unwrap();
     client.close(h).unwrap();
-    assert_eq!(read_back(&sys, &client, "precious"), v2);
+    assert_eq!(check_committed_state(&sys)["precious"], v2);
 }
 
 #[test]
@@ -127,7 +132,7 @@ fn failed_first_write_leaves_no_orphans() {
     assert_eq!(sys.total_used(), 0, "aborted first write left orphans");
     let (_, writes) = sys.backend_stats();
     assert!(writes > 0, "the fault fired mid-access, not before it");
-    assert_eq!(sys.pool_outstanding_bytes(), 0);
+    assert!(check_committed_state(&sys).is_empty());
 }
 
 #[test]
@@ -170,7 +175,7 @@ fn refusing_disks_reroute_without_reencoding() {
         meta.stored_blocks() as u64 * meta.coding.block_bytes
     );
     switch.clear();
-    assert_eq!(read_back(&sys, &client, "routed"), data);
+    assert_eq!(check_committed_state(&sys)["routed"], data);
 }
 
 #[test]
@@ -192,8 +197,7 @@ fn all_disks_refusing_fails_cleanly() {
     );
     client.close(h).unwrap();
     assert_eq!(sys.total_used(), 0);
-    assert_eq!(sys.pool_outstanding_bytes(), 0);
-    assert!(!sys.list_files().contains(&"nowhere".to_string()));
+    assert!(check_committed_state(&sys).is_empty());
 }
 
 #[test]
@@ -267,6 +271,7 @@ fn failed_update_preserves_committed_version() {
         snapshot,
         "update changed the stored block count"
     );
+    assert_eq!(check_committed_state(&sys)["doc"], want);
 }
 
 #[test]
@@ -292,7 +297,7 @@ fn seeded_fault_plans_replay_identically() {
         let outcome = client.write(&mut h, &payload(130_000, 8)).map(|_| ());
         client.close(h).unwrap();
         switch.clear();
-        let got = read_back(&sys, &client, "replay");
+        let got = check_committed_state(&sys).remove("replay").unwrap();
         (plan, outcome, used_snapshot(&sys), got)
     };
     let (plan_a, out_a, used_a, got_a) = run(99);

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use robustore::core::{
-    AccessMode, Client, CredentialChain, InMemoryBackend, QosOptions, Rights, StoreError, System,
-    SystemConfig,
+    AccessMode, Client, CredentialChain, FileBackend, InMemoryBackend, QosOptions, Rights,
+    StoreError, System, SystemConfig,
 };
 
 fn system(disks: usize) -> System {
@@ -316,4 +316,110 @@ fn out_of_range_update_rejected() {
         Err(StoreError::OutOfRange)
     ));
     client.close(h).unwrap();
+}
+
+#[test]
+fn paced_batch_with_mixed_block_sizes_and_a_stale_handle() {
+    // One system writes one block size, so the store is built in two
+    // lives over one directory (as the CLI reopens a store): 4 KiB blocks
+    // first, then 16 KiB with the first life's metadata imported.
+    let dir = std::env::temp_dir().join(format!("rbst-mixed-batch-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = |block_bytes: u64| {
+        let speeds: Vec<f64> = (0..8).map(|i| 8e6 + (i as f64) * 7e6).collect();
+        System::with_backend(
+            Box::new(FileBackend::open(&dir, speeds).unwrap()),
+            SystemConfig {
+                block_bytes,
+                ..Default::default()
+            },
+        )
+    };
+    let put = |client: &Client, name: &str, data: &[u8]| {
+        let mut h = client
+            .open(name, AccessMode::Write, QosOptions::best_effort())
+            .unwrap();
+        client.write(&mut h, data).unwrap();
+        client.close(h).unwrap();
+    };
+    let files = [
+        ("small-a", payload(50_000, 1)),
+        ("big-a", payload(90_000, 2)),
+        ("small-b", payload(70_000, 3)),
+        ("big-b", payload(120_000, 4)),
+    ];
+
+    let first_life = {
+        let sys = open(4 << 10);
+        let client = Client::connect(&sys, sys.register_user());
+        for (name, data) in files.iter().filter(|(n, _)| n.starts_with("small")) {
+            put(&client, name, data);
+        }
+        ["small-a", "small-b"].map(|n| sys.export_meta(n).unwrap())
+    };
+    let sys = open(16 << 10);
+    let me = sys.register_user();
+    for mut meta in first_life {
+        meta.owner = me;
+        sys.import_meta(meta).unwrap();
+    }
+    let client = Client::connect(&sys, me);
+    for (name, data) in files.iter().filter(|(n, _)| n.starts_with("big")) {
+        put(&client, name, data);
+    }
+
+    // Handle order interleaves the two block sizes around a handle with
+    // nothing to read: a write handle to a file never written.
+    let mut handles: Vec<_> = files
+        .iter()
+        .map(|(name, _)| {
+            client
+                .open(name, AccessMode::Read, QosOptions::best_effort())
+                .unwrap()
+        })
+        .collect();
+    let stale_at = 2;
+    handles.insert(
+        stale_at,
+        client
+            .open(
+                "never-written",
+                AccessMode::Write,
+                QosOptions::best_effort(),
+            )
+            .unwrap(),
+    );
+    let block_sizes: Vec<u64> = handles
+        .iter()
+        .filter_map(|h| h.meta().map(|m| m.coding.block_bytes))
+        .collect();
+    assert_eq!(block_sizes, [4 << 10, 16 << 10, 4 << 10, 16 << 10]);
+
+    let refs: Vec<_> = handles.iter().collect();
+    let arrivals: Vec<u64> = (0..refs.len() as u64).map(|i| i * 400).collect();
+    let mut results: Vec<Option<Result<Vec<u8>, StoreError>>> = vec![None; refs.len()];
+    client.read_many_with(&refs, Some(&arrivals), |i, r| {
+        assert!(results[i].is_none(), "handle {i} resolved twice");
+        results[i] = Some(r.map(|(data, _)| data));
+    });
+
+    // One result per handle, at the handle's own index.
+    let mut expected: Vec<Result<Vec<u8>, StoreError>> =
+        files.iter().map(|(_, data)| Ok(data.clone())).collect();
+    expected.insert(stale_at, Err(StoreError::StaleHandle));
+    let results: Vec<_> = results
+        .into_iter()
+        .map(|r| r.expect("every handle resolved"))
+        .collect();
+    assert_eq!(results, expected);
+    assert_eq!(
+        sys.pool_outstanding_bytes(),
+        0,
+        "the batch leaked pool buffers"
+    );
+
+    for h in handles {
+        client.close(h).unwrap();
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -15,16 +15,21 @@
 //!   quorum read-repair re-converges the replica — repeated recovery is
 //!   idempotent (second pass drops zero bytes);
 //! * the durable plane is **observationally identical** to the
-//!   in-memory oracle plane over the same operation sequence;
+//!   in-memory reference server (`MetadataServer`), call for call, over
+//!   the same operation sequence — errors included;
+//! * a **failed delete** (metadata quorum lost) leaves the file intact:
+//!   the namespace commit comes before the block GC;
 //! * a **file-backed** plane survives a full process restart with the
 //!   namespace and the file-id floor intact.
 
 use std::collections::BTreeMap;
 
+use robustore::core::metadata::CodingSpec;
 use robustore::core::{
-    AccessMode, Client, FileMeta, InMemoryBackend, MemReplica, MetastoreConfig, QosOptions,
-    StoreError, System, SystemConfig,
+    AccessMode, Client, FileMeta, InMemoryBackend, MemReplica, MetadataServer, Metastore,
+    MetastoreConfig, QosOptions, StoreError, System, SystemConfig,
 };
+use robustore::erasure::LtParams;
 use robustore::simkit::{MetaFaultKind, MetaFaultPlan, MetaFaultScenario, SeedSequence};
 
 const DISKS: usize = 8;
@@ -39,25 +44,11 @@ fn durable_system(shards: usize, replicas: usize) -> System {
         SystemConfig {
             block_bytes: 4 << 10,
             encode_threads: 2,
-            metastore: Some(MetastoreConfig {
+            metastore: MetastoreConfig {
                 shards,
                 replicas,
                 ..MetastoreConfig::default()
-            }),
-            ..Default::default()
-        },
-    )
-}
-
-/// The in-memory oracle plane: same system shape, no durability.
-fn oracle_system() -> System {
-    let speeds: Vec<f64> = (0..DISKS).map(|i| 20e6 + i as f64 * 5e6).collect();
-    System::new(
-        InMemoryBackend::new(speeds),
-        SystemConfig {
-            block_bytes: 4 << 10,
-            encode_threads: 2,
-            metastore: None,
+            },
             ..Default::default()
         },
     )
@@ -98,7 +89,6 @@ fn replica_handles(sys: &System) -> Vec<Vec<MemReplica>> {
             })
             .collect()
     })
-    .expect("durable plane")
 }
 
 /// Arm every fault in `plan` against the cloned replica handles.
@@ -124,7 +114,6 @@ fn namespace(sys: &System) -> BTreeMap<String, FileMeta> {
             })
             .collect()
     })
-    .expect("durable plane")
 }
 
 // ---------------------------------------------------------------------------
@@ -153,7 +142,7 @@ fn crash_mid_commit_recovers_pre_or_post_never_torn() {
         // two-replica tear (commit loses quorum and fails) — recovery
         // must be consistent either way.
         let victim = format!("victim-{seed}");
-        let shard = sys.with_metastore(|m| m.shard_of(&victim)).unwrap();
+        let shard = sys.with_metastore(|m| m.shard_of(&victim));
         let handles = replica_handles(&sys);
         let tears = 1 + (seed as usize % 2);
         // Draw the torn byte count from the seeded plan machinery so
@@ -190,7 +179,7 @@ fn crash_mid_commit_recovers_pre_or_post_never_torn() {
         }
 
         // Crash: discard all volatile metadata state, replay the logs.
-        let reports = sys.recover_metadata().unwrap().unwrap();
+        let reports = sys.recover_metadata().unwrap();
         let after = namespace(&sys);
 
         // Every base file survives, bit for bit.
@@ -268,7 +257,7 @@ fn minority_replica_loss_loses_zero_files() {
 
     // Crash-recover while the minority is still down: every committed
     // file must come back from the surviving majority.
-    let reports = sys.recover_metadata().unwrap().unwrap();
+    let reports = sys.recover_metadata().unwrap();
     for r in &reports {
         assert_eq!(r.replicas_available, 2, "shard {} quorum shape", r.shard);
     }
@@ -284,7 +273,7 @@ fn minority_replica_loss_loses_zero_files() {
             replica.set_down(false);
         }
     }
-    let healed = sys.recover_metadata().unwrap().unwrap();
+    let healed = sys.recover_metadata().unwrap();
     let repaired: usize = healed.iter().map(|r| r.replicas_repaired).sum();
     assert!(repaired > 0, "revived laggards must be read-repaired");
     assert_eq!(
@@ -294,7 +283,7 @@ fn minority_replica_loss_loses_zero_files() {
     );
     // A fully-healed plane recovers clean: nothing to repair, no torn
     // bytes, all replicas present.
-    for r in sys.recover_metadata().unwrap().unwrap() {
+    for r in sys.recover_metadata().unwrap() {
         assert_eq!(r.replicas_available, 3);
         assert_eq!(r.torn_bytes_dropped, 0);
     }
@@ -331,7 +320,7 @@ fn corrupt_log_tail_truncated_and_converges() {
     assert_eq!(plan.faults.len(), 4, "one rotten replica on every shard");
     apply_plan(&handles, &plan);
 
-    let reports = sys.recover_metadata().unwrap().unwrap();
+    let reports = sys.recover_metadata().unwrap();
     let dropped: u64 = reports.iter().map(|r| r.torn_bytes_dropped).sum();
     let repaired: usize = reports.iter().map(|r| r.replicas_repaired).sum();
     assert!(dropped > 0, "tail rot must be detected and truncated");
@@ -340,7 +329,7 @@ fn corrupt_log_tail_truncated_and_converges() {
 
     // Convergence: read-repair already rewrote the divergent replicas,
     // so recovering again finds a clean, agreeing replica set.
-    for r in sys.recover_metadata().unwrap().unwrap() {
+    for r in sys.recover_metadata().unwrap() {
         assert_eq!(
             r.torn_bytes_dropped, 0,
             "shard {} did not converge",
@@ -390,7 +379,7 @@ fn fault_storm_is_survivable() {
         drop(h);
     }
 
-    let reports = sys.recover_metadata().unwrap().unwrap();
+    let reports = sys.recover_metadata().unwrap();
     for r in &reports {
         assert_eq!(r.replicas_available, 3, "5 replicas minus 2 down");
     }
@@ -405,8 +394,8 @@ fn fault_storm_is_survivable() {
             replica.set_down(false);
         }
     }
-    sys.recover_metadata().unwrap().unwrap();
-    for r in sys.recover_metadata().unwrap().unwrap() {
+    sys.recover_metadata().unwrap();
+    for r in sys.recover_metadata().unwrap() {
         assert_eq!(r.replicas_available, 5);
         assert_eq!(r.torn_bytes_dropped, 0);
     }
@@ -417,66 +406,217 @@ fn fault_storm_is_survivable() {
 }
 
 // ---------------------------------------------------------------------------
-// Differential: durable plane vs in-memory oracle
+// Differential: durable plane vs the in-memory reference server
 // ---------------------------------------------------------------------------
 
-/// The durable plane must be observationally identical to the in-memory
-/// oracle over a mixed create/overwrite/delete sequence — including
-/// after a crash-recovery cycle on the durable side.
+/// The durable plane must answer every call exactly as the in-memory
+/// reference server does over a mixed open/commit/remove/close/stat/list
+/// sequence — lock conflicts, `StaleHandle` and `NotFound` included —
+/// and a fault-free crash-recovery cycle on the durable side must be
+/// invisible.
 #[test]
-fn durable_plane_matches_in_memory_oracle() {
-    let durable = durable_system(4, 3);
-    let oracle = oracle_system();
-    let dc = Client::connect(&durable, durable.register_user());
-    let oc = Client::connect(&oracle, oracle.register_user());
+fn durable_plane_matches_reference_server_call_for_call() {
+    let mut durable = Metastore::new(MetastoreConfig {
+        shards: 4,
+        replicas: 3,
+        ..MetastoreConfig::default()
+    })
+    .unwrap();
+    let mut reference = MetadataServer::new();
 
-    // A deterministic mixed workload, applied to both planes.
-    let mut live: BTreeMap<String, Vec<u8>> = BTreeMap::new();
-    for step in 0..60u64 {
-        let name = format!("file-{:02}", step % 17);
-        match step % 5 {
-            // Create or overwrite.
-            0 | 1 | 3 => {
-                let data = payload(3 << 10, (step % 251) as u8);
-                put(&dc, &name, &data);
-                put(&oc, &name, &data);
-                live.insert(name, data);
+    let file_meta = |name: &str, file_id: u64, version: u64| FileMeta {
+        name: name.into(),
+        file_id,
+        size_bytes: 3 << 10,
+        coding: CodingSpec {
+            k: 3,
+            n: 9,
+            block_bytes: 1 << 10,
+            params: LtParams::default(),
+            seed: file_id ^ version,
+        },
+        layout: vec![(0, vec![0, 1, 2]), (1, vec![3, 4, 5]), (2, vec![6, 7, 8])],
+        odd_keys: [version as u32 % 9].into_iter().collect(),
+        checksums: (0..9).map(|id| (id, id ^ version as u32)).collect(),
+        owner: 7,
+        version,
+    };
+
+    // Handles the sequence holds open, released (on both) at the end.
+    let mut held: Vec<(String, AccessMode)> = Vec::new();
+    // Every error the durable plane returned (each was compared).
+    let mut errors: Vec<StoreError> = Vec::new();
+    let mut rng = SeedSequence::new(0xD1FF).fork("ops", 0);
+    for step in 0..400u64 {
+        let draw = rand::Rng::gen::<u64>(&mut rng);
+        let name = format!("file-{}", draw % 6);
+        match (draw >> 8) % 8 {
+            // Open for write (conflicts when a handle is already held),
+            // commit a new version, close.
+            0 | 3 | 5 => {
+                let d = durable.open(&name, AccessMode::Write);
+                assert_eq!(
+                    d,
+                    reference.open(&name, AccessMode::Write),
+                    "{step}: open W"
+                );
+                errors.extend(d.as_ref().err().cloned());
+                if let Ok(old) = d {
+                    let (file_id, version) = match &old {
+                        Some(m) => (m.file_id, m.version + 1),
+                        None => {
+                            let id = durable.allocate_file_id().unwrap();
+                            assert_eq!(id, reference.allocate_file_id(), "{step}: id");
+                            (id, 1)
+                        }
+                    };
+                    let meta = file_meta(&name, file_id, version);
+                    assert_eq!(
+                        durable.commit(meta.clone()),
+                        reference.commit(meta),
+                        "{step}: commit"
+                    );
+                    durable.close(&name, AccessMode::Write);
+                    reference.close(&name, AccessMode::Write);
+                }
             }
-            // Delete if present.
+            // Open for read and keep the handle, so later writers and
+            // removers run into it.
+            1 => {
+                let d = durable.open(&name, AccessMode::Read);
+                assert_eq!(d, reference.open(&name, AccessMode::Read), "{step}: open R");
+                errors.extend(d.as_ref().err().cloned());
+                if d.is_ok() {
+                    held.push((name, AccessMode::Read));
+                }
+            }
+            // Remove under the writer lock (NotFound for an absent file).
             2 => {
-                if live.remove(&name).is_some() {
-                    dc.delete(&name).unwrap();
-                    oc.delete(&name).unwrap();
+                let d = durable.open(&name, AccessMode::Write);
+                assert_eq!(
+                    d,
+                    reference.open(&name, AccessMode::Write),
+                    "{step}: open W"
+                );
+                if d.is_ok() {
+                    let removed = durable.remove(&name);
+                    assert_eq!(removed, reference.remove(&name), "{step}: remove");
+                    errors.extend(removed.err());
+                    durable.close(&name, AccessMode::Write);
+                    reference.close(&name, AccessMode::Write);
                 }
             }
-            // Read back from both and compare.
-            _ => {
-                if let Some(data) = live.get(&name) {
-                    assert_eq!(&get(&dc, &name), data);
-                    assert_eq!(&get(&oc, &name), data);
+            // Commit and remove without holding the lock: StaleHandle.
+            4 => {
+                let meta = file_meta(&name, 999, step);
+                let d = durable.commit(meta.clone());
+                assert_eq!(d, reference.commit(meta), "{step}: unlocked commit");
+                errors.extend(d.err());
+                assert_eq!(
+                    durable.remove(&name),
+                    reference.remove(&name),
+                    "{step}: unlocked remove"
+                );
+            }
+            // Release the oldest held handle.
+            6 => {
+                if !held.is_empty() {
+                    let (name, mode) = held.remove(0);
+                    durable.close(&name, mode);
+                    reference.close(&name, mode);
                 }
+            }
+            // Status queries.
+            _ => {
+                assert_eq!(durable.stat(&name), reference.stat(&name), "{step}: stat");
+                assert_eq!(
+                    durable.exists(&name),
+                    reference.exists(&name),
+                    "{step}: exists"
+                );
+                assert_eq!(durable.list(), reference.list(), "{step}: list");
             }
         }
     }
-
-    let mut durable_names = durable.list_files();
-    let mut oracle_names = oracle.list_files();
-    durable_names.sort();
-    oracle_names.sort();
-    assert_eq!(durable_names, oracle_names, "planes diverged on listing");
-    assert_eq!(
-        durable_names,
-        live.keys().cloned().collect::<Vec<_>>(),
-        "planes diverged from the model"
-    );
+    for (name, mode) in held {
+        durable.close(&name, mode);
+        reference.close(&name, mode);
+    }
+    let names = reference.list();
+    assert!(!names.is_empty(), "the sequence left files to compare");
+    assert_eq!(durable.list(), names);
+    for (kind, seen) in [
+        (
+            "LockConflict",
+            errors
+                .iter()
+                .any(|e| matches!(e, StoreError::LockConflict(_))),
+        ),
+        ("StaleHandle", errors.contains(&StoreError::StaleHandle)),
+        (
+            "NotFound",
+            errors.iter().any(|e| matches!(e, StoreError::NotFound(_))),
+        ),
+    ] {
+        assert!(seen, "the sequence never produced a {kind} to compare");
+    }
 
     // A fault-free crash-recovery cycle must be invisible.
-    let before = namespace(&durable);
-    durable.recover_metadata().unwrap().unwrap();
-    assert_eq!(namespace(&durable), before);
-    for (name, data) in &live {
-        assert_eq!(&get(&dc, name), data, "{name} unreadable after recovery");
+    durable.crash_and_recover().unwrap();
+    assert_eq!(durable.list(), names);
+    for name in &names {
+        assert_eq!(
+            durable.stat(name),
+            reference.stat(name),
+            "{name} after recovery"
+        );
     }
+}
+
+// ---------------------------------------------------------------------------
+// Failed delete: commit-then-GC
+// ---------------------------------------------------------------------------
+
+/// Regression: `delete` used to remove every coded block and only then
+/// the namespace entry — so a delete that failed on metadata quorum
+/// returned `Err` and left a listed file with zero blocks. The remove is
+/// the commit point now; the block GC follows it.
+#[test]
+fn failed_delete_leaves_the_file_intact() {
+    let sys = durable_system(2, 3);
+    let client = Client::connect(&sys, sys.register_user());
+    let data = payload(20 << 10, 0x3C);
+    put(&client, "keep", &data);
+    let used = sys.total_used();
+
+    // Majority of every shard down: the remove cannot reach quorum.
+    let handles = replica_handles(&sys);
+    for row in &handles {
+        for replica in row.iter().take(2) {
+            replica.set_down(true);
+        }
+    }
+    match client.delete("keep") {
+        Err(StoreError::MetaQuorumLost { .. }) => {}
+        other => panic!("delete without metadata quorum must fail, got {other:?}"),
+    }
+    for row in &handles {
+        for replica in row {
+            replica.set_down(false);
+        }
+    }
+    assert_eq!(sys.list_files(), ["keep"]);
+    assert_eq!(sys.total_used(), used, "a failed delete removed blocks");
+    assert_eq!(
+        get(&client, "keep"),
+        data,
+        "a failed delete destroyed the file"
+    );
+
+    // With quorum back the same delete goes through and frees everything.
+    client.delete("keep").unwrap();
+    assert!(sys.list_files().is_empty());
+    assert_eq!(sys.total_used(), 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -504,7 +644,7 @@ fn file_backed_plane_survives_restart() {
             SystemConfig {
                 block_bytes: 4 << 10,
                 encode_threads: 2,
-                metastore: Some(cfg),
+                metastore: cfg,
                 ..Default::default()
             },
         )
@@ -533,9 +673,7 @@ fn file_backed_plane_survives_restart() {
     // everything allocated in the previous life.
     let client = Client::connect(&sys, sys.register_user());
     put(&client, "after-restart", &payload(4 << 10, 0x5A));
-    let new_id = sys
-        .with_metastore(|m| m.stat("after-restart").unwrap().file_id)
-        .unwrap();
+    let new_id = sys.with_metastore(|m| m.stat("after-restart").unwrap().file_id);
     assert!(
         new_id > max_id,
         "file id {new_id} reissued at or below pre-crash max {max_id}"
@@ -568,7 +706,7 @@ fn recovery_reclaims_dead_writers_locks() {
     }
     std::mem::forget(h);
 
-    sys.recover_metadata().unwrap().unwrap();
+    sys.recover_metadata().unwrap();
     // The dead writer's lock did not survive the crash.
     let h2 = client
         .open("held", AccessMode::Write, QosOptions::best_effort())

@@ -46,7 +46,6 @@ fn system() -> System {
             block_bytes: BLOCK,
             encode_threads: 1,
             pipeline_depth: 4,
-            io_ring: true,
             read_repair: false,
             ..Default::default()
         },

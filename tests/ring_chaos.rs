@@ -1,35 +1,40 @@
-//! Chaos suite for the async I/O ring (`SystemConfig::io_ring`).
+//! Chaos suite for the async I/O ring.
 //!
-//! The ring moves backend service onto per-disk workers: submissions
-//! queue, workers coalesce cross-access write runs into one group-commit
+//! The ring runs backend service on per-disk workers: submissions queue,
+//! workers coalesce cross-access write runs into one group-commit
 //! dispatch, and speculative reads are revoked in the queue once the
-//! decoder has enough. These tests pin the semantics that make that
-//! reorganisation invisible to committed state:
+//! decoder has enough. These tests pin the semantics that keep all of
+//! that invisible to committed state:
 //!
 //! * **cancellation reclaims disk time without mutating anything** — a
 //!   speculative read services strictly fewer block reads than the file
 //!   stores, returns every buffer, and leaves stored bytes untouched;
-//! * **write aborts roll back** exactly as on the blocking path: a disk
-//!   that hard-faults mid-access surfaces as `DiskFault`, no orphan
-//!   bytes or metadata survive, and a retry after the fault clears
-//!   commits normally;
+//! * **write aborts roll back**: a disk that hard-faults mid-access
+//!   surfaces as `DiskFault`, no orphan bytes or metadata survive, and a
+//!   retry after the fault clears commits normally;
 //! * **cross-access group commit respects per-disk submission order** —
 //!   pinned with a gated shard that holds the first dispatch in service
 //!   while writes from several accesses queue behind it, then observes
 //!   one coalesced batch in submission order (and that a cancelled
 //!   access's queued writes never reach the backend at all);
-//! * **seeded replay is identical ring vs blocking** under persistent
-//!   damage (lost blocks, bit rot, an offline-disk window): decoded
-//!   bytes, layouts, and per-disk byte counts all match. Budgeted fault
-//!   switches are deliberately absent here — the ring may service a few
+//! * **seeded replay is identical under either wave policy** through
+//!   persistent damage (lost blocks, bit rot, an offline-disk window):
+//!   decoded bytes, layouts, and per-disk byte counts all match, run to
+//!   run and Static to Adaptive. Budgeted fault switches are
+//!   deliberately absent here — the ring may service a few
 //!   already-queued ops past the decode point, so *consumable* fault
-//!   budgets are the one place the two paths legitimately diverge (see
-//!   `tests/chaos_read.rs`, which pins those counters on the blocking
-//!   path).
+//!   budgets are timing-sensitive (see `tests/chaos_read.rs`, which pins
+//!   what holds for those counters).
+//!
+//! Every test that drives a [`System`] ends in
+//! [`common::check_committed_state`].
+
+mod common;
 
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 
+use common::check_committed_state;
 use robustore::core::{
     AccessMode, ChaosBackend, Client, CompletionKind, DiskShard, InMemoryBackend, IoRing,
     QosOptions, ReadPolicy, RefusedWrite, RingConfig, Scrubber, ShardedBackend, StorageBackend,
@@ -43,19 +48,16 @@ fn speeds() -> Vec<f64> {
     (0..DISKS).map(|i| 10e6 + i as f64 * 6e6).collect()
 }
 
-fn ring_system(io_ring: bool) -> System {
-    let sys = System::with_backend(
+fn ring_system() -> System {
+    System::with_backend(
         Box::new(InMemoryBackend::new(speeds())),
         SystemConfig {
             block_bytes: 4 << 10,
             encode_threads: 2,
             pipeline_depth: 4,
-            io_ring,
             ..Default::default()
         },
-    );
-    assert_eq!(sys.uses_io_ring(), io_ring);
-    sys
+    )
 }
 
 fn payload(len: usize, salt: u8) -> Vec<u8> {
@@ -72,7 +74,7 @@ fn put(client: &Client, name: &str, data: &[u8], qos: QosOptions) {
 
 #[test]
 fn cancelled_reads_save_disk_ops_and_never_mutate() {
-    let sys = ring_system(true);
+    let sys = ring_system();
     let client = Client::connect(&sys, sys.register_user());
     let data = payload(150_000, 1);
     // 3× redundancy: the file stores far more blocks than a decode
@@ -120,7 +122,7 @@ fn cancelled_reads_save_disk_ops_and_never_mutate() {
         .unwrap();
     assert_eq!(client.read(&h).unwrap(), data);
     client.close(h).unwrap();
-    assert_eq!(sys.pool_outstanding_bytes(), 0);
+    assert_eq!(check_committed_state(&sys)["spec"], data);
 }
 
 #[test]
@@ -132,7 +134,6 @@ fn ring_write_abort_rolls_back_and_retry_succeeds() {
             block_bytes: 4 << 10,
             encode_threads: 2,
             pipeline_depth: 4,
-            io_ring: true,
             ..Default::default()
         },
     );
@@ -167,7 +168,7 @@ fn ring_write_abort_rolls_back_and_retry_succeeds() {
         .unwrap();
     assert_eq!(client.read(&h).unwrap(), data);
     client.close(h).unwrap();
-    assert_eq!(sys.pool_outstanding_bytes(), 0);
+    assert_eq!(check_committed_state(&sys)["fresh"], data);
 }
 
 /// Blocks the first commit dispatch in service while later submissions
@@ -392,37 +393,34 @@ fn cross_access_batches_respect_submission_order_and_cancel_revokes_queued_write
 }
 
 #[test]
-fn seeded_persistent_faults_replay_identically_ring_vs_blocking() {
+fn seeded_persistent_faults_replay_identically_under_either_policy() {
     // Decoded bytes, committed layouts, and per-disk byte counts must be
-    // identical with the ring on or off AND under either wave policy,
-    // through damage, an offline window, and a scrub sweep. Persistent
-    // faults only — see the module doc for why budgeted fault switches
-    // are excluded.
+    // identical run to run AND under either wave policy, through damage,
+    // an offline window, and a scrub sweep. Persistent faults only — see
+    // the module doc for why budgeted fault switches are excluded.
     //
     // The adaptive policy may legally reorder the speculative-read
     // prefix on a wall-clock EWMA hiccup, so which damaged blocks a read
     // *observes* is schedule-dependent. Read-repair canonicalises: it
     // audits every stored id the read didn't verify before committing,
     // so the committed set is the full damage set in every run and the
-    // schedule moves wall-clock only. This test pins that guarantee by
-    // comparing Static and Adaptive ring runs (and the blocking oracle)
-    // for byte-identical committed state.
-    let run = |io_ring: bool, read_policy: ReadPolicy| {
+    // schedule moves wall-clock only. Static and Adaptive are two
+    // independent schedules over the same damage; each must also match
+    // its own replay (completion timing differs between runs).
+    let alpha = payload(200_000, 11);
+    let beta = payload(140_000, 12);
+    let run = |read_policy: ReadPolicy| {
         let sys = System::with_backend(
             Box::new(InMemoryBackend::new(speeds())),
             SystemConfig {
                 block_bytes: 4 << 10,
                 encode_threads: 2,
                 pipeline_depth: 4,
-                io_ring,
                 read_policy,
                 ..Default::default()
             },
         );
-        assert_eq!(sys.uses_io_ring(), io_ring);
         let client = Client::connect(&sys, sys.register_user());
-        let alpha = payload(200_000, 11);
-        let beta = payload(140_000, 12);
         put(&client, "alpha", &alpha, QosOptions::best_effort());
         put(&client, "beta", &beta, QosOptions::best_effort());
 
@@ -442,14 +440,9 @@ fn seeded_persistent_faults_replay_identically_ring_vs_blocking() {
         sys.set_disk_offline(1, false);
         let sweep = Scrubber::new(&client).sweep();
         assert!(sweep.failed.is_empty(), "scrub failed: {:?}", sweep.failed);
-        for name in ["alpha", "beta"] {
-            let h = client
-                .open(name, AccessMode::Read, QosOptions::best_effort())
-                .unwrap();
-            decoded.push(client.read(&h).unwrap());
-            client.close(h).unwrap();
-        }
-        assert_eq!(sys.pool_outstanding_bytes(), 0);
+        let healed = check_committed_state(&sys);
+        decoded.push(healed["alpha"].clone());
+        decoded.push(healed["beta"].clone());
 
         let mut state = String::new();
         for name in sys.list_files() {
@@ -466,17 +459,25 @@ fn seeded_persistent_faults_replay_identically_ring_vs_blocking() {
         (decoded, used, state)
     };
 
-    let ring_static = run(true, ReadPolicy::Static);
-    let ring_adaptive = run(true, ReadPolicy::adaptive());
-    let blocking = run(false, ReadPolicy::Static);
-    assert_eq!(ring_static.0[0], payload(200_000, 11));
-    assert_eq!(ring_static.0[1], payload(140_000, 12));
+    let ring_static = run(ReadPolicy::Static);
+    let ring_adaptive = run(ReadPolicy::adaptive());
     assert_eq!(
-        ring_static, blocking,
-        "ring diverged from the blocking oracle"
+        ring_static.0,
+        [&alpha, &beta, &alpha, &beta].map(Vec::clone),
+        "decoded bytes differ from the payloads"
     );
     assert_eq!(
-        ring_adaptive, blocking,
+        ring_adaptive, ring_static,
         "adaptive wave policy changed committed state, not just wall-clock"
+    );
+    assert_eq!(
+        run(ReadPolicy::Static),
+        ring_static,
+        "static replay diverged"
+    );
+    assert_eq!(
+        run(ReadPolicy::adaptive()),
+        ring_adaptive,
+        "adaptive replay diverged"
     );
 }

@@ -1,24 +1,30 @@
-//! Differential oracle for the sharded backend.
+//! Differential and model-based checks of the committed state.
 //!
-//! The sharded submission layer (per-disk locks, routing, group commit)
-//! is a pure performance refactor: for any schedule of operations it
-//! must commit *exactly* the state the old single-lock backend would
-//! have. These properties run random serial schedules — create,
-//! overwrite, in-place update, delete, read — against a sharded system
-//! and a whole-backend system side by side and require the final states
-//! to match in every observable dimension: file listing, per-file layout
-//! and generation parity, read-back bytes (also checked against an
-//! in-test model of the expected contents), and per-disk byte counts.
+//! Dispatch mode (per-disk shards vs one lock around a backend that
+//! cannot shard), group-commit batch size, and completion timing on the
+//! I/O ring may move wall-clock only: for any schedule of operations the
+//! committed state is the same. These properties run random serial
+//! schedules — create, overwrite, in-place update, delete, read — and
+//! require the final states to match in every observable dimension: file
+//! listing, per-file layout and generation parity, read-back bytes (also
+//! checked against an in-test model of the expected contents), and
+//! per-disk byte counts. Every schedule ends in
+//! [`common::check_committed_state`], an oracle built from public calls
+//! alone.
 //!
 //! Deliberately *no* pinned layouts here: the dynamic planner reads live
-//! usage, so any divergence in how the two backends account bytes or
-//! route writes snowballs into different layouts and fails loudly.
+//! usage, so any divergence in how two systems account bytes or route
+//! writes snowballs into different layouts and fails loudly.
+
+mod common;
 
 use std::collections::BTreeMap;
 
+use common::check_committed_state;
 use proptest::prelude::*;
 use robustore::core::{
-    AccessMode, Client, InMemoryBackend, QosOptions, StoreError, System, SystemConfig,
+    AccessMode, Client, InMemoryBackend, QosOptions, RefusedWrite, StorageBackend, StoreError,
+    System, SystemConfig,
 };
 
 const DISKS: usize = 8;
@@ -58,22 +64,55 @@ fn fname(file: usize) -> String {
     format!("diff-{file}")
 }
 
-fn make_system(sharded: bool, group_commit: usize, io_ring: bool) -> System {
+/// An [`InMemoryBackend`] that declines to shard: forwarding only, with
+/// `try_shard` left at the trait default, so the system runs it behind
+/// the single-lock `Whole` fallback.
+struct Unsharded(InMemoryBackend);
+
+impl StorageBackend for Unsharded {
+    fn num_disks(&self) -> usize {
+        self.0.num_disks()
+    }
+
+    fn write_block(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
+        self.0.write_block(disk, block, data)
+    }
+
+    fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
+        self.0.read_block(disk, block)
+    }
+
+    fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
+        self.0.delete_block(disk, block)
+    }
+
+    fn disk_speed(&self, disk: usize) -> f64 {
+        self.0.disk_speed(disk)
+    }
+
+    fn disk_used(&self, disk: usize) -> u64 {
+        self.0.disk_used(disk)
+    }
+}
+
+fn make_system(sharded: bool, group_commit: usize) -> System {
     let speeds: Vec<f64> = (0..DISKS).map(|i| 12e6 + i as f64 * 7e6).collect();
+    let backend: Box<dyn StorageBackend + Send> = if sharded {
+        Box::new(InMemoryBackend::new(speeds))
+    } else {
+        Box::new(Unsharded(InMemoryBackend::new(speeds)))
+    };
     let sys = System::with_backend(
-        Box::new(InMemoryBackend::new(speeds)),
+        backend,
         SystemConfig {
             block_bytes: 4 << 10,
             encode_threads: 2,
             pipeline_depth: 4,
-            sharded,
             group_commit,
-            io_ring,
             ..Default::default()
         },
     );
     assert_eq!(sys.is_sharded(), sharded);
-    assert_eq!(sys.uses_io_ring(), io_ring);
     sys
 }
 
@@ -154,6 +193,18 @@ fn observe(sys: &System, client: &Client) -> Observed {
     (files, per_file, used)
 }
 
+/// The end of every schedule: the observed state matches the plain-bytes
+/// model, and the system passes the public-calls-only oracle with the
+/// same contents.
+fn check_against_model(sys: &System, got: &Observed, model: &BTreeMap<String, Vec<u8>>) {
+    let live: Vec<String> = model.keys().cloned().collect();
+    assert_eq!(got.0, live);
+    for (name, _, _, bytes) in &got.1 {
+        assert_eq!(bytes, model.get(name).unwrap());
+    }
+    assert_eq!(&check_committed_state(sys), model);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -167,8 +218,8 @@ proptest! {
         ),
     ) {
         let ops = decode_ops(&raw);
-        let sharded = make_system(true, 8, false);
-        let whole = make_system(false, 8, false);
+        let sharded = make_system(true, 8);
+        let whole = make_system(false, 8);
         let client_a = Client::connect(&sharded, sharded.register_user());
         let client_b = Client::connect(&whole, whole.register_user());
         let mut model_a = BTreeMap::new();
@@ -182,11 +233,8 @@ proptest! {
         prop_assert_eq!(&got_sharded, &got_whole, "sharded backend diverged");
 
         // And both agree with the model's view of the world.
-        let live: Vec<String> = model_a.keys().cloned().collect();
-        prop_assert_eq!(&got_sharded.0, &live);
-        for (name, _, _, bytes) in &got_sharded.1 {
-            prop_assert_eq!(bytes, model_a.get(name).unwrap());
-        }
+        check_against_model(&sharded, &got_sharded, &model_a);
+        check_against_model(&whole, &got_whole, &model_b);
     }
 
     /// Group commit batch size is invisible in the committed state: any
@@ -202,46 +250,47 @@ proptest! {
         let ops = decode_ops(&raw);
         let mut states = Vec::new();
         for gc in [1usize, 8, batch] {
-            let sys = make_system(true, gc, false);
+            let sys = make_system(true, gc);
             let client = Client::connect(&sys, sys.register_user());
             let mut model = BTreeMap::new();
             run_schedule(&sys, &client, &ops, &mut model);
-            states.push(observe(&sys, &client));
+            let got = observe(&sys, &client);
+            check_against_model(&sys, &got, &model);
+            states.push(got);
         }
         prop_assert_eq!(&states[0], &states[1]);
         prop_assert_eq!(&states[1], &states[2]);
     }
 
-    /// The async I/O ring is a pure performance refactor over the
-    /// blocking sharded path: any serial schedule commits byte-identical
-    /// state — same file listing, layouts, generation parity, read-back
-    /// bytes, and per-disk byte counts — with the ring on or off.
+    /// The ring's contract: the decode point — and with it everything a
+    /// schedule commits — depends on the schedule, never on completion
+    /// timing. Two fresh systems run the same schedule on their own
+    /// threads' timing and must commit identical observed state — same
+    /// file listing, layouts, generation parity, read-back bytes, and
+    /// per-disk byte counts — matching the model.
     #[test]
-    fn io_ring_matches_blocking_path(
+    fn same_schedule_commits_identical_state_on_fresh_systems(
         raw in proptest::collection::vec(
             ((0usize..4, 0usize..4), (1usize..24_000, any::<u8>(), any::<u16>())),
             1..10,
         ),
     ) {
         let ops = decode_ops(&raw);
-        let ring = make_system(true, 8, true);
-        let blocking = make_system(true, 8, false);
-        let client_a = Client::connect(&ring, ring.register_user());
-        let client_b = Client::connect(&blocking, blocking.register_user());
+        let first = make_system(true, 8);
+        let second = make_system(true, 8);
+        let client_a = Client::connect(&first, first.register_user());
+        let client_b = Client::connect(&second, second.register_user());
         let mut model_a = BTreeMap::new();
         let mut model_b = BTreeMap::new();
-        run_schedule(&ring, &client_a, &ops, &mut model_a);
-        run_schedule(&blocking, &client_b, &ops, &mut model_b);
+        run_schedule(&first, &client_a, &ops, &mut model_a);
+        run_schedule(&second, &client_b, &ops, &mut model_b);
         prop_assert_eq!(&model_a, &model_b);
 
-        let got_ring = observe(&ring, &client_a);
-        let got_blocking = observe(&blocking, &client_b);
-        prop_assert_eq!(&got_ring, &got_blocking, "io ring diverged");
+        let got_first = observe(&first, &client_a);
+        let got_second = observe(&second, &client_b);
+        prop_assert_eq!(&got_first, &got_second, "completion timing leaked into committed state");
 
-        let live: Vec<String> = model_a.keys().cloned().collect();
-        prop_assert_eq!(&got_ring.0, &live);
-        for (name, _, _, bytes) in &got_ring.1 {
-            prop_assert_eq!(bytes, model_a.get(name).unwrap());
-        }
+        check_against_model(&first, &got_first, &model_a);
+        check_against_model(&second, &got_second, &model_b);
     }
 }

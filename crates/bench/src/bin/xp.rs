@@ -5,13 +5,11 @@
 //! xp fig6-6               # run one experiment
 //! xp all                  # run everything (writes results/<id>.txt each)
 //! xp fig6-15 --trials 100 # override the trial count (default 40)
-//! xp bench-coding --quick # smoke-test sizes (same as --trials 1)
+//! xp bench-coding --quick # smoke-test sizes (same as --trials 1);
+//!                         # output goes under target/xp-quick/
 //! ```
 
-use std::io::Write as _;
-use std::path::Path;
-
-use robustore_bench::{find, registry, DEFAULT_TRIALS};
+use robustore_bench::{find, registry, write_output, DEFAULT_TRIALS};
 
 fn usage() -> ! {
     eprintln!("usage: xp <experiment-id|all|list> [--trials N] [--quick]");
@@ -19,16 +17,14 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn write_results(id: &str, content: &str) {
-    let dir = Path::new("results");
-    if std::fs::create_dir_all(dir).is_ok() {
-        let path = dir.join(format!("{id}.txt"));
-        match std::fs::File::create(&path) {
-            Ok(mut f) => {
-                let _ = f.write_all(content.as_bytes());
-                eprintln!("[written {}]", path.display());
-            }
-            Err(e) => eprintln!("[could not write {}: {e}]", path.display()),
+/// Write the report (a quick run's under `target/xp-quick/`, like its
+/// rows); a report that cannot be written fails the run.
+fn write_results(id: &str, trials: u64, content: &str) {
+    match write_output(&format!("results/{id}.txt"), trials <= 1, content) {
+        Ok(path) => eprintln!("[written {}]", path.display()),
+        Err(e) => {
+            eprintln!("could not write results/{id}.txt: {e}");
+            std::process::exit(1);
         }
     }
 }
@@ -80,14 +76,14 @@ fn main() {
                 let out = (e.run)(trials);
                 eprintln!("[{} finished in {:.1?}]", e.id, start.elapsed());
                 println!("{out}");
-                write_results(e.id, &out);
+                write_results(e.id, trials, &out);
             }
         }
         id => match find(id) {
             Some(e) => {
                 let out = (e.run)(trials);
                 println!("{out}");
-                write_results(e.id, &out);
+                write_results(e.id, trials, &out);
             }
             None => {
                 eprintln!("unknown experiment {id:?}");

@@ -12,7 +12,7 @@ use robustore_erasure::{LtParams, ReedSolomon};
 use robustore_simkit::report::Table;
 use robustore_simkit::{OnlineStats, SeedSequence};
 
-use crate::MASTER_SEED;
+use crate::{write_rows, Cell, MASTER_SEED};
 
 /// Table 5-1: Reed–Solomon encode/decode bandwidth for 16 MB of data at
 /// K ∈ {4, 8, 16, 32}, N = 2K. The paper's numbers (2.4 GHz Xeon) show
@@ -194,31 +194,20 @@ pub fn bench_coding(trials: u64) -> String {
     }
     set_kernel(Kernel::Vector); // restore the process-wide default
 
-    let host = format!(
-        "{}-{}-{}threads",
-        std::env::consts::ARCH,
-        std::env::consts::OS,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"kernel\": \"{}\", \"code\": \"{}\", \"k\": {}, \
-             \"encode_mbps\": {:.1}, \"decode_mbps\": {:.1}, \"host\": \"{}\"}}{}\n",
-            r.kernel,
-            r.code,
-            r.k,
-            r.encode_mbps,
-            r.decode_mbps,
-            host,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    let json_note = match std::fs::write("BENCH_coding.json", &json) {
-        Ok(()) => "rows written to BENCH_coding.json".to_string(),
-        Err(e) => format!("could not write BENCH_coding.json: {e}"),
-    };
+    let host = crate::host();
+    let json_rows: Vec<crate::Row> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("kernel", Cell::Str(r.kernel)),
+                ("code", Cell::Str(r.code)),
+                ("k", Cell::Int(r.k as i64)),
+                ("encode_mbps", Cell::Fixed1(r.encode_mbps)),
+                ("decode_mbps", Cell::Fixed1(r.decode_mbps)),
+            ]
+        })
+        .collect();
+    let json_note = write_rows("BENCH_coding.json", quick, Some(&host), &json_rows);
 
     let mut table = Table::new(
         format!(

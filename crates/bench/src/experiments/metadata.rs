@@ -26,8 +26,7 @@
 //! hard-asserts **zero namespace loss**: every file committed is still
 //! present (count plus a seeded sample of full-meta compares).
 //!
-//! Results land in `BENCH_metadata.json` (schema `{section, config,
-//! threads, value, unit, host}`, matching `BENCH_tail.json`).
+//! Results land in `BENCH_metadata.json` ([`crate::SectionRow`]).
 
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
@@ -39,7 +38,7 @@ use robustore_erasure::LtParams;
 use robustore_simkit::report::Table;
 use robustore_simkit::{MetaFaultKind, MetaFaultPlan, MetaFaultScenario, SeedSequence};
 
-use crate::MASTER_SEED;
+use crate::{write_section_rows, SectionRow as Row, MASTER_SEED};
 
 /// Median per-commit latency while growing the last decade must stay
 /// within this factor of the first decade's — the "flat per-op cost"
@@ -48,14 +47,6 @@ pub const FLAT_FACTOR: f64 = 2.0;
 
 const SHARDS: usize = 8;
 const REPLICAS: usize = 3;
-
-struct Row {
-    section: &'static str,
-    config: String,
-    threads: usize,
-    value: f64,
-    unit: &'static str,
-}
 
 fn file_name(i: u64) -> String {
     format!("f-{i:07}")
@@ -335,31 +326,8 @@ pub fn metadata(trials: u64) -> String {
     }
 
     // --- Report ----------------------------------------------------------
-    let host = format!(
-        "{}-{}-{}threads",
-        std::env::consts::ARCH,
-        std::env::consts::OS,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"section\": \"{}\", \"config\": \"{}\", \"threads\": {}, \
-             \"value\": {:.3e}, \"unit\": \"{}\", \"host\": \"{}\"}}{}\n",
-            r.section,
-            r.config,
-            r.threads,
-            r.value,
-            r.unit,
-            host,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    let json_note = match std::fs::write("BENCH_metadata.json", &json) {
-        Ok(()) => "rows written to BENCH_metadata.json".to_string(),
-        Err(e) => format!("could not write BENCH_metadata.json: {e}"),
-    };
+    let host = crate::host();
+    let json_note = write_section_rows("BENCH_metadata.json", quick, &host, &rows);
 
     let mut table = Table::new(
         format!(

@@ -10,10 +10,8 @@ pub mod faults;
 pub mod layoutvar;
 pub mod metadata;
 pub mod multiuser;
-pub mod pipeline;
 pub mod repair;
 pub mod scrub;
-pub mod tail;
 
 use robustore_schemes::{run_trials, AccessConfig, TrialStats};
 use robustore_simkit::report::Table;

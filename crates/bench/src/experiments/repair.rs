@@ -19,9 +19,8 @@
 //!   token-bucket byte budget charged before every submission, and
 //!   load-aware re-placement.
 //!
-//! Foreground p99 per variant lands in `BENCH_repair.json` (schema
-//! `{section, config, threads, value, unit, host}`, matching
-//! `BENCH_tail.json`), alongside repair throughput, bytes charged, and
+//! Foreground p99 per variant lands in `BENCH_repair.json`
+//! ([`crate::SectionRow`]), alongside repair throughput, bytes charged, and
 //! the durability table: per-block failure rate λ calibrated from the
 //! decay schedule ([`robustore_simkit::durability::lambda_from_decay`]),
 //! repair rate μ from the token-bucket budget, and predicted MTTDL for
@@ -48,7 +47,7 @@ use robustore_simkit::report::Table;
 use robustore_simkit::rng::exponential;
 use robustore_simkit::{LogHistogram, SeedSequence};
 
-use crate::MASTER_SEED;
+use crate::{write_section_rows, SectionRow as Row, MASTER_SEED};
 
 const DISKS: usize = 8;
 /// Rate-limited foreground median latency must stay within this factor
@@ -57,14 +56,6 @@ pub const RL_P50_FACTOR: f64 = 1.5;
 /// Eager repair must inflate the foreground median beyond this factor
 /// of the baseline (otherwise the A/B demonstrates nothing).
 pub const EAGER_P50_FACTOR: f64 = 1.2;
-
-struct Row {
-    section: &'static str,
-    config: String,
-    threads: usize,
-    value: f64,
-    unit: &'static str,
-}
 
 #[derive(Default)]
 struct RepairSide {
@@ -147,8 +138,6 @@ pub fn repair(trials: u64) -> String {
             )),
             SystemConfig {
                 block_bytes: block_bytes as u64,
-                encode_threads: 1,
-                pipeline_depth: 4,
                 read_repair: false, // the repair service is the only healer
                 ..Default::default()
             },
@@ -398,38 +387,8 @@ pub fn repair(trials: u64) -> String {
     }
 
     // --- Report ---------------------------------------------------------
-    let host = format!(
-        "{}-{}-{}threads",
-        std::env::consts::ARCH,
-        std::env::consts::OS,
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        // A bare `inf`/`NaN` is not JSON; clamp to the f64 ceiling so a
-        // pathological MTTDL can never corrupt the results file.
-        let value = if r.value.is_finite() {
-            r.value
-        } else {
-            f64::MAX
-        };
-        json.push_str(&format!(
-            "  {{\"section\": \"{}\", \"config\": \"{}\", \"threads\": {}, \
-             \"value\": {:.3e}, \"unit\": \"{}\", \"host\": \"{}\"}}{}\n",
-            r.section,
-            r.config,
-            r.threads,
-            value,
-            r.unit,
-            host,
-            if i + 1 < rows.len() { "," } else { "" }
-        ));
-    }
-    json.push_str("]\n");
-    let json_note = match std::fs::write("BENCH_repair.json", &json) {
-        Ok(()) => "rows written to BENCH_repair.json".to_string(),
-        Err(e) => format!("could not write BENCH_repair.json: {e}"),
-    };
+    let host = crate::host();
+    let json_note = write_section_rows("BENCH_repair.json", quick, &host, &rows);
 
     let mut table = Table::new(
         format!(

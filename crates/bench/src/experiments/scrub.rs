@@ -23,7 +23,7 @@ use robustore_core::{
 use robustore_simkit::report::Table;
 use robustore_simkit::SeedSequence;
 
-use crate::MASTER_SEED;
+use crate::{write_rows, Cell, MASTER_SEED};
 
 const DISKS: usize = 8;
 
@@ -162,27 +162,22 @@ pub fn scrub(trials: u64) -> String {
         ]);
     }
 
-    let mut json = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        json.push_str(&format!(
-            "  {{\"variant\": \"{}\", \"round\": {}, \"stored_blocks\": {}, \"margin\": {}, \
-             \"read_ok\": {}, \"restored\": {}, \"corrupt_found\": {}, \"missing_found\": {}}}{}\n",
-            r.variant,
-            r.round,
-            r.stored_blocks,
-            r.margin,
-            r.read_ok,
-            r.restored,
-            r.corrupt_found,
-            r.missing_found,
-            if i + 1 == rows.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("]\n");
-    let json_note = match std::fs::write("BENCH_scrub.json", &json) {
-        Ok(()) => "rows written to BENCH_scrub.json".to_string(),
-        Err(e) => format!("could not write BENCH_scrub.json: {e}"),
-    };
+    let json_rows: Vec<crate::Row> = rows
+        .iter()
+        .map(|r| {
+            vec![
+                ("variant", Cell::Str(r.variant)),
+                ("round", Cell::Int(r.round as i64)),
+                ("stored_blocks", Cell::Int(r.stored_blocks as i64)),
+                ("margin", Cell::Int(r.margin)),
+                ("read_ok", Cell::Bool(r.read_ok)),
+                ("restored", Cell::Int(r.restored as i64)),
+                ("corrupt_found", Cell::Int(r.corrupt_found as i64)),
+                ("missing_found", Cell::Int(r.missing_found as i64)),
+            ]
+        })
+        .collect();
+    let json_note = write_rows("BENCH_scrub.json", quick, None, &json_rows);
 
     let mut out = table.render();
     out.push_str(&format!(

@@ -6,7 +6,10 @@
 //! Each experiment in [`experiments`] regenerates one paper artifact —
 //! the same sweep, the same series, printed as a plain-text table. The
 //! `xp` binary dispatches on experiment id (`xp fig6-6`, `xp all`, …) and
-//! writes each result to `results/<id>.txt`.
+//! writes each result to `results/<id>.txt`; experiments that record
+//! rows write `BENCH_<id>.json` through [`write_rows`]. A quick run
+//! writes both under `target/xp-quick/` instead ([`write_output`]), so a
+//! smoke run never replaces a recorded baseline.
 //!
 //! Absolute numbers differ from the paper's (our disk substrate is a
 //! from-scratch model calibrated to the *shape* of Table 6-1, and the
@@ -15,6 +18,8 @@
 //! reproduction targets. See `EXPERIMENTS.md` at the repo root.
 
 pub mod experiments;
+
+use std::path::{Path, PathBuf};
 
 /// Default trial count per configuration. The paper uses 100; the default
 /// here keeps a full `xp all` run in minutes on one core. Override with
@@ -144,11 +149,6 @@ pub fn registry() -> Vec<Experiment> {
             run: coding::bench_coding,
         },
         Experiment {
-            id: "bench-pipeline",
-            covers: "Pipeline benchmark: single- vs multi-threaded encode and trial fan-out (writes BENCH_pipeline.json)",
-            run: pipeline::bench_pipeline,
-        },
-        Experiment {
             id: "ablation-lt",
             covers: "Ablation: stock vs improved LT construction (the §5.2.3 claims)",
             run: ablation::ablation_lt,
@@ -174,11 +174,6 @@ pub fn registry() -> Vec<Experiment> {
             run: faults::faults,
         },
         Experiment {
-            id: "tail",
-            covers: "Perf extension: open-loop tail latency, static vs queue-aware adaptive read waves (writes BENCH_tail.json)",
-            run: tail::tail,
-        },
-        Experiment {
             id: "scrub",
             covers: "Self-healing extension: redundancy over time with/without scrubbing under seeded loss + bit rot (writes BENCH_scrub.json)",
             run: scrub::scrub,
@@ -201,6 +196,125 @@ pub fn find(id: &str) -> Option<Experiment> {
     registry().into_iter().find(|e| e.id == id)
 }
 
+/// Host fingerprint stamped on timing rows: timings from different
+/// hosts are not comparable, and a thread sweep on a `1threads` host
+/// measures nothing.
+pub fn host() -> String {
+    format!(
+        "{}-{}-{}threads",
+        std::env::consts::ARCH,
+        std::env::consts::OS,
+        std::thread::available_parallelism().map_or(1, |n| n.get())
+    )
+}
+
+/// Write one output file of a run: at `name` (relative to the working
+/// directory) for a full run, under `target/xp-quick/` for a quick one.
+/// Returns the path written.
+pub fn write_output(name: &str, quick: bool, content: &str) -> std::io::Result<PathBuf> {
+    let path = if quick {
+        Path::new("target/xp-quick").join(name)
+    } else {
+        PathBuf::from(name)
+    };
+    if let Some(dir) = path.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    std::fs::write(&path, content)?;
+    Ok(path)
+}
+
+/// One value of a recorded row; the variant fixes its JSON rendering.
+pub enum Cell<'a> {
+    /// A string (quoted; callers pass identifiers, nothing to escape).
+    Str(&'a str),
+    /// An integer.
+    Int(i64),
+    /// `true` / `false`.
+    Bool(bool),
+    /// A float with one decimal place.
+    Fixed1(f64),
+    /// A float in scientific notation with three decimals.
+    Sci3(f64),
+}
+
+/// One recorded row: `(key, value)` pairs in output order.
+pub type Row<'a> = Vec<(&'static str, Cell<'a>)>;
+
+fn render_rows(rows: &[Row], host: Option<&str>) -> String {
+    // A bare `inf`/`NaN` is not JSON; clamp to the f64 ceiling so a
+    // pathological value can never corrupt a results file.
+    let finite = |v: f64| if v.is_finite() { v } else { f64::MAX };
+    let mut json = String::from("[\n");
+    for (i, row) in rows.iter().enumerate() {
+        let mut fields: Vec<String> = row
+            .iter()
+            .map(|(key, cell)| match cell {
+                Cell::Str(v) => format!("\"{key}\": \"{v}\""),
+                Cell::Int(v) => format!("\"{key}\": {v}"),
+                Cell::Bool(v) => format!("\"{key}\": {v}"),
+                Cell::Fixed1(v) => format!("\"{key}\": {:.1}", finite(*v)),
+                Cell::Sci3(v) => format!("\"{key}\": {:.3e}", finite(*v)),
+            })
+            .collect();
+        if let Some(host) = host {
+            fields.push(format!("\"host\": \"{host}\""));
+        }
+        let comma = if i + 1 < rows.len() { "," } else { "" };
+        json.push_str(&format!("  {{{}}}{comma}\n", fields.join(", ")));
+    }
+    json.push_str("]\n");
+    json
+}
+
+/// Record an experiment's rows as the JSON array `file` (see
+/// [`write_output`] for where a quick run puts it), each row stamped
+/// with `host` (the caller's [`host`] fingerprint) when given. Returns
+/// the note the report quotes.
+///
+/// # Panics
+/// Panics if the file cannot be written — a run whose rows were lost
+/// must not exit 0.
+pub fn write_rows(file: &str, quick: bool, host: Option<&str>, rows: &[Row]) -> String {
+    match write_output(file, quick, &render_rows(rows, host)) {
+        Ok(path) => format!("rows written to {}", path.display()),
+        Err(e) => panic!("could not write {file}: {e}"),
+    }
+}
+
+/// The `{section, config, threads, value, unit, host}` row that `repair`
+/// and `metadata` record.
+pub struct SectionRow {
+    /// What was measured.
+    pub section: &'static str,
+    /// The configuration the value belongs to.
+    pub config: String,
+    /// Concurrency (or sample count) behind the value.
+    pub threads: usize,
+    /// The measurement.
+    pub value: f64,
+    /// Its unit.
+    pub unit: &'static str,
+}
+
+impl SectionRow {
+    fn cells(&self) -> Row<'_> {
+        vec![
+            ("section", Cell::Str(self.section)),
+            ("config", Cell::Str(&self.config)),
+            ("threads", Cell::Int(self.threads as i64)),
+            ("value", Cell::Sci3(self.value)),
+            ("unit", Cell::Str(self.unit)),
+        ]
+    }
+}
+
+/// [`write_rows`] for [`SectionRow`]s, host-stamped.
+pub fn write_section_rows(file: &str, quick: bool, host: &str, rows: &[SectionRow]) -> String {
+    let rows: Vec<Row> = rows.iter().map(SectionRow::cells).collect();
+    write_rows(file, quick, Some(host), &rows)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,7 +326,65 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), n);
-        assert_eq!(n, 31, "one entry per paper artifact group plus extensions");
+        assert_eq!(n, 29, "one entry per paper artifact group plus extensions");
+    }
+
+    #[test]
+    fn rows_render_as_the_recorded_files_do() {
+        // One literal row of each committed schema (BENCH_coding.json,
+        // BENCH_scrub.json, BENCH_repair.json): the recorded baselines
+        // stay valid only while this rendering is byte-stable.
+        let host = Some("x86_64-linux-1threads");
+        let coding: Row = vec![
+            ("kernel", Cell::Str("scalar")),
+            ("code", Cell::Str("rs")),
+            ("k", Cell::Int(4)),
+            ("encode_mbps", Cell::Fixed1(118.34)),
+            ("decode_mbps", Cell::Fixed1(297.0)),
+        ];
+        assert_eq!(
+            render_rows(&[coding], host),
+            "[\n  {\"kernel\": \"scalar\", \"code\": \"rs\", \"k\": 4, \
+             \"encode_mbps\": 118.3, \"decode_mbps\": 297.0, \
+             \"host\": \"x86_64-linux-1threads\"}\n]\n"
+        );
+        let scrub = || -> Row {
+            vec![
+                ("variant", Cell::Str("scrubbed")),
+                ("round", Cell::Int(0)),
+                ("stored_blocks", Cell::Int(370)),
+                ("margin", Cell::Int(223)),
+                ("read_ok", Cell::Bool(true)),
+                ("restored", Cell::Int(68)),
+                ("corrupt_found", Cell::Int(26)),
+                ("missing_found", Cell::Int(42)),
+            ]
+        };
+        let line = "{\"variant\": \"scrubbed\", \"round\": 0, \"stored_blocks\": 370, \
+                    \"margin\": 223, \"read_ok\": true, \"restored\": 68, \
+                    \"corrupt_found\": 26, \"missing_found\": 42}";
+        assert_eq!(
+            render_rows(&[scrub(), scrub()], None),
+            format!("[\n  {line},\n  {line}\n]\n"),
+            "no host stamp; a comma after every row but the last"
+        );
+        let section = |value| SectionRow {
+            section: "repair-foreground-latency",
+            config: "none p50".into(),
+            threads: 240,
+            value,
+            unit: "us",
+        };
+        assert_eq!(
+            render_rows(&[section(8.3974e4).cells()], host),
+            "[\n  {\"section\": \"repair-foreground-latency\", \"config\": \"none p50\", \
+             \"threads\": 240, \"value\": 8.397e4, \"unit\": \"us\", \
+             \"host\": \"x86_64-linux-1threads\"}\n]\n"
+        );
+        // A non-finite value is clamped, never written as bare `inf`.
+        let clamped = render_rows(&[section(f64::INFINITY).cells()], None);
+        assert!(clamped.contains("\"value\": 1.798e308"), "{clamped}");
+        assert_eq!(render_rows(&[], None), "[\n]\n");
     }
 
     #[test]

@@ -64,19 +64,6 @@ pub struct SystemConfig {
     pub admission_capacity: usize,
     /// Application domain stamped into credentials.
     pub app_domain: String,
-    /// Worker threads for segment encoding on the write/update path
-    /// (coded blocks are independent, §7.3's parallel-coding direction).
-    /// 1 = sequential; the default caps at 8 — segment encode is
-    /// memory-bandwidth-bound well before that on most hosts. Results are
-    /// byte-identical at any setting.
-    pub encode_threads: usize,
-    /// Bound of the write pipeline's reordering window: how many encoded
-    /// blocks may sit finished (or in flight) ahead of the in-order
-    /// backend writer. `0` disables pipelining — encode everything, then
-    /// write (the barrier mode). Any positive depth overlaps encode with
-    /// disk I/O; committed layouts and on-disk bytes are byte-identical
-    /// at every depth and thread count.
-    pub pipeline_depth: usize,
     /// Bounded retry policy for transiently failing block reads.
     pub read_retry: ReadRetry,
     /// Repair damage discovered by a read: when a read completes with
@@ -134,18 +121,14 @@ impl Default for ReadRetry {
     }
 }
 
-/// Default encode worker count: the host's parallelism, capped at 8.
-pub fn default_encode_threads() -> usize {
+/// Encode worker count: the host's parallelism, capped at 8 — segment
+/// encode is memory-bandwidth-bound well before that on most hosts.
+/// Resolved once per [`System`] (the lookup reads cgroup files on Linux).
+fn default_encode_workers() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
         .min(8)
-}
-
-/// Default write-pipeline depth: two encoded blocks in flight per encode
-/// worker, enough to keep the writer fed without unbounded buffering.
-pub fn default_pipeline_depth() -> usize {
-    2 * default_encode_threads()
 }
 
 /// Default group-commit bound: up to 8 consecutive same-disk writes per
@@ -162,8 +145,6 @@ impl Default for SystemConfig {
             lt: LtParams::default(),
             admission_capacity: 4,
             app_domain: "RobuSTore".into(),
-            encode_threads: default_encode_threads(),
-            pipeline_depth: default_pipeline_depth(),
             read_retry: ReadRetry::default(),
             read_repair: true,
             group_commit: default_group_commit(),
@@ -184,10 +165,14 @@ struct SystemInner {
     /// The async submission/completion ring over `backend`: the one data
     /// path every access's block I/O takes.
     ring: IoRing,
+    /// Encode workers per write/update (coded blocks are independent,
+    /// §7.3's parallel-coding direction); committed state is
+    /// byte-identical at any count.
+    encode_workers: usize,
     admission: Mutex<Vec<AdmissionController>>,
     authority: Mutex<KeyAuthority>,
     /// Recycled read buffers shared across accesses (one size at a time;
-    /// replaced if a file with a different block size is read).
+    /// dropped and replaced if a file with a different block size is read).
     pool: Mutex<Option<BlockPool>>,
     clock: AtomicU64,
     next_access: AtomicU64,
@@ -241,6 +226,7 @@ impl System {
                 meta: Mutex::new(meta),
                 backend,
                 ring,
+                encode_workers: default_encode_workers(),
                 admission: Mutex::new(admission),
                 authority: Mutex::new(KeyAuthority::new()),
                 pool: Mutex::new(None),
@@ -488,7 +474,7 @@ impl System {
     /// Borrow the recycled read-buffer pool for one access; every fetched
     /// buffer returns to it (decoded or spare), so repeated reads are
     /// allocation-free after the first. A pool of another block size is
-    /// left in place and a fresh one started.
+    /// taken and dropped, and a fresh one started.
     fn borrow_pool(&self, block_len: usize) -> BlockPool {
         match self.inner.pool.lock().take() {
             Some(p) if p.block_len() == block_len => p,
@@ -992,15 +978,15 @@ impl Client {
         written: &mut Vec<(usize, u64)>,
         on_refused: &mut dyn FnMut(usize, StoreError, Block) -> Result<(), StoreError>,
     ) -> Result<BTreeMap<u32, u32>, StoreError> {
-        let config = &self.system.inner.config;
+        let inner = &self.system.inner;
         // The window stays small on purpose: a lone writer keeps a
         // near-synchronous cadence while overlapped writers fill the
         // workers' batches.
-        let window = (2 * config.group_commit.max(1))
-            .max(config.pipeline_depth)
+        let window = (2 * inner.config.group_commit.max(1))
+            .max(2 * inner.encode_workers)
             .max(4);
         let mut writer = OrderedWindow::new(
-            &self.system.inner.ring,
+            &inner.ring,
             self.system.next_access_id(),
             Priority::Foreground,
             window,
@@ -1024,8 +1010,7 @@ impl Client {
             code,
             blocks,
             ids,
-            config.encode_threads,
-            config.pipeline_depth,
+            inner.encode_workers,
             |idx, coded, data| {
                 let (disk, key) = target(idx);
                 checksums.insert(coded, crc32c(&data));
@@ -1039,7 +1024,7 @@ impl Client {
                     written.push(target(tag as usize));
                 }
             }
-            delete_written(&self.system.inner.backend, written);
+            delete_written(&inner.backend, written);
         }
         result.map(|()| checksums)
     }
@@ -2282,17 +2267,18 @@ fn delete_written(backend: &ShardedBackend, written: &[(usize, u64)]) {
 
 /// Encode the coded blocks named by `ids` on up to `threads` workers and
 /// feed each encoded block to `consume` **in `ids` order**, overlapping
-/// encode (CPU) with whatever `consume` does (disk I/O) — the bounded
-/// producer/consumer pipeline of the write path.
+/// encode (CPU) with whatever `consume` does (ring submission) — the
+/// bounded producer/consumer pipeline of the write path.
 ///
 /// Workers claim indices from a shared counter and may run at most
-/// `depth` blocks ahead of the consumer (the reordering window doubles as
-/// backpressure, so memory stays bounded at `depth` blocks). The consumer
-/// runs on the calling thread and takes blocks strictly by index, so
-/// `consume` observes the exact sequence a sequential encode-then-write
-/// loop would produce — byte-identical at every `threads`/`depth`
-/// combination. `depth == 0` is the barrier mode: encode everything via
-/// [`encode_ids_parallel`], then consume.
+/// `2 * threads` blocks ahead of the consumer (the reordering window
+/// doubles as backpressure, so memory stays bounded at that many blocks).
+/// The consumer runs on the calling thread and takes blocks strictly by
+/// index, so `consume` observes the exact sequence a sequential
+/// `encode_block` loop would produce — byte-identical at every thread
+/// count, which is why two hosts with different core counts commit
+/// identical state. With one worker or a single id there is nothing to
+/// overlap and the blocks are encoded inline, without spawning.
 ///
 /// An error from `consume` stops the pipeline: workers drain promptly
 /// (in-flight buffers are dropped) and the error is returned.
@@ -2301,20 +2287,19 @@ fn encode_write_pipelined<F>(
     blocks: &[Vec<u8>],
     ids: &[u32],
     threads: usize,
-    depth: usize,
     mut consume: F,
 ) -> Result<(), StoreError>
 where
     F: FnMut(usize, u32, Block) -> Result<(), StoreError>,
 {
-    if depth == 0 || ids.len() <= 1 {
-        let encoded = encode_ids_parallel(code, blocks, ids, threads);
-        for (i, (&coded, data)) in ids.iter().zip(encoded).enumerate() {
-            consume(i, coded, data)?;
+    let threads = threads.clamp(1, ids.len().max(1));
+    if threads == 1 {
+        for (i, &coded) in ids.iter().enumerate() {
+            consume(i, coded, code.encode_block(blocks, coded as usize))?;
         }
         return Ok(());
     }
-    let threads = threads.clamp(1, ids.len());
+    let depth = 2 * threads;
     let block_len = blocks.first().map_or(0, |b| b.len());
 
     use std::sync::{Condvar, Mutex as StdMutex};
@@ -2390,48 +2375,6 @@ where
         // Scope exit joins the workers; with `stop` set they bail out.
     });
     result
-}
-
-/// Encode the coded blocks named by `ids` across up to `threads` worker
-/// threads, returning the encoded blocks *in `ids` order* — the output is
-/// byte-identical to a sequential `encode_block` loop at any thread
-/// count, because each coded block depends only on the read-only segment
-/// data and the output slot order is fixed up front.
-///
-/// Each worker owns a per-worker [`BlockPool`] for its output buffers, so
-/// the zero-copy discipline holds across threads without sharing: a
-/// worker's buffers are drawn from its own free list (warm when the pool
-/// carries over), encoded into in place, and then moved out — ownership
-/// transfers to the caller (and ultimately the backend) with no copies.
-fn encode_ids_parallel(
-    code: &LtCode,
-    blocks: &[Vec<u8>],
-    ids: &[u32],
-    threads: usize,
-) -> Vec<Block> {
-    let block_len = blocks.first().map_or(0, |b| b.len());
-    let threads = threads.clamp(1, ids.len().max(1));
-    if threads == 1 {
-        return ids
-            .iter()
-            .map(|&j| code.encode_block(blocks, j as usize))
-            .collect();
-    }
-    let chunk = ids.len().div_ceil(threads);
-    let mut out: Vec<Block> = vec![Vec::new(); ids.len()];
-    std::thread::scope(|scope| {
-        for (slots, id_chunk) in out.chunks_mut(chunk).zip(ids.chunks(chunk)) {
-            scope.spawn(move || {
-                let mut pool = BlockPool::new(block_len);
-                for (slot, &j) in slots.iter_mut().zip(id_chunk) {
-                    let mut buf = pool.get_scratch();
-                    code.encode_block_into(blocks, j as usize, &mut buf);
-                    *slot = buf;
-                }
-            });
-        }
-    });
-    out
 }
 
 /// Split `data` into exactly `k` blocks of `block_bytes`, zero-padding the
@@ -2533,53 +2476,29 @@ mod tests {
     }
 
     #[test]
-    fn parallel_encode_is_deterministic_across_thread_counts() {
-        // Same data, same seed, different encode_threads: the committed
-        // layouts and the decoded bytes must be identical — parallelism
-        // can only change wall-clock, never content.
-        let data = payload(300_000);
-        let speeds: Vec<f64> = (0..8).map(|i| 10e6 + i as f64 * 6e6).collect();
-        let mut metas = Vec::new();
-        for threads in [1usize, 3, 7] {
-            let sys = System::new(
-                InMemoryBackend::new(speeds.clone()),
-                SystemConfig {
-                    block_bytes: 4 << 10,
-                    encode_threads: threads,
-                    ..Default::default()
-                },
-            );
-            let u = sys.register_user();
-            let client = Client::connect(&sys, u);
-            let mut h = client
-                .open(
-                    "f",
-                    AccessMode::Write,
-                    QosOptions::best_effort().with_redundancy(2.0),
-                )
+    fn pipelined_encode_hands_consume_the_sequential_sequence() {
+        // The thread count enters the write path here and nowhere else:
+        // at any count `consume` must see exactly what a sequential
+        // `encode_block` loop produces, in `ids` order — so hosts with
+        // different core counts commit identical state.
+        let blocks = split_blocks(&payload(64 * 512), 512, 64);
+        let code = LtCode::plan(64, 192, LtParams::default(), 7).unwrap();
+        let many: Vec<u32> = (0..192).rev().step_by(3).collect();
+        for ids in [&many[..], &many[..1], &[]] {
+            let expect: Vec<(usize, u32, Block)> = ids
+                .iter()
+                .enumerate()
+                .map(|(i, &j)| (i, j, code.encode_block(&blocks, j as usize)))
+                .collect();
+            for threads in [1, 2, 3, 4, 16, ids.len() + 5] {
+                let mut got = Vec::new();
+                encode_write_pipelined(&code, &blocks, ids, threads, |i, j, data| {
+                    got.push((i, j, data));
+                    Ok(())
+                })
                 .unwrap();
-            client.write(&mut h, &data).unwrap();
-            // Exercise the parallel update path too.
-            client.update(&mut h, 9_000, &vec![0xC3u8; 2_000]).unwrap();
-            let meta = h.meta().unwrap().clone();
-            client.close(h).unwrap();
-
-            let h = client
-                .open("f", AccessMode::Read, QosOptions::best_effort())
-                .unwrap();
-            let got = client.read(&h).unwrap();
-            client.close(h).unwrap();
-            let mut expect = data.clone();
-            expect[9_000..11_000].copy_from_slice(&vec![0xC3u8; 2_000]);
-            assert_eq!(got, expect, "threads={threads}");
-            metas.push((threads, meta));
-        }
-        let (_, base) = &metas[0];
-        for (threads, meta) in &metas[1..] {
-            assert_eq!(
-                meta.layout, base.layout,
-                "threads={threads}: layout must not depend on thread count"
-            );
+                assert_eq!(got, expect, "threads={threads} ids={}", ids.len());
+            }
         }
     }
 
@@ -2868,64 +2787,32 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_writes_are_byte_identical_to_barriered() {
-        // The pipeline is a wall-clock optimisation only: at every
-        // (encode_threads, pipeline_depth) combination — including the
-        // depth=0 barrier mode — the committed layout, generation
-        // parities, per-disk byte counts, and decoded contents must match
-        // the sequential baseline exactly, across write, overwrite, and
-        // update.
+    fn write_overwrite_update_read_back_the_expected_bytes() {
         let data = payload(300_000);
         let v2: Vec<u8> = data.iter().map(|b| b ^ 0x5A).collect();
-        let speeds: Vec<f64> = (0..8).map(|i| 10e6 + i as f64 * 6e6).collect();
-        let mut outcomes = Vec::new();
-        for (threads, depth) in [(1, 0), (1, 2), (2, 1), (4, 8), (16, 4), (16, 64)] {
-            let sys = System::new(
-                InMemoryBackend::new(speeds.clone()),
-                SystemConfig {
-                    block_bytes: 4 << 10,
-                    encode_threads: threads,
-                    pipeline_depth: depth,
-                    ..Default::default()
-                },
-            );
-            let u = sys.register_user();
-            let client = Client::connect(&sys, u);
-            let mut h = client
-                .open(
-                    "f",
-                    AccessMode::Write,
-                    QosOptions::best_effort().with_redundancy(2.0),
-                )
-                .unwrap();
-            client.write(&mut h, &data).unwrap();
-            client.write(&mut h, &v2).unwrap();
-            client.update(&mut h, 7_000, &vec![0x11u8; 3_000]).unwrap();
-            let meta = h.meta().unwrap().clone();
-            client.close(h).unwrap();
+        let sys = test_system();
+        let u = sys.register_user();
+        let client = Client::connect(&sys, u);
+        let mut h = client
+            .open(
+                "f",
+                AccessMode::Write,
+                QosOptions::best_effort().with_redundancy(2.0),
+            )
+            .unwrap();
+        client.write(&mut h, &data).unwrap();
+        client.write(&mut h, &v2).unwrap();
+        client.update(&mut h, 7_000, &vec![0x11u8; 3_000]).unwrap();
+        client.close(h).unwrap();
 
-            let h = client
-                .open("f", AccessMode::Read, QosOptions::best_effort())
-                .unwrap();
-            let got = client.read(&h).unwrap();
-            client.close(h).unwrap();
-            let used: Vec<u64> = (0..8).map(|d| sys.disk_used(d)).collect();
-            outcomes.push((threads, depth, meta, got, used));
-        }
-        let mut expect = v2.clone();
-        expect[7_000..10_000].copy_from_slice(&vec![0x11u8; 3_000]);
-        let (_, _, base_meta, base_got, base_used) = &outcomes[0];
-        assert_eq!(base_got, &expect);
-        for (threads, depth, meta, got, used) in &outcomes[1..] {
-            let tag = format!("threads={threads} depth={depth}");
-            assert_eq!(meta.layout, base_meta.layout, "{tag}: layout diverged");
-            assert_eq!(
-                meta.odd_keys, base_meta.odd_keys,
-                "{tag}: generation parity diverged"
-            );
-            assert_eq!(got, base_got, "{tag}: decoded bytes diverged");
-            assert_eq!(used, base_used, "{tag}: on-disk bytes diverged");
-        }
+        let h = client
+            .open("f", AccessMode::Read, QosOptions::best_effort())
+            .unwrap();
+        let got = client.read(&h).unwrap();
+        client.close(h).unwrap();
+        let mut expect = v2;
+        expect[7_000..10_000].copy_from_slice(&[0x11u8; 3_000]);
+        assert_eq!(got, expect);
     }
 
     #[test]
@@ -2940,8 +2827,6 @@ mod tests {
             Box::new(backend),
             SystemConfig {
                 block_bytes: 4 << 10,
-                encode_threads: 4,
-                pipeline_depth: 8,
                 ..Default::default()
             },
         );

@@ -107,8 +107,8 @@ pub use admission::{AdmissionController, PriorityAdmissionController, PriorityDe
 pub use backend::{DiskShard, InMemoryBackend, RefusedWrite, StorageBackend};
 pub use chaos::{ChaosBackend, FaultSwitch};
 pub use client::{
-    default_encode_threads, default_group_commit, default_pipeline_depth, Client, FileHandle,
-    ReadReport, ReadRetry, System, SystemConfig, UpdateReport, WriteReport,
+    default_group_commit, Client, FileHandle, ReadReport, ReadRetry, System, SystemConfig,
+    UpdateReport, WriteReport,
 };
 pub use credentials::{Credential, CredentialChain, KeyAuthority, PublicKey, Rights};
 pub use error::StoreError;

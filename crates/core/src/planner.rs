@@ -24,9 +24,8 @@ use crate::qos::QosOptions;
 pub enum ReadPolicy {
     /// The paper's 2007 policy: request every stored block up front in
     /// nominal arrival order, cancel leftovers on decode. Byte-identical
-    /// data to the adaptive policy at maximal disk pressure — the
-    /// baseline `xp tail` measures against, and a timing-independent
-    /// schedule for tests.
+    /// data to the adaptive policy at maximal disk pressure, and a
+    /// timing-independent schedule for tests.
     Static,
     /// Queue-aware staged waves sized from the decoder's expected need
     /// and ordered by live per-disk completion estimates.

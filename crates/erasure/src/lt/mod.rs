@@ -282,37 +282,6 @@ impl LtCode {
         Ok((0..self.n).map(|j| self.encode_block(data, j)).collect())
     }
 
-    /// Encode on `threads` OS threads, coded blocks chunked contiguously.
-    ///
-    /// §7.3 names parallel coding as the route past single-core
-    /// throughput ("use a cluster of workstations as a coding agent");
-    /// block encodes are embarrassingly parallel since each coded block
-    /// depends only on the read-only data.
-    pub fn encode_parallel(
-        &self,
-        data: &[Block],
-        threads: usize,
-    ) -> Result<Vec<Block>, CodingError> {
-        self.validate_data(data)?;
-        let threads = threads.max(1).min(self.n);
-        if threads == 1 {
-            return self.encode(data);
-        }
-        let chunk = self.n.div_ceil(threads);
-        let mut out: Vec<Block> = vec![Vec::new(); self.n];
-        std::thread::scope(|scope| {
-            for (t, slots) in out.chunks_mut(chunk).enumerate() {
-                let base = t * chunk;
-                scope.spawn(move || {
-                    for (i, slot) in slots.iter_mut().enumerate() {
-                        *slot = self.encode_block(data, base + i);
-                    }
-                });
-            }
-        });
-        Ok(out)
-    }
-
     /// Encode just coded block `j` — the rateless/streaming entry point
     /// used by speculative writes, which encode only as many blocks as the
     /// disks actually absorb (§4.1.1).
@@ -657,20 +626,6 @@ mod tests {
         // Only 10 blocks cannot cover 32 originals.
         let rx: Vec<_> = coded.into_iter().enumerate().take(10).collect();
         assert_eq!(code.decode(rx), Err(CodingError::DecodeFailed));
-    }
-
-    #[test]
-    fn parallel_encode_matches_serial() {
-        let code = LtCode::plan(64, 256, LtParams::default(), 61).unwrap();
-        let data = make_data(64, 48);
-        let serial = code.encode(&data).unwrap();
-        for threads in [1usize, 2, 3, 8, 1000] {
-            assert_eq!(
-                code.encode_parallel(&data, threads).unwrap(),
-                serial,
-                "threads = {threads}"
-            );
-        }
     }
 
     #[test]

@@ -114,17 +114,6 @@ pub struct AccessConfig {
     /// static from-the-start outage). The schedule depends only on
     /// (scenario, seed), so every scheme sees identical faults.
     pub faults: FaultScenario,
-    /// Client-side encode bandwidth charged on RobuSTore writes,
-    /// bytes/second. `None` (default) charges no encode time — the
-    /// legacy write model. With `Some(rate)`, coded block `j` leaves the
-    /// encoder at `start + (j+1)·block/rate` and cannot be sent earlier,
-    /// which quantifies the encode/I-O overlap of the pipelined client
-    /// write path.
-    pub encode_bandwidth: Option<f64>,
-    /// With encode modeling on: `true` holds every send until the whole
-    /// target set is encoded (the barrier mode the pipelined write path
-    /// replaces); `false` streams each block as it leaves the encoder.
-    pub encode_barrier: bool,
 }
 
 impl Default for AccessConfig {
@@ -145,8 +134,6 @@ impl Default for AccessConfig {
             read_cancellation: true,
             failed_disks: 0,
             faults: FaultScenario::None,
-            encode_bandwidth: None,
-            encode_barrier: false,
         }
     }
 }
@@ -205,15 +192,6 @@ impl AccessConfig {
         self
     }
 
-    /// Model client-side encode time on RobuSTore writes at `bandwidth`
-    /// bytes/second; `barrier` selects encode-everything-first over
-    /// streaming.
-    pub fn with_encode(mut self, bandwidth: f64, barrier: bool) -> Self {
-        self.encode_bandwidth = Some(bandwidth);
-        self.encode_barrier = barrier;
-        self
-    }
-
     /// Sanity checks before running.
     pub fn validate(&self) -> Result<(), String> {
         self.cluster.validate()?;
@@ -234,11 +212,6 @@ impl AccessConfig {
         }
         if self.decode_bandwidth <= 0.0 {
             return Err("decode bandwidth must be positive".into());
-        }
-        if let Some(bw) = self.encode_bandwidth {
-            if bw <= 0.0 {
-                return Err("encode bandwidth must be positive".into());
-            }
         }
         if self.failed_disks >= self.num_disks {
             return Err("cannot fail every selected disk".into());
@@ -296,21 +269,6 @@ mod tests {
         let c = c.with_faults(FaultScenario::one_slow_disk(8.0));
         assert_eq!(c.faults.name(), "one_slow_disk");
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn encode_model_defaults_off_and_validates() {
-        let c = AccessConfig::default();
-        assert!(c.encode_bandwidth.is_none());
-        assert!(!c.encode_barrier);
-        let c = c.with_encode(400e6, true);
-        assert_eq!(c.encode_bandwidth, Some(400e6));
-        assert!(c.encode_barrier);
-        assert!(c.validate().is_ok());
-        assert!(AccessConfig::default()
-            .with_encode(0.0, false)
-            .validate()
-            .is_err());
     }
 
     #[test]

@@ -741,34 +741,6 @@ impl<'a> Engine<'a> {
         let mut next_coded: u32 = 0;
         let mut fixed_total = 0usize;
 
-        // Client-side encode model (RobuSTore only): coded block `j`
-        // leaves the encoder at start + (j+1)·block/bandwidth when
-        // streaming, or only once the whole target set is encoded in
-        // barrier mode. A send is held (`now.max(ready)`) until its block
-        // exists; with no encode bandwidth configured, every block is
-        // ready at `start` and the model is inert.
-        let encode_ns: Option<u64> = if speculative {
-            self.cfg
-                .encode_bandwidth
-                .map(|bw| (self.cfg.block_bytes as f64 / bw * 1e9).round() as u64)
-        } else {
-            None
-        };
-        let encode_barrier = self.cfg.encode_barrier;
-        let encode_ready = |j: u32| -> SimTime {
-            match encode_ns {
-                Some(ns) => {
-                    let encoded = if encode_barrier {
-                        target_blocks as u64
-                    } else {
-                        j as u64 + 1
-                    };
-                    start + SimDuration::from_nanos(ns.saturating_mul(encoded))
-                }
-                None => start,
-            }
-        };
-
         while !self.done() {
             let Some((now, ev)) = self.q.pop() else {
                 panic!(
@@ -785,8 +757,7 @@ impl<'a> Engine<'a> {
                                 let coded = next_coded;
                                 let inst = self.new_instance(slot, coded, 0);
                                 next_coded += 1;
-                                let at = now.max(encode_ready(coded));
-                                self.send_write(at, inst);
+                                self.send_write(now, inst);
                             }
                         }
                     } else {
@@ -860,8 +831,7 @@ impl<'a> Engine<'a> {
                         let coded = next_coded;
                         let ninst = self.new_instance(slot, coded, 0);
                         next_coded += 1;
-                        let at = now.max(encode_ready(coded));
-                        self.send_write(at, ninst);
+                        self.send_write(now, ninst);
                     }
                 }
                 Ev::CancelAll { slot } => self.on_cancel_all(slot),

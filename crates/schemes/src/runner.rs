@@ -396,33 +396,6 @@ mod tests {
     }
 
     #[test]
-    fn encode_model_orders_write_latencies() {
-        // No encode charge ≤ streamed encode ≤ barriered encode: streaming
-        // hides encode time behind disk I/O, the barrier serialises it in
-        // front, and turning the model off reproduces the legacy numbers.
-        let seq = SeedSequence::new(33);
-        let base_cfg = small(SchemeKind::RobuStore).with_kind(AccessKind::Write);
-        let none = run_access(&base_cfg, &seq);
-        // Slow enough (50 MB/s) that encode time is material for 64 MB.
-        let stream = run_access(&base_cfg.clone().with_encode(50e6, false), &seq);
-        let barrier = run_access(&base_cfg.clone().with_encode(50e6, true), &seq);
-        assert!(
-            none.latency <= stream.latency,
-            "encode time cannot speed a write up"
-        );
-        assert!(
-            stream.latency < barrier.latency,
-            "streaming must beat the encode barrier: {:?} vs {:?}",
-            stream.latency,
-            barrier.latency
-        );
-        // The model leaves the legacy path bit-identical when off.
-        let again = run_access(&base_cfg, &seq);
-        assert_eq!(none.latency, again.latency);
-        assert_eq!(none.network_bytes, again.network_bytes);
-    }
-
-    #[test]
     fn trials_differ_across_seeds() {
         let cfg = small(SchemeKind::RobuStore);
         let a = run_access(&cfg, &SeedSequence::new(1).subsequence("trial", 0));

@@ -46,8 +46,6 @@ fn chaos_system(group_commit: usize) -> (System, FaultSwitch) {
         Box::new(backend),
         SystemConfig {
             block_bytes: 4 << 10,
-            encode_threads: 2,
-            pipeline_depth: 4,
             // Every concurrent access asks for all 8 disks; the default
             // per-disk capacity of a lightly loaded store would refuse
             // some of them and couple layouts to interleaving.

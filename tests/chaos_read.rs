@@ -40,8 +40,6 @@ fn chaos_system_with(read_policy: ReadPolicy, read_repair: bool) -> (System, Fau
         Box::new(backend),
         SystemConfig {
             block_bytes: 4 << 10,
-            encode_threads: 4,
-            pipeline_depth: 8,
             read_policy,
             read_repair,
             ..Default::default()

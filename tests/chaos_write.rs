@@ -33,8 +33,6 @@ fn chaos_system() -> (System, FaultSwitch) {
         Box::new(backend),
         SystemConfig {
             block_bytes: 4 << 10,
-            encode_threads: 4,
-            pipeline_depth: 8,
             ..Default::default()
         },
     );

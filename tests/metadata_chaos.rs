@@ -43,7 +43,6 @@ fn durable_system(shards: usize, replicas: usize) -> System {
         InMemoryBackend::new(speeds),
         SystemConfig {
             block_bytes: 4 << 10,
-            encode_threads: 2,
             metastore: MetastoreConfig {
                 shards,
                 replicas,
@@ -643,7 +642,6 @@ fn file_backed_plane_survives_restart() {
             InMemoryBackend::new(speeds),
             SystemConfig {
                 block_bytes: 4 << 10,
-                encode_threads: 2,
                 metastore: cfg,
                 ..Default::default()
             },

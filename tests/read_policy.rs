@@ -171,8 +171,6 @@ fn policy_system(policy: ReadPolicy) -> System {
         )),
         SystemConfig {
             block_bytes: 4 << 10,
-            encode_threads: 2,
-            pipeline_depth: 4,
             read_policy: policy,
             ..Default::default()
         },

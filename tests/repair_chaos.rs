@@ -44,8 +44,6 @@ fn system() -> System {
         Box::new(InMemoryBackend::new(speeds)),
         SystemConfig {
             block_bytes: BLOCK,
-            encode_threads: 1,
-            pipeline_depth: 4,
             read_repair: false,
             ..Default::default()
         },

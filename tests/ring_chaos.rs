@@ -53,8 +53,6 @@ fn ring_system() -> System {
         Box::new(InMemoryBackend::new(speeds())),
         SystemConfig {
             block_bytes: 4 << 10,
-            encode_threads: 2,
-            pipeline_depth: 4,
             ..Default::default()
         },
     )
@@ -132,8 +130,6 @@ fn ring_write_abort_rolls_back_and_retry_succeeds() {
         Box::new(backend),
         SystemConfig {
             block_bytes: 4 << 10,
-            encode_threads: 2,
-            pipeline_depth: 4,
             ..Default::default()
         },
     );
@@ -414,8 +410,6 @@ fn seeded_persistent_faults_replay_identically_under_either_policy() {
             Box::new(InMemoryBackend::new(speeds())),
             SystemConfig {
                 block_bytes: 4 << 10,
-                encode_threads: 2,
-                pipeline_depth: 4,
                 read_policy,
                 ..Default::default()
             },

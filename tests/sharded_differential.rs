@@ -106,8 +106,6 @@ fn make_system(sharded: bool, group_commit: usize) -> System {
         backend,
         SystemConfig {
             block_bytes: 4 << 10,
-            encode_threads: 2,
-            pipeline_depth: 4,
             group_commit,
             ..Default::default()
         },

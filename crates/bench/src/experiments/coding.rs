@@ -8,7 +8,8 @@ use robustore_erasure::analysis::{
     coded_reassembly_cdf, lt_reassembly_mc, mean_blocks_needed, replication_reassembly_cdf,
 };
 use robustore_erasure::lt::{blocks_needed, LtCode, LtDecoder};
-use robustore_erasure::{LtParams, ReedSolomon};
+use robustore_erasure::simd::{self, SimdLevel};
+use robustore_erasure::{kernels, LtParams, ReedSolomon};
 use robustore_simkit::report::Table;
 use robustore_simkit::{OnlineStats, SeedSequence};
 
@@ -63,15 +64,53 @@ pub fn table5_1(_trials: u64) -> String {
     out
 }
 
-/// Kernel benchmark: RS and LT coding bandwidth under the scalar
-/// reference vs the vector (SWAR + nibble-table) kernels, on identical
-/// inputs. Writes machine-readable rows to `BENCH_coding.json` — schema
-/// `{kernel, code, k, encode_mbps, decode_mbps, host}` — alongside the
-/// rendered table, so the speedup claims in `EXPERIMENTS.md` are backed
-/// by same-host data. `--quick` (or `--trials 1`) shrinks the data sizes
-/// for CI smoke runs.
+/// The four kernel operations `bench-coding` times one at a time.
+#[derive(Clone, Copy)]
+enum KernelOp {
+    Xor,
+    Axpy,
+    AxpyMulti,
+    Scale,
+}
+
+impl KernelOp {
+    const ALL: [(KernelOp, &'static str); 4] = [
+        (KernelOp::Xor, "xor_into"),
+        (KernelOp::Axpy, "gf_axpy"),
+        (KernelOp::AxpyMulti, "gf_axpy_multi"),
+        (KernelOp::Scale, "gf_scale"),
+    ];
+
+    /// Run the operation once on the scalar reference (`None`) or pinned
+    /// to a tier; the single-source ops use `srcs[0]`.
+    fn run(self, kernel: Option<SimdLevel>, acc: &mut [u8], srcs: &[(u8, &[u8])]) {
+        let (coef, src) = srcs[0];
+        match (self, kernel) {
+            (KernelOp::Xor, None) => kernels::xor_into_scalar(acc, src),
+            (KernelOp::Xor, Some(t)) => simd::xor_into_at(t, acc, src),
+            (KernelOp::Axpy, None) => kernels::gf_axpy_scalar(acc, coef, src),
+            (KernelOp::Axpy, Some(t)) => simd::gf_axpy_at(t, acc, coef, src),
+            (KernelOp::AxpyMulti, None) => kernels::gf_axpy_multi_scalar(acc, srcs),
+            (KernelOp::AxpyMulti, Some(t)) => simd::gf_axpy_multi_at(t, acc, srcs),
+            (KernelOp::Scale, None) => kernels::gf_scale_scalar(acc, coef),
+            (KernelOp::Scale, Some(t)) => simd::gf_scale_at(t, acc, coef),
+        }
+    }
+}
+
+/// Kernel benchmark, in two parts on identical inputs. (a) What the
+/// ladder is made of: each kernel operation (`gf_axpy_multi` over K=32
+/// sources) on a small and a large block, for the scalar reference and
+/// every tier this host supports, pinned through the `*_at` entry points.
+/// (b) What the codes get from it: RS and LT encode/decode bandwidth on
+/// the tier the dispatchers picked. Writes machine-readable rows to
+/// `BENCH_coding.json` — `{kernel, op, bytes, mbps, host}` for (a),
+/// `{kernel, code, k, encode_mbps, decode_mbps, host}` for (b) — alongside
+/// the rendered tables, so the numbers in `EXPERIMENTS.md` are backed by
+/// same-host data. `--quick` (or `--trials 1`) shrinks the data sizes for
+/// CI smoke runs.
 pub fn bench_coding(trials: u64) -> String {
-    use robustore_erasure::{set_kernel, simd_available, Block, BlockPool, Kernel};
+    use robustore_erasure::{Block, BlockPool};
 
     let quick = trials <= 1;
     // Wall-clock best-of: the host is shared, so single timings jitter by
@@ -79,29 +118,29 @@ pub fn bench_coding(trials: u64) -> String {
     let reps = trials.clamp(1, 5);
     let rs_bytes: usize = if quick { 2 << 20 } else { 16 << 20 };
     let lt_block: usize = if quick { 4 << 10 } else { 64 << 10 };
+    let op_lens: [usize; 2] = if quick {
+        [4 << 10, 32 << 10]
+    } else {
+        [64 << 10, 512 << 10]
+    };
+    // Source bytes pushed through an operation per timing.
+    let op_bytes: usize = if quick { 1 << 20 } else { 16 << 20 };
+    const MULTI_SOURCES: usize = 32;
     let seq = SeedSequence::new(MASTER_SEED ^ 0xBE7C);
 
-    struct Row {
-        kernel: &'static str,
+    // (b) Whole-code rows, on the tier every caller of the codes gets.
+    // Measured first: RS encode clones multi-MB blocks inside its timed
+    // region, and run after the per-operation section it reads up to 40%
+    // lower (K=4: ~590 vs ~900-1100 MB/s here) for the state that section
+    // leaves the allocator in — nothing to do with the kernels.
+    struct CodeRow {
         code: &'static str,
         k: usize,
         encode_mbps: f64,
         decode_mbps: f64,
     }
-    let mut rows: Vec<Row> = Vec::new();
-
-    // The kernels are measured back-to-back *within* each configuration,
-    // not in separate sweeps: host speed drifts on a minutes scale (this
-    // is a shared machine), and a ratio of two measurements taken minutes
-    // apart reflects the drift, not the code. The simd column appears
-    // only when the build has the `simd` feature and the CPU supports it;
-    // absence from BENCH_coding.json therefore means "not measurable
-    // here", never "measured at zero".
-    let mut kernels: Vec<(Kernel, &'static str)> =
-        vec![(Kernel::Scalar, "scalar"), (Kernel::Vector, "vector")];
-    if simd_available() {
-        kernels.push((Kernel::Simd, "simd"));
-    }
+    let dispatched = format!("{:?}", kernels::active_kernel());
+    let mut code_rows: Vec<CodeRow> = Vec::new();
 
     // Reed–Solomon: dense GF(256) arithmetic — the axpy/scale kernels.
     for k in [4usize, 8, 16, 32] {
@@ -112,30 +151,26 @@ pub fn bench_coding(trials: u64) -> String {
             .map(|i| (0..block).map(|j| ((i * 31 + j * 7) % 256) as u8).collect())
             .collect();
         let mb = rs_bytes as f64 / 1e6;
-        for &(kernel, kname) in &kernels {
-            set_kernel(kernel);
-            let (mut enc, mut dec) = (0f64, 0f64);
-            for rep in 0..reps {
-                let t = Instant::now();
-                let coded = rs.encode(&data).expect("encode");
-                enc = enc.max(mb / t.elapsed().as_secs_f64());
-                // Decode from the last K blocks (forces a real matrix solve).
-                let rx: Vec<_> = (k..2 * k).map(|i| (i, coded[i].clone())).collect();
-                let t = Instant::now();
-                let decoded = rs.decode(&rx).expect("decode");
-                dec = dec.max(mb / t.elapsed().as_secs_f64());
-                if rep == 0 {
-                    assert_eq!(decoded, data);
-                }
+        let (mut enc, mut dec) = (0f64, 0f64);
+        for rep in 0..reps {
+            let t = Instant::now();
+            let coded = rs.encode(&data).expect("encode");
+            enc = enc.max(mb / t.elapsed().as_secs_f64());
+            // Decode from the last K blocks (forces a real matrix solve).
+            let rx: Vec<_> = (k..2 * k).map(|i| (i, coded[i].clone())).collect();
+            let t = Instant::now();
+            let decoded = rs.decode(&rx).expect("decode");
+            dec = dec.max(mb / t.elapsed().as_secs_f64());
+            if rep == 0 {
+                assert_eq!(decoded, data);
             }
-            rows.push(Row {
-                kernel: kname,
-                code: "rs",
-                k,
-                encode_mbps: enc,
-                decode_mbps: dec,
-            });
         }
+        code_rows.push(CodeRow {
+            code: "rs",
+            k,
+            encode_mbps: enc,
+            decode_mbps: dec,
+        });
     }
 
     // LT: pure XOR — the wide-XOR kernel. Coded buffers come from a
@@ -150,125 +185,168 @@ pub fn bench_coding(trials: u64) -> String {
             .collect();
         let mb = (k * lt_block) as f64 / 1e6;
         let mut pool = BlockPool::new(lt_block);
-        for &(kernel, kname) in &kernels {
-            set_kernel(kernel);
-            let (mut enc, mut dec) = (0f64, 0f64);
-            for rep in 0..reps {
-                let t = Instant::now();
-                let mut coded: Vec<Option<Block>> = (0..n)
-                    .map(|j| {
-                        let mut b = pool.get_scratch();
-                        code.encode_block_into(&data, j, &mut b);
-                        Some(b)
-                    })
-                    .collect();
-                enc = enc.max(mb / t.elapsed().as_secs_f64());
+        let (mut enc, mut dec) = (0f64, 0f64);
+        for rep in 0..reps {
+            let t = Instant::now();
+            let mut coded: Vec<Option<Block>> = (0..n)
+                .map(|j| {
+                    let mut b = pool.get_scratch();
+                    code.encode_block_into(&data, j, &mut b);
+                    Some(b)
+                })
+                .collect();
+            enc = enc.max(mb / t.elapsed().as_secs_f64());
 
-                let mut order: Vec<usize> = (0..n).collect();
-                order.shuffle(&mut seq.fork("lt-order", (k as u64) << 8 | rep));
-                let t = Instant::now();
-                let mut ltdec = LtDecoder::new(&code, lt_block);
-                for &j in &order {
-                    if ltdec.receive(j, coded[j].take().unwrap()) {
-                        break;
-                    }
+            let mut order: Vec<usize> = (0..n).collect();
+            order.shuffle(&mut seq.fork("lt-order", (k as u64) << 8 | rep));
+            let t = Instant::now();
+            let mut ltdec = LtDecoder::new(&code, lt_block);
+            for &j in &order {
+                if ltdec.receive(j, coded[j].take().unwrap()) {
+                    break;
                 }
-                dec = dec.max(mb / t.elapsed().as_secs_f64());
-                assert!(ltdec.is_complete());
-                pool.put_all(ltdec.drain_spares());
-                pool.put_all(coded.into_iter().flatten()); // never-fed blocks
-                let decoded = ltdec.into_data().expect("complete");
-                if rep == 0 {
-                    assert_eq!(decoded, data);
-                }
-                pool.put_all(decoded);
             }
-            rows.push(Row {
-                kernel: kname,
-                code: "lt",
-                k,
-                encode_mbps: enc,
-                decode_mbps: dec,
-            });
+            dec = dec.max(mb / t.elapsed().as_secs_f64());
+            assert!(ltdec.is_complete());
+            pool.put_all(ltdec.drain_spares());
+            pool.put_all(coded.into_iter().flatten()); // never-fed blocks
+            let decoded = ltdec.into_data().expect("complete");
+            if rep == 0 {
+                assert_eq!(decoded, data);
+            }
+            pool.put_all(decoded);
+        }
+        code_rows.push(CodeRow {
+            code: "lt",
+            k,
+            encode_mbps: enc,
+            decode_mbps: dec,
+        });
+    }
+
+    // (a) Per-operation rows. The kernels are measured back-to-back
+    // *within* each configuration, not in separate sweeps: host speed
+    // drifts on a minutes scale (this is a shared machine), and a ratio of
+    // two measurements taken minutes apart reflects the drift, not the
+    // code. A tier the CPU lacks has no row; absence from
+    // BENCH_coding.json means "not measurable here", never "measured at
+    // zero".
+    struct OpRow<'a> {
+        kernel: &'a str,
+        op: &'static str,
+        bytes: usize,
+        mbps: f64,
+    }
+    let kernel_list: Vec<(Option<SimdLevel>, String)> = std::iter::once((None, "scalar".into()))
+        .chain(
+            SimdLevel::ALL
+                .into_iter()
+                .filter(|&t| simd::tier_supported(t))
+                .map(|t| (Some(t), format!("{t:?}"))),
+        )
+        .collect();
+    let mut op_rows: Vec<OpRow> = Vec::new();
+    for len in op_lens {
+        let sources: Vec<Block> = (0..MULTI_SOURCES)
+            .map(|i| (0..len).map(|j| ((i * 31 + j * 7) % 256) as u8).collect())
+            .collect();
+        // Coefficients outside {0, 1}: those are special-cased to no-op
+        // and XOR, which is not what the GF rows are about.
+        let srcs: Vec<(u8, &[u8])> = sources
+            .iter()
+            .enumerate()
+            .map(|(i, s)| ((2 + 7 * i) as u8, s.as_slice()))
+            .collect();
+        let mut acc: Block = (0..len).map(|j| ((j * 13 + 5) % 256) as u8).collect();
+        for (op, op_name) in KernelOp::ALL {
+            // MB/s counts source bytes consumed, so a 32-source fused call
+            // is comparable with 32 single-source ones.
+            let per_call = match op {
+                KernelOp::AxpyMulti => MULTI_SOURCES * len,
+                _ => len,
+            };
+            let calls = (op_bytes / per_call).max(1);
+            for (kernel, kname) in &kernel_list {
+                let mut best = 0f64;
+                for _ in 0..reps {
+                    let t = Instant::now();
+                    for _ in 0..calls {
+                        op.run(*kernel, std::hint::black_box(&mut acc), &srcs);
+                    }
+                    best = best.max((calls * per_call) as f64 / 1e6 / t.elapsed().as_secs_f64());
+                }
+                op_rows.push(OpRow {
+                    kernel: kname,
+                    op: op_name,
+                    bytes: len,
+                    mbps: best,
+                });
+            }
         }
     }
-    set_kernel(Kernel::Vector); // restore the process-wide default
 
     let host = crate::host();
-    let json_rows: Vec<crate::Row> = rows
+    let json_rows: Vec<crate::Row> = op_rows
         .iter()
         .map(|r| {
             vec![
                 ("kernel", Cell::Str(r.kernel)),
+                ("op", Cell::Str(r.op)),
+                ("bytes", Cell::Int(r.bytes as i64)),
+                ("mbps", Cell::Fixed1(r.mbps)),
+            ]
+        })
+        .chain(code_rows.iter().map(|r| {
+            vec![
+                ("kernel", Cell::Str(&dispatched)),
                 ("code", Cell::Str(r.code)),
                 ("k", Cell::Int(r.k as i64)),
                 ("encode_mbps", Cell::Fixed1(r.encode_mbps)),
                 ("decode_mbps", Cell::Fixed1(r.decode_mbps)),
             ]
-        })
+        }))
         .collect();
     let json_note = write_rows("BENCH_coding.json", quick, Some(&host), &json_rows);
 
-    let mut table = Table::new(
+    // One line per (operation, block size), one column per kernel.
+    let mut header: Vec<&str> = vec!["op", "block (KB)"];
+    header.extend(kernel_list.iter().map(|(_, name)| name.as_str()));
+    let mut ops_table = Table::new(
         format!(
-            "Kernel benchmark: scalar / vector / simd kernels ({}, {} MB RS / {} KB LT blocks)",
-            host,
+            "Kernel benchmark: per-operation MB/s of source bytes, scalar reference and every supported tier ({host}; gf_axpy_multi over {MULTI_SOURCES} sources)"
+        ),
+        &header,
+    );
+    for per_config in op_rows.chunks(kernel_list.len()) {
+        let mut cells = vec![
+            per_config[0].op.to_string(),
+            (per_config[0].bytes >> 10).to_string(),
+        ];
+        cells.extend(per_config.iter().map(|r| format!("{:.0}", r.mbps)));
+        ops_table.row(cells);
+    }
+    let mut out = ops_table.render();
+
+    let mut codes_table = Table::new(
+        format!(
+            "Coding bandwidth on the dispatched tier ({} MB RS / {} KB LT blocks)",
             rs_bytes >> 20,
             lt_block >> 10
         ),
         &["code", "K", "kernel", "encode (MB/s)", "decode (MB/s)"],
     );
-    for r in &rows {
-        table.row(vec![
+    for r in &code_rows {
+        codes_table.row(vec![
             r.code.into(),
             r.k.to_string(),
-            r.kernel.into(),
+            dispatched.clone(),
             format!("{:.0}", r.encode_mbps),
             format!("{:.0}", r.decode_mbps),
         ]);
     }
-    let mut out = table.render();
-    let ratio = |code: &str, k: usize| -> f64 {
-        let get = |kern: &str| {
-            rows.iter()
-                .find(|r| r.code == code && r.k == k && r.kernel == kern)
-                .map_or(f64::NAN, |r| r.decode_mbps)
-        };
-        get("vector") / get("scalar")
-    };
-    out.push_str("\nDecode speedup, vector over scalar (same host, same inputs):\n");
-    for k in [4usize, 8, 16, 32] {
-        out.push_str(&format!("  RS K={k}: {:.1}x\n", ratio("rs", k)));
-    }
-    for k in [128usize, 256, 512, 1024] {
-        out.push_str(&format!("  LT K={k}: {:.1}x\n", ratio("lt", k)));
-    }
-    out.push_str(&format!(
-        "Targets: >=3x RS decode at K=32 (got {:.1}x), >=1.5x LT decode at K=1024 (got {:.1}x).\n",
-        ratio("rs", 32),
-        ratio("lt", 1024),
-    ));
-    if simd_available() {
-        let simd_ratio = |code: &str, k: usize, which: fn(&Row) -> f64| -> f64 {
-            let get = |kern: &str| {
-                rows.iter()
-                    .find(|r| r.code == code && r.k == k && r.kernel == kern)
-                    .map_or(f64::NAN, which)
-            };
-            get("simd") / get("vector")
-        };
-        out.push_str("Simd speedup over the table (vector) kernels, encode/decode:\n");
-        out.push_str(&format!(
-            "  RS K=32: {:.1}x / {:.1}x   LT K=1024: {:.1}x / {:.1}x\n",
-            simd_ratio("rs", 32, |r| r.encode_mbps),
-            simd_ratio("rs", 32, |r| r.decode_mbps),
-            simd_ratio("lt", 1024, |r| r.encode_mbps),
-            simd_ratio("lt", 1024, |r| r.decode_mbps),
-        ));
-    } else {
-        out.push_str("Simd kernels unavailable (feature off or CPU unsupported): no simd rows.\n");
-    }
-    out.push_str(&format!("{json_note}\n"));
+    out.push('\n');
+    out.push_str(&codes_table.render());
+    out.push_str(&format!("\n{json_note}\n"));
     out
 }
 

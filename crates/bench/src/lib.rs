@@ -145,7 +145,7 @@ pub fn registry() -> Vec<Experiment> {
         },
         Experiment {
             id: "bench-coding",
-            covers: "Kernel benchmark: scalar vs vector vs simd coding kernels (writes BENCH_coding.json)",
+            covers: "Kernel benchmark: each kernel operation on the scalar reference and every CPU tier, RS/LT on the dispatched tier (writes BENCH_coding.json)",
             run: coding::bench_coding,
         },
         Experiment {

@@ -7,48 +7,54 @@
 //! The paper makes coding bandwidth a first-class constraint (§5.2.3
 //! item 4: "long operands, register- and cache-conscious loops"; Table 5-1
 //! rules RS out for long code words because its per-byte field math halves
-//! bandwidth with every K doubling). Two implementations exist for each
-//! kernel:
+//! bandwidth with every K doubling).
 //!
-//! * **Scalar reference** — the textbook byte-at-a-time loops (log/exp
-//!   table lookups for GF, single-byte XOR). These pin the semantics: the
-//!   vectorized kernels must be *byte-identical* to them for every input,
-//!   a guarantee enforced by differential property tests. They double as
-//!   the ablation baseline mirroring the paper's pre-optimisation loops —
+//! Each of the four operations — [`xor_into`], [`gf_axpy`],
+//! [`gf_axpy_multi`], [`gf_scale`] — runs on one ladder of
+//! implementations, and which rung runs is a function of the CPU
+//! ([`crate::simd::level`], probed once per process), never of a build
+//! flag or a setting:
+//!
+//! * **Hardware tiers** ([`crate::simd`]) — GFNI, AVX-512VBMI, AVX2 and
+//!   SSSE3 on x86_64, NEON on aarch64. What every shipped and measured
+//!   build runs.
+//! * **Portable tier** — safe-Rust wide loops for hosts with none of
+//!   those: XOR over 32-byte chunks (4 × `u64` lanes) that LLVM lowers to
+//!   whatever vectors the target has, and a table-driven GF multiply in
+//!   the ISA-L style: per coefficient, two 16-entry split-nibble tables
+//!   ([`NibbleTables`], `c·b = lo[b & 15] ^ hi[b >> 4]`) are expanded
+//!   once into a 256-entry product table that stays L1-resident for the
+//!   whole block, so the inner loop is one branch-free lookup per byte.
+//!   A fallback: kept correct and safe, not tuned.
+//! * **Scalar reference** (`*_scalar`) — the textbook byte-at-a-time
+//!   loops (log/exp table lookups for GF, single-byte XOR). Never
+//!   dispatched to; they pin the semantics. Every tier must be
+//!   *byte-identical* to them for every input, a guarantee enforced by
+//!   differential tests that take the tier as an argument (the `*_at`
+//!   entry points in [`crate::simd`]). They double as the ablation
+//!   baseline mirroring the paper's pre-optimisation loops —
 //!   [`std::hint::black_box`] keeps the XOR reference genuinely
 //!   byte-at-a-time so the compiler cannot quietly vectorize the baseline
 //!   and erase the very effect §5.2.3 measures.
-//! * **Vectorized** — wide loops over 32-byte chunks (4 × `u64` lanes)
-//!   that LLVM lowers to SIMD. The GF multiply is table-driven in the
-//!   ISA-L style: per coefficient, two 16-entry split-nibble tables
-//!   ([`NibbleTables`], `c·b = lo[b & 15] ^ hi[b >> 4]`) are expanded
-//!   once into a 256-entry product table that stays L1-resident for the
-//!   whole block, so the inner loop is one branch-free lookup per byte
-//!   with the XOR into the destination done on full `u64` lanes. That
-//!   keeps per-byte work to a single independent load (the lookups of a
-//!   chunk pipeline in parallel), versus the scalar reference's
-//!   zero-check branch plus *two dependent* log/exp lookups per byte.
 //!
-//! Alignment note: the wide loops read/write through
-//! `u64::from_ne_bytes`/`to_ne_bytes` on exact 32-byte chunks, which LLVM
-//! merges into full-width vector loads. On x86-64 and aarch64 the
-//! unaligned forms run at aligned speed when the data is aligned (and
-//! `Vec<u8>` allocations are), so a separately-dispatched aligned path
-//! would only duplicate code without a measurable win — and would need
-//! `unsafe` reinterpretation this crate otherwise avoids.
+//! Because the tiers agree byte-for-byte, the host a run lands on can
+//! never change what any experiment computes — only how fast.
 //!
-//! Which implementation runs is a process-wide runtime choice
-//! ([`set_kernel`]) so benchmarks can measure both in one run; because the
-//! kernels agree byte-for-byte, the selection can never change what any
-//! experiment computes — only how fast.
+//! Alignment note: the portable loops read/write through
+//! `u64::from_ne_bytes`/`to_ne_bytes` on exact chunks, which LLVM merges
+//! into full-width loads; the hardware tiers use the unaligned load/store
+//! forms. On x86-64 and aarch64 those run at aligned speed when the data
+//! is aligned (and `Vec<u8>` allocations are), so no separately
+//! dispatched aligned path exists.
 //!
 //! [`BlockPool`] rounds out the memory-discipline side: a free-list of
 //! equal-sized blocks with allocation counters, so per-trial segment
 //! buffers are recycled across a request loop instead of reallocated, and
 //! tests can assert that a decode path performed no hidden copies.
 
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
+use crate::simd::{self, SimdLevel};
 use crate::Block;
 
 /// GF(2⁸) arithmetic with the AES polynomial x⁸+x⁴+x³+x+1 (0x11B).
@@ -113,61 +119,17 @@ pub mod gf {
     }
 }
 
-/// Which kernel implementation the dispatching entry points run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Kernel {
-    /// Byte-at-a-time reference loops (differential-test oracle and
-    /// ablation baseline).
-    Scalar,
-    /// Wide 32-byte-chunk loops (the default).
-    Vector,
-    /// Hardware-shuffle split-nibble kernels (`simd` feature): SSSE3/AVX2
-    /// `PSHUFB` on x86_64, NEON `TBL` on aarch64. Selectable only when the
-    /// feature is compiled in *and* the CPU probe succeeds; otherwise
-    /// [`set_kernel`] falls back to [`Kernel::Vector`]. Byte-identical to
-    /// the other tiers either way.
-    Simd,
-}
-
-/// 0 = Vector (default), 1 = Scalar, 2 = Simd.
-static ACTIVE_KERNEL: AtomicU8 = AtomicU8::new(0);
-
-/// Whether the hardware-shuffle kernels can run on this build + host.
-/// `false` when the crate is built without the `simd` feature or the CPU
-/// probe finds no usable instruction set.
-pub fn simd_available() -> bool {
-    #[cfg(feature = "simd")]
-    {
-        crate::simd::available()
-    }
-    #[cfg(not(feature = "simd"))]
-    {
-        false
-    }
-}
-
-/// Select the kernel implementation process-wide. Results are
-/// byte-identical either way; only throughput changes. Requesting
-/// [`Kernel::Simd`] on a build or host that cannot run it selects
-/// [`Kernel::Vector`] instead (check [`simd_available`] to know which).
-pub fn set_kernel(kernel: Kernel) {
-    let v = match kernel {
-        Kernel::Vector => 0,
-        Kernel::Scalar => 1,
-        Kernel::Simd if simd_available() => 2,
-        Kernel::Simd => 0,
-    };
-    ACTIVE_KERNEL.store(v, Ordering::Relaxed);
-}
-
-/// The currently selected kernel implementation.
+/// The tier the dispatchers below run on this host: [`simd::level`], the
+/// best rung of the ladder the CPU supports.
 #[inline]
-pub fn active_kernel() -> Kernel {
-    match ACTIVE_KERNEL.load(Ordering::Relaxed) {
-        0 => Kernel::Vector,
-        2 => Kernel::Simd,
-        _ => Kernel::Scalar,
-    }
+pub fn active_kernel() -> SimdLevel {
+    simd::level()
+}
+
+/// Whether the CPU probe found a hardware tier (anything above the
+/// portable fallback).
+pub fn simd_available() -> bool {
+    simd::level() != SimdLevel::Portable
 }
 
 /// Per-coefficient split-nibble multiply tables (ISA-L layout): for a
@@ -253,21 +215,14 @@ fn mul8(w: u64, full: &[u8; 256]) -> u64 {
 // XOR kernels
 // ---------------------------------------------------------------------------
 
-/// XOR `src` into `dst` element-wise, using the selected kernel.
+/// XOR `src` into `dst` element-wise, on the probed tier.
 ///
 /// # Panics
 /// Panics if the slices differ in length — codes operate on equal-sized
 /// blocks only, and a mismatch indicates corruption upstream.
 #[inline]
 pub fn xor_into(dst: &mut [u8], src: &[u8]) {
-    match active_kernel() {
-        Kernel::Vector => xor_into_wide(dst, src),
-        Kernel::Scalar => xor_into_scalar(dst, src),
-        #[cfg(feature = "simd")]
-        Kernel::Simd => crate::simd::xor_into_simd(dst, src),
-        #[cfg(not(feature = "simd"))]
-        Kernel::Simd => xor_into_wide(dst, src),
-    }
+    simd::xor_into_at(simd::level(), dst, src)
 }
 
 /// Byte-at-a-time XOR reference. `black_box` pins the loop to genuinely
@@ -279,8 +234,9 @@ pub fn xor_into_scalar(dst: &mut [u8], src: &[u8]) {
     }
 }
 
-/// Wide XOR: 32-byte chunks (4 × u64), then an 8-byte loop, then bytes.
-pub fn xor_into_wide(dst: &mut [u8], src: &[u8]) {
+/// Portable-tier XOR: 32-byte chunks (4 × u64), then an 8-byte loop, then
+/// bytes.
+pub(crate) fn xor_into_wide(dst: &mut [u8], src: &[u8]) {
     assert_eq!(dst.len(), src.len(), "xor of blocks with unequal lengths");
     let mut d = dst.chunks_exact_mut(32);
     let mut s = src.chunks_exact(32);
@@ -307,21 +263,13 @@ pub fn xor_into_wide(dst: &mut [u8], src: &[u8]) {
 // GF(256) multiply-accumulate / scale kernels
 // ---------------------------------------------------------------------------
 
-/// `acc ^= coef · src` over GF(2⁸), element-wise, using the selected
-/// kernel.
+/// `acc ^= coef · src` over GF(2⁸), element-wise, on the probed tier.
 ///
 /// # Panics
 /// Panics if the slices differ in length.
 #[inline]
 pub fn gf_axpy(acc: &mut [u8], coef: u8, src: &[u8]) {
-    match active_kernel() {
-        Kernel::Vector => gf_axpy_vector(acc, coef, src),
-        Kernel::Scalar => gf_axpy_scalar(acc, coef, src),
-        #[cfg(feature = "simd")]
-        Kernel::Simd => crate::simd::gf_axpy_simd(acc, coef, src),
-        #[cfg(not(feature = "simd"))]
-        Kernel::Simd => gf_axpy_vector(acc, coef, src),
-    }
+    simd::gf_axpy_at(simd::level(), acc, coef, src)
 }
 
 /// Scalar reference multiply-accumulate: a branch plus two dependent
@@ -344,21 +292,11 @@ pub fn gf_axpy_scalar(acc: &mut [u8], coef: u8, src: &[u8]) {
     }
 }
 
-/// Vectorized multiply-accumulate: expanded split-nibble table over
-/// 32-byte chunks, per-byte table lookups on the tail.
-pub fn gf_axpy_vector(acc: &mut [u8], coef: u8, src: &[u8]) {
+/// Portable-tier multiply-accumulate for `coef` ∉ {0, 1} (the caller
+/// special-cases those): the expanded split-nibble table over 16-byte
+/// groups, per-byte table lookups on the tail.
+pub(crate) fn gf_axpy_portable(acc: &mut [u8], coef: u8, src: &[u8]) {
     assert_eq!(acc.len(), src.len(), "axpy over blocks of unequal lengths");
-    if coef == 0 {
-        return;
-    }
-    if coef == 1 {
-        xor_into_wide(acc, src);
-        return;
-    }
-    if acc.len() >= PAIR_TABLE_MIN_LEN {
-        gf_axpy_pair_table(acc, coef, src);
-        return;
-    }
     let full = NibbleTables::new(coef).expand();
     // Two independent 8-byte groups per iteration keep 16 lookups in
     // flight at once.
@@ -386,112 +324,18 @@ pub fn gf_axpy_vector(acc: &mut [u8], coef: u8, src: &[u8]) {
     }
 }
 
-/// Block length above which the per-coefficient byte-pair table pays for
-/// itself. Building the 64 Ki-entry table costs a fixed ~64 Ki stores;
-/// past this length the halved lookup count wins it back.
-const PAIR_TABLE_MIN_LEN: usize = 1 << 15;
-
-/// Multiply-accumulate over a 65 536-entry byte-*pair* product table:
-/// `t2[hi·256+lo] = (coef·hi) << 8 | coef·lo`. One 16-bit lookup covers
-/// two source bytes, so an 8-byte group needs four table loads instead of
-/// eight — the lookup stream is what saturates the load ports, so this is
-/// the lever that matters on big blocks. The table is boxed as a
-/// fixed-size array so `u16`-cast indices provably need no bounds checks.
-fn gf_axpy_pair_table(acc: &mut [u8], coef: u8, src: &[u8]) {
-    /// Per-thread pair-table cache. `built_for` records which coefficient
-    /// the table currently holds (`None` until the first build), and is
-    /// only set *after* the 64 Ki-entry fill completes — so a caller can
-    /// never observe a partially initialized table: either `built_for`
-    /// matches and the table is complete, or it doesn't and the table is
-    /// rebuilt from scratch. Each worker thread owns its table outright
-    /// (`thread_local!`), so the parallel encode/trial paths cannot race
-    /// on it by construction; the concurrent-init differential test in
-    /// `tests/kernel_differential.rs` pins this.
-    struct PairTable {
-        built_for: Option<u8>,
-        t2: Box<[u16; 65536]>,
-    }
-    // The table is thread-local, not per-call: at 128 KiB a fresh Vec sits
-    // exactly at glibc's mmap threshold, and an mmap + page-fault + munmap
-    // cycle per axpy call quietly dominates the decode. Caching the
-    // coefficient it was built for also makes back-to-back calls with one
-    // coefficient (RS row application, repeated bench reps) skip the
-    // 64 Ki-store rebuild entirely.
-    thread_local! {
-        static PAIR_TABLE: std::cell::RefCell<PairTable> =
-            std::cell::RefCell::new(PairTable {
-                built_for: None,
-                t2: vec![0u16; 65536].into_boxed_slice().try_into().unwrap(),
-            });
-    }
-    let full = NibbleTables::new(coef).expand();
-    PAIR_TABLE.with(|cell| {
-        let mut guard = cell.borrow_mut();
-        if guard.built_for != Some(coef) {
-            guard.built_for = None; // invalidate while the fill is in progress
-            let t2: &mut [u16; 65536] = &mut guard.t2;
-            for hi in 0..256usize {
-                let h = (full[hi] as u16) << 8;
-                let base = hi << 8;
-                for lo in 0..256usize {
-                    t2[base | lo] = h | full[lo] as u16;
-                }
-            }
-            guard.built_for = Some(coef);
-        }
-        let t2: &[u16; 65536] = &guard.t2;
-        let mul8p = |w: u64, t2: &[u16; 65536]| -> u64 {
-            let p0 = t2[w as u16 as usize] as u64;
-            let p1 = (t2[(w >> 16) as u16 as usize] as u64) << 16;
-            let p2 = (t2[(w >> 32) as u16 as usize] as u64) << 32;
-            let p3 = (t2[(w >> 48) as u16 as usize] as u64) << 48;
-            (p0 | p1) | (p2 | p3)
-        };
-        let mut d = acc.chunks_exact_mut(16);
-        let mut s = src.chunks_exact(16);
-        for (dg, sg) in (&mut d).zip(&mut s) {
-            let x0 = u64::from_le_bytes(dg[0..8].try_into().unwrap())
-                ^ mul8p(u64::from_le_bytes(sg[0..8].try_into().unwrap()), t2);
-            let x1 = u64::from_le_bytes(dg[8..16].try_into().unwrap())
-                ^ mul8p(u64::from_le_bytes(sg[8..16].try_into().unwrap()), t2);
-            dg[0..8].copy_from_slice(&x0.to_le_bytes());
-            dg[8..16].copy_from_slice(&x1.to_le_bytes());
-        }
-        let dr = d.into_remainder();
-        let sr = s.remainder();
-        let mut d8 = dr.chunks_exact_mut(8);
-        let mut s8 = sr.chunks_exact(8);
-        for (dg, sg) in (&mut d8).zip(&mut s8) {
-            let x = u64::from_le_bytes(dg.as_ref().try_into().unwrap())
-                ^ mul8p(u64::from_le_bytes(sg.try_into().unwrap()), t2);
-            dg.copy_from_slice(&x.to_le_bytes());
-        }
-        for (a, &sb) in d8.into_remainder().iter_mut().zip(s8.remainder()) {
-            *a ^= full[sb as usize];
-        }
-    });
-}
-
 /// Fused multiply-accumulate of several sources into one destination:
-/// `acc ^= Σᵢ coefᵢ · srcᵢ`, element-wise over GF(2⁸), using the selected
-/// kernel. XOR accumulation is exact and order-free, so the result is
+/// `acc ^= Σᵢ coefᵢ · srcᵢ`, element-wise over GF(2⁸), on the probed
+/// tier. XOR accumulation is exact and order-free, so the result is
 /// byte-identical to applying [`gf_axpy`] once per source — but the
-/// vector path makes a *single* pass over `acc`, folding every source's
-/// contribution into the destination group while it sits in a register.
-/// For a K×K Reed–Solomon decode that cuts destination memory traffic by
-/// a factor of K, which is where the per-source loop saturates.
+/// tiers with a two-source kernel halve the destination's memory traffic,
+/// which is where a K×K Reed–Solomon decode's per-source loop saturates.
 ///
 /// # Panics
 /// Panics if any source's length differs from `acc`'s.
+#[inline]
 pub fn gf_axpy_multi(acc: &mut [u8], srcs: &[(u8, &[u8])]) {
-    match active_kernel() {
-        Kernel::Vector => gf_axpy_multi_vector(acc, srcs),
-        Kernel::Scalar => gf_axpy_multi_scalar(acc, srcs),
-        #[cfg(feature = "simd")]
-        Kernel::Simd => crate::simd::gf_axpy_multi_simd(acc, srcs),
-        #[cfg(not(feature = "simd"))]
-        Kernel::Simd => gf_axpy_multi_vector(acc, srcs),
-    }
+    simd::gf_axpy_multi_at(simd::level(), acc, srcs)
 }
 
 /// Scalar reference for the fused multiply-accumulate: the sources
@@ -503,84 +347,11 @@ pub fn gf_axpy_multi_scalar(acc: &mut [u8], srcs: &[(u8, &[u8])]) {
     }
 }
 
-/// Vectorized fused multiply-accumulate: sources are folded in four at a
-/// time by [`gf_axpy_quad`] (a fixed-arity loop the compiler can strip of
-/// bounds checks, with four independent lookup chains in flight), so the
-/// destination is traversed once per four sources instead of once per
-/// source.
-pub fn gf_axpy_multi_vector(acc: &mut [u8], srcs: &[(u8, &[u8])]) {
-    for &(_, src) in srcs {
-        assert_eq!(acc.len(), src.len(), "axpy over blocks of unequal lengths");
-    }
-    // Zero coefficients contribute nothing; drop them before building
-    // tables so the hot loops only visit live sources.
-    let live: Vec<(u8, &[u8])> = srcs.iter().filter(|&&(c, _)| c != 0).copied().collect();
-    if acc.len() >= PAIR_TABLE_MIN_LEN {
-        // Long blocks: the byte-pair-table path is load-port-limited and
-        // gains nothing from fusion — run it per source.
-        for &(coef, src) in &live {
-            gf_axpy_vector(acc, coef, src);
-        }
-        return;
-    }
-    let mut quads = live.chunks_exact(4);
-    for quad in &mut quads {
-        let tables = [
-            NibbleTables::new(quad[0].0).expand(),
-            NibbleTables::new(quad[1].0).expand(),
-            NibbleTables::new(quad[2].0).expand(),
-            NibbleTables::new(quad[3].0).expand(),
-        ];
-        gf_axpy_quad(acc, &tables, [quad[0].1, quad[1].1, quad[2].1, quad[3].1]);
-    }
-    for &(coef, src) in quads.remainder() {
-        gf_axpy_vector(acc, coef, src);
-    }
-}
-
-/// Fold exactly four sources into `acc` in a single pass. All slices must
-/// share `acc`'s length (checked by the caller).
-fn gf_axpy_quad(acc: &mut [u8], tables: &[[u8; 256]; 4], srcs: [&[u8]; 4]) {
-    let mut d = acc.chunks_exact_mut(8);
-    let mut c0 = srcs[0].chunks_exact(8);
-    let mut c1 = srcs[1].chunks_exact(8);
-    let mut c2 = srcs[2].chunks_exact(8);
-    let mut c3 = srcs[3].chunks_exact(8);
-    for ((((dg, s0), s1), s2), s3) in (&mut d).zip(&mut c0).zip(&mut c1).zip(&mut c2).zip(&mut c3) {
-        let x = u64::from_le_bytes(dg.as_ref().try_into().unwrap())
-            ^ mul8(u64::from_le_bytes(s0.try_into().unwrap()), &tables[0])
-            ^ mul8(u64::from_le_bytes(s1.try_into().unwrap()), &tables[1])
-            ^ mul8(u64::from_le_bytes(s2.try_into().unwrap()), &tables[2])
-            ^ mul8(u64::from_le_bytes(s3.try_into().unwrap()), &tables[3]);
-        dg.copy_from_slice(&x.to_le_bytes());
-    }
-    for ((((a, &b0), &b1), &b2), &b3) in d
-        .into_remainder()
-        .iter_mut()
-        .zip(c0.remainder())
-        .zip(c1.remainder())
-        .zip(c2.remainder())
-        .zip(c3.remainder())
-    {
-        *a ^= tables[0][b0 as usize]
-            ^ tables[1][b1 as usize]
-            ^ tables[2][b2 as usize]
-            ^ tables[3][b3 as usize];
-    }
-}
-
-/// In-place multiply of every byte of `block` by field scalar `x`, using
-/// the selected kernel.
+/// In-place multiply of every byte of `block` by field scalar `x`, on
+/// the probed tier.
 #[inline]
 pub fn gf_scale(block: &mut [u8], x: u8) {
-    match active_kernel() {
-        Kernel::Vector => gf_scale_vector(block, x),
-        Kernel::Scalar => gf_scale_scalar(block, x),
-        #[cfg(feature = "simd")]
-        Kernel::Simd => crate::simd::gf_scale_simd(block, x),
-        #[cfg(not(feature = "simd"))]
-        Kernel::Simd => gf_scale_vector(block, x),
-    }
+    simd::gf_scale_at(simd::level(), block, x)
 }
 
 /// Scalar reference in-place scale.
@@ -601,16 +372,10 @@ pub fn gf_scale_scalar(block: &mut [u8], x: u8) {
     }
 }
 
-/// Vectorized in-place scale: expanded split-nibble table over 32-byte
-/// chunks, per-byte table lookups on the tail.
-pub fn gf_scale_vector(block: &mut [u8], x: u8) {
-    if x == 1 {
-        return;
-    }
-    if x == 0 {
-        block.fill(0);
-        return;
-    }
+/// Portable-tier in-place scale for `x` ∉ {0, 1} (the caller
+/// special-cases those): the expanded split-nibble table over 8-byte
+/// groups, per-byte table lookups on the tail.
+pub(crate) fn gf_scale_portable(block: &mut [u8], x: u8) {
     let full = NibbleTables::new(x).expand();
     let mut d = block.chunks_exact_mut(8);
     for dg in &mut d {
@@ -813,57 +578,6 @@ mod tests {
             let nt = NibbleTables::new(c);
             for b in 0..=255u8 {
                 assert_eq!(nt.mul(b), gf::mul(c, b), "c={c} b={b}");
-            }
-        }
-    }
-
-    #[test]
-    fn kernel_selection_round_trips() {
-        assert_eq!(active_kernel(), Kernel::Vector);
-        set_kernel(Kernel::Scalar);
-        assert_eq!(active_kernel(), Kernel::Scalar);
-        set_kernel(Kernel::Vector);
-        assert_eq!(active_kernel(), Kernel::Vector);
-    }
-
-    #[test]
-    fn simd_selection_respects_availability() {
-        // Requesting Simd either activates it (feature + CPU support) or
-        // falls back to Vector — never anything else, and never a panic.
-        set_kernel(Kernel::Simd);
-        let got = active_kernel();
-        if simd_available() {
-            assert_eq!(got, Kernel::Simd);
-        } else {
-            assert_eq!(got, Kernel::Vector);
-        }
-        set_kernel(Kernel::Vector);
-    }
-
-    #[test]
-    fn axpy_vector_handles_tails_and_special_coefficients() {
-        for len in [0usize, 1, 7, 8, 31, 32, 33, 40, 63, 64, 100] {
-            let src: Vec<u8> = (0..len).map(|i| (i * 37 + 11) as u8).collect();
-            for coef in [0u8, 1, 2, 0x1D, 0xFF] {
-                let mut a: Vec<u8> = (0..len).map(|i| (i * 7 + 3) as u8).collect();
-                let mut b = a.clone();
-                gf_axpy_vector(&mut a, coef, &src);
-                gf_axpy_scalar(&mut b, coef, &src);
-                assert_eq!(a, b, "len={len} coef={coef}");
-            }
-        }
-    }
-
-    #[test]
-    fn scale_vector_matches_scalar() {
-        for len in [0usize, 5, 31, 32, 33, 96, 129] {
-            let init: Vec<u8> = (0..len).map(|i| (i * 29 + 1) as u8).collect();
-            for x in [0u8, 1, 2, 0x35, 0xFE] {
-                let mut a = init.clone();
-                let mut b = init.clone();
-                gf_scale_vector(&mut a, x);
-                gf_scale_scalar(&mut b, x);
-                assert_eq!(a, b, "len={len} x={x}");
             }
         }
     }

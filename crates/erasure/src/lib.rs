@@ -1,4 +1,5 @@
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 
 //! Erasure-coding library for RobuSTore.
 //!
@@ -27,14 +28,14 @@
 //! * [`analysis`] — the Appendix-A reassembly-probability analysis behind
 //!   Figure 4-1 (replication vs erasure-coded redundancy).
 //! * [`block`] — the shared block representation and XOR helpers.
-//! * [`kernels`] — the hot-loop substrate every code runs on: vectorized
-//!   GF(256) multiply-accumulate and wide XOR with scalar reference
-//!   kernels (byte-identical, runtime-selectable), plus [`BlockPool`]
-//!   buffer recycling.
-//! * `simd` (feature-gated) — the same split-nibble GF(256) kernels on
-//!   real shuffle hardware: SSSE3/AVX2 `PSHUFB` on x86_64, NEON `TBL` on
-//!   aarch64, with runtime CPU probing and automatic fallback to the
-//!   table kernels ([`simd_available`], `set_kernel(Kernel::Simd)`).
+//! * [`kernels`] — the hot-loop substrate every code runs on: GF(256)
+//!   multiply-accumulate, scale and wide XOR, dispatched to the best tier
+//!   the CPU supports, with byte-identical scalar reference kernels as
+//!   the test oracle, plus [`BlockPool`] buffer recycling.
+//! * [`simd`] — the tiers themselves and the probe that picks one, once
+//!   per process: GFNI › AVX-512VBMI › AVX2 › SSSE3 on x86_64, NEON on
+//!   aarch64, safe-Rust portable loops anywhere else. The only module
+//!   with `unsafe` in it; the crate denies it everywhere else.
 //!
 //! Terminology follows §2.2.1: a *data segment* of K *blocks* is encoded
 //! into N *coded blocks*; `D = N/K − 1` is the degree of data redundancy and
@@ -75,13 +76,13 @@ pub mod parity;
 pub mod raptor;
 pub mod replication;
 pub mod rs;
-#[cfg(feature = "simd")]
+#[allow(unsafe_code)] // wraps the CPU intrinsics; see the module docs
 pub mod simd;
 pub mod soliton;
 pub mod tornado;
 
 pub use block::{xor_into, Block};
-pub use kernels::{set_kernel, simd_available, BlockPool, Kernel};
+pub use kernels::{simd_available, BlockPool};
 pub use lt::{LtCode, LtDecoder, LtParams, SymbolDecoder};
 pub use raptor::RaptorCode;
 pub use rs::ReedSolomon;

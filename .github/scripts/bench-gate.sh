@@ -23,6 +23,11 @@
 # count; raw outputs stay under target/bench-gate/. Exits non-zero on a
 # FAIL, on any failed operation, on a run that did not report correct or
 # on a metric a side never printed.
+#
+# Then, to show which layer moved, one traced run (`--trace 1`, seed 1)
+# per side per workload, and every per-layer probe BENCHMARK.json lists
+# printed side by side: base, change, change/base and the direction that
+# is better. One run a side, so no verdict — attribution, not judgement.
 set -euo pipefail
 cd "$(dirname "$0")/../.."
 [ $# -ge 1 ] || { echo "usage: $0 <base-ref|base-dir> [pairs]" >&2; exit 2; }
@@ -31,7 +36,7 @@ pairs=${2:-4}
 spec=BENCHMARK.json
 out=target/bench-gate
 mkdir -p "$out"
-rm -f "$out"/run-*.txt
+rm -f "$out"/run-*.txt "$out"/trace-*.txt
 
 if [ -d "$base" ]; then
     base_dir=$(cd "$base" && pwd)
@@ -145,4 +150,35 @@ END {
     }
     printf "\n# %d FAIL, %d unresolved, %d bad run(s) or missing metric(s)\n", fails, unresolved, bad
     exit (fails > 0 || bad > 0)
-}' "$out/runs.txt" "$out/metrics.txt"
+}' "$out/runs.txt" "$out/metrics.txt" || verdict=$?
+
+# Which layer moved: one traced run per side per workload.
+for w in $workloads; do
+    for side in base change; do
+        dir=$PWD
+        [ "$side" = base ] && dir=$base_dir
+        run_in "$dir" --workload "$w" --seed 1 --seconds "$seconds" --trace 1 \
+            >"$out/trace-$w-$side.txt" 2>/dev/null || echo "# traced $w $side run exited non-zero"
+    done
+done
+awk -v spec="$spec" -v workloads="$workloads" '
+BEGIN {
+    while ((getline line < spec) > 0)
+        if (line ~ /"better"/ && line !~ /"bound"/) {
+            match(line, /"name": "[^"]+"/); name = substr(line, RSTART + 9, RLENGTH - 10)
+            probe[++probes] = name; better[name] = line ~ /"better": "higher"/ ? "higher" : "lower"
+        }
+    n = split(workloads, workload, /[ \n]+/)
+}
+FNR == 1 { side = FILENAME ~ /-base\.txt$/ ? "base" : "change" }
+$1 == "metric" { val[side, $2, $3] = $4 }
+END {
+    printf "\n# per-layer probes: one traced run per side (seed 1); no verdict\n"
+    printf "%-15s %-34s %12s %12s %8s  %s\n", "workload", "probe", "base", "change", "chg/base", "better"
+    for (w = 1; w <= n; w++) for (p = 1; p <= probes; p++) {
+        name = probe[p]; b = val["base", workload[w], name]; c = val["change", workload[w], name]
+        ratio = (b != "" && c != "" && b + 0 != 0) ? sprintf("%.3f", c / b) : "-"
+        printf "%-15s %-34s %12s %12s %8s  %s\n", workload[w], name, b == "" ? "-" : sprintf("%.6g", b), c == "" ? "-" : sprintf("%.6g", c), ratio, better[name]
+    }
+}' "$out"/trace-*-base.txt "$out"/trace-*-change.txt
+exit "${verdict:-0}"

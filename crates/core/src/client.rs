@@ -830,32 +830,28 @@ impl Client {
             version,
         };
 
-        // Every planned write, flattened slot by slot — the order the
-        // in-order pipeline writer issues them, so the backend sees the
-        // same per-disk sequence at every thread count and pipeline
-        // depth. The starting slot rotates by file id (deterministic):
+        // Every planned write, interleaved across the layout's disks —
+        // the order the in-order pipeline writer issues them, so the
+        // window keeps all of the file's disks writing at once and the
+        // backend sees the same per-disk sequence at every thread count.
+        // The starting slot rotates by file id (deterministic):
         // concurrent accesses to different files begin on different disks
         // instead of convoying on the same shard. Per-slot id order is
-        // unchanged, so the committed layout does not depend on the
-        // rotation.
+        // unchanged, so the committed layout depends on neither the
+        // interleaving nor the rotation.
         let slots = meta.layout.len();
         let rot = (file_id as usize) % slots.max(1);
-        let jobs: Vec<(usize, u32)> = (0..slots)
-            .map(|i| (i + rot) % slots)
-            .flat_map(|slot| {
-                let (d, ids) = &meta.layout[slot];
-                ids.iter().map(move |&coded| (*d, coded))
-            })
-            .collect();
+        let jobs = disk_interleaved(&meta.layout, rot);
         let job_ids: Vec<u32> = jobs.iter().map(|&(_, coded)| coded).collect();
 
         {
             // Writes the commit protocol must undo if this access aborts.
             let mut written: Vec<(usize, u64)> = Vec::new();
-            // Blocks a disk refused, with their encoded bytes — redirected
-            // below without re-encoding. Rateless writing routes around
-            // refusing disks (§4.1.1); anything worse aborts the access.
-            let mut displaced: Vec<(u32, Block)> = Vec::new();
+            // Blocks a disk refused, with their encoded bytes and the
+            // rank of their slot in the rotation — redirected below
+            // without re-encoding. Rateless writing routes around refusing
+            // disks (§4.1.1); anything worse aborts the access.
+            let mut displaced: Vec<(usize, u32, Block)> = Vec::new();
             let checksums = self.encode_and_write(
                 &code,
                 blocks,
@@ -866,14 +862,20 @@ impl Client {
                 },
                 &mut written,
                 &mut |idx, _refusal, data| {
-                    displaced.push((job_ids[idx], data));
+                    let (disk, coded) = jobs[idx];
+                    let slot = disks.iter().position(|&d| d == disk).unwrap_or(0);
+                    displaced.push(((slot + slots - rot) % slots, coded, data));
                     Ok(())
                 },
             )?;
             if !displaced.is_empty() {
+                // Re-home slot by slot in rotation order (stable: each
+                // slot's refusals arrived in slot order), so every
+                // displaced id lands where a slot-by-slot walk sends it.
+                displaced.sort_by_key(|&(rank, ..)| rank);
                 // Each layout slot keeps the ids that landed; the refused
                 // ones are re-homed on the disks that took their writes.
-                let moved: HashSet<u32> = displaced.iter().map(|&(coded, _)| coded).collect();
+                let moved: HashSet<u32> = displaced.iter().map(|&(_, coded, _)| coded).collect();
                 for (_, ids) in meta.layout.iter_mut() {
                     ids.retain(|id| !moved.contains(id));
                 }
@@ -888,7 +890,7 @@ impl Client {
                     delete_written(backend, &written);
                     return Err(StoreError::InsufficientDisks { got: 0, need: 1 });
                 }
-                for (i, (coded, data)) in displaced.into_iter().enumerate() {
+                for (i, (_, coded, data)) in displaced.into_iter().enumerate() {
                     // Round-robin over the healthy disks, reusing the
                     // already-encoded bytes — a refusal hands the buffer
                     // back, so it just moves on to the next candidate.
@@ -979,9 +981,11 @@ impl Client {
         on_refused: &mut dyn FnMut(usize, StoreError, Block) -> Result<(), StoreError>,
     ) -> Result<BTreeMap<u32, u32>, StoreError> {
         let inner = &self.system.inner;
-        // The window stays small on purpose: a lone writer keeps a
-        // near-synchronous cadence while overlapped writers fill the
-        // workers' batches.
+        // The window stays small on purpose — callers hand over `ids`
+        // interleaved across their disks (`disk_interleaved`), so 16 in
+        // flight is about two writes per disk of a layout: every disk
+        // stays busy, an abort has little to roll back, and reads running
+        // beside the writer are not queued behind a deep write backlog.
         let window = (2 * inner.config.group_commit.max(1))
             .max(2 * inner.encode_workers)
             .max(4);
@@ -1510,7 +1514,7 @@ impl Client {
                                 && !bad.is_empty()
                             {
                                 let code = codes[si].as_ref().expect("state implies planned code");
-                                self.try_read_repair(meta, code, &blocks, &bad, &good)
+                                self.try_read_repair(meta, code, &blocks, &bad, &good, pool)
                             } else {
                                 0
                             };
@@ -1614,6 +1618,17 @@ impl Client {
     /// the full damage set is repaired — byte-identical committed state
     /// whatever prefix the read happened to fetch.
     ///
+    /// Both passes run on the ring like every other block I/O, fanned out
+    /// across the layout's disks (`disk_interleaved`) through bounded
+    /// in-order windows at foreground priority: the audit reads into
+    /// scratch drawn from the read's `pool` and checks each block in tag
+    /// order; the in-place rewrites follow in the same interleaved order
+    /// (each disk takes its damaged ids in id order). A hard fault gives
+    /// up on that block only; a refusal hands the bytes back for
+    /// relocation, done serially in id order afterwards — relocations are
+    /// rare. If a ring worker is lost mid-audit the damage set is
+    /// incomplete, so nothing is repaired.
+    ///
     /// Returns the number of blocks restored. Never fails the read.
     fn try_read_repair(
         &self,
@@ -1622,64 +1637,94 @@ impl Client {
         blocks: &[Block],
         bad: &BTreeSet<u32>,
         good: &BTreeSet<u32>,
+        pool: &mut BlockPool,
     ) -> usize {
-        let mut slot_of: BTreeMap<u32, usize> = BTreeMap::new();
-        for (slot, (_, ids)) in meta.layout.iter().enumerate() {
-            for &id in ids {
-                slot_of.insert(id, slot);
-            }
-        }
-        // Audit everything the read neither verified nor already condemned.
-        let block_len = meta.coding.block_bytes as usize;
-        let max_attempts = self.system.inner.config.read_retry.attempts.max(1);
+        let ring = &self.system.inner.ring;
         let backend = &self.system.inner.backend;
+        let block_len = meta.coding.block_bytes as usize;
+        let window = (2 * meta.layout.len()).max(8);
+        let rot = meta.file_id as usize;
+        // Audit everything the read neither verified nor already condemned.
+        let audit: Vec<(usize, u32)> = disk_interleaved(&meta.layout, rot)
+            .into_iter()
+            .filter(|(_, id)| !good.contains(id) && !bad.contains(id))
+            .collect();
         let mut damage = bad.clone();
-        let mut scratch = Vec::new();
-        for (disk, ids) in &meta.layout {
-            for &id in ids {
-                if good.contains(&id) || damage.contains(&id) {
-                    continue;
-                }
-                let (result, _) = backend.read_block_retry(
-                    *disk,
-                    meta.block_key(id),
-                    &mut scratch,
-                    max_attempts,
-                    |_| {},
-                );
-                let ok = result.is_ok()
-                    && scratch.len() == block_len
+        let audited = self.fetch_blocks(
+            meta,
+            &audit,
+            Priority::Foreground,
+            window,
+            pool,
+            || {},
+            &mut |_, id, read_ok, buf| {
+                let ok = read_ok
+                    && buf.len() == block_len
                     && match meta.checksums.get(&id) {
-                        Some(&want) => crc32c(&scratch) == want,
+                        Some(&want) => crc32c(&buf) == want,
                         // Legacy digest-less block: the decoded data is
                         // ground truth, compare against the re-encode.
-                        None => scratch == code.encode_block(blocks, id as usize),
+                        None => buf == code.encode_block(blocks, id as usize),
                     };
                 if !ok {
                     damage.insert(id);
                 }
-            }
+                Some(buf)
+            },
+        );
+        if audited.is_err() {
+            return 0;
         }
+
+        // Rewrite the damage in place; collect what the home disks refuse.
+        let rewrites = disk_interleaved(&layout_subset(&meta.layout, &damage), rot);
         let mut repaired = 0usize;
+        // id → (home disk, the bytes it handed back), in id order.
+        let mut refused: BTreeMap<u32, (usize, Block)> = BTreeMap::new();
+        let mut on_write = |tag: u64, kind: CompletionKind| {
+            match kind {
+                CompletionKind::Write(WriteOutcome::Done) => repaired += 1,
+                CompletionKind::Write(WriteOutcome::Refused { data, .. }) => {
+                    let (disk, id) = rewrites[tag as usize];
+                    refused.insert(id, (disk, data));
+                }
+                _ => {} // hard failure: give up on this block
+            }
+            Ok(())
+        };
+        let mut put = OrderedWindow::new(
+            ring,
+            self.system.next_access_id(),
+            Priority::Foreground,
+            window,
+        );
+        let rewritten = rewrites
+            .iter()
+            .try_for_each(|&(disk, id)| {
+                let key = meta.block_key(id);
+                let data = code.encode_block(blocks, id as usize);
+                put.submit(disk, SubmitOp::Write { key, data }, &mut on_write)
+            })
+            .and_then(|()| put.finish(&mut on_write));
+        if rewritten.is_err() {
+            // A lost worker: in-place rewrites restore committed bytes, so
+            // whatever landed stays; the rest waits for the next repair.
+            for (_, kind) in put.abort() {
+                if matches!(kind, CompletionKind::Write(WriteOutcome::Done)) {
+                    repaired += 1;
+                }
+            }
+            return repaired;
+        }
+
         let mut relocations: Vec<(u32, usize, usize)> = Vec::new();
         // Relocation writes only — rolled back if the commit is skipped.
         let mut placed: Vec<(usize, u64)> = Vec::new();
-        for &id in &damage {
-            let Some(&home) = slot_of.get(&id) else {
+        for (id, (home_disk, mut data)) in refused {
+            let Some(home) = meta.layout.iter().position(|(d, _)| *d == home_disk) else {
                 continue;
             };
             let key = meta.block_key(id);
-            let mut data = code.encode_block(blocks, id as usize);
-            match backend.write_block(meta.layout[home].0, key, data) {
-                Ok(()) => {
-                    repaired += 1;
-                    continue;
-                }
-                Err(rw) => match rw.error {
-                    StoreError::MissingBlock { .. } => data = rw.data,
-                    _ => continue, // hard failure: give up on this block
-                },
-            }
             for attempt in 1..meta.layout.len() {
                 let slot = (home + attempt) % meta.layout.len();
                 let disk = meta.layout[slot].0;
@@ -1726,6 +1771,65 @@ impl Client {
         repaired
     }
 
+    /// Read every `(disk, id)` of `jobs` — all of them, no cancellation —
+    /// through one bounded in-order window at `priority`, into scratch
+    /// from `pool`; the ring worker runs the bounded transient retry and
+    /// counts the read. `before_submit` runs ahead of each submission (a
+    /// throttle). `ingest(disk, id, read_ok, buf)` sees each block in job
+    /// order and hands the buffer back for recycling unless it keeps it.
+    /// On error every outstanding buffer is recycled before returning.
+    #[allow(clippy::too_many_arguments)]
+    fn fetch_blocks(
+        &self,
+        meta: &FileMeta,
+        jobs: &[(usize, u32)],
+        priority: Priority,
+        window: usize,
+        pool: &mut BlockPool,
+        mut before_submit: impl FnMut(),
+        ingest: &mut dyn FnMut(usize, u32, bool, Block) -> Option<Block>,
+    ) -> Result<(), StoreError> {
+        let block_len = meta.coding.block_bytes as usize;
+        // The handler recycles into the pool the submit loop draws
+        // scratch from; the two never run at the same instant.
+        let pool = std::cell::RefCell::new(pool);
+        let mut fetch = OrderedWindow::new(
+            &self.system.inner.ring,
+            self.system.next_access_id(),
+            priority,
+            window,
+        );
+        let mut on_read = |tag: u64, kind: CompletionKind| {
+            let (disk, id) = jobs[tag as usize];
+            let CompletionKind::Read { result, buf, .. } = kind else {
+                unreachable!("a fetch submits only reads");
+            };
+            if let Some(buf) = ingest(disk, id, result.is_ok(), buf) {
+                recycle(&mut pool.borrow_mut(), buf, block_len);
+            }
+            Ok(())
+        };
+        let fetched = jobs
+            .iter()
+            .try_for_each(|&(disk, id)| {
+                before_submit();
+                let buf = pool.borrow_mut().get_scratch();
+                let key = meta.block_key(id);
+                fetch.submit(disk, SubmitOp::Read { key, buf }, &mut on_read)
+            })
+            .and_then(|()| fetch.finish(&mut on_read));
+        if fetched.is_err() {
+            for (_, kind) in fetch.abort() {
+                if let CompletionKind::Read { buf, .. }
+                | CompletionKind::Cancelled { buf: Some(buf) } = kind
+                {
+                    recycle(&mut pool.borrow_mut(), buf, block_len);
+                }
+            }
+        }
+        fetched
+    }
+
     /// Update `patch.len()` bytes at `offset` — §4.3.4: regenerate only
     /// the coded blocks touching the changed originals.
     pub fn update(
@@ -1752,27 +1856,25 @@ impl Client {
         // Originals covered by the patch → coded blocks to regenerate.
         let first = (offset / spec.block_bytes) as usize;
         let last = ((offset + patch.len() as u64 - 1) / spec.block_bytes) as usize;
-        let mut dirty_coded: Vec<u32> = (first..=last)
+        let dirty_coded: BTreeSet<u32> = (first..=last)
             .flat_map(|orig| code.blocks_touching(orig))
             .map(|j| j as u32)
             .collect();
-        dirty_coded.sort_unstable();
-        dirty_coded.dedup();
 
-        // coded id → disk map from the layout.
-        let mut disk_of = std::collections::HashMap::new();
-        for (disk, ids) in &meta.layout {
-            for &id in ids {
-                disk_of.insert(id, *disk);
-            }
-        }
-        for &coded in &dirty_coded {
-            if !disk_of.contains_key(&coded) {
-                return Err(StoreError::MissingBlock {
-                    disk: usize::MAX,
-                    block: coded as u64,
-                });
-            }
+        // The rewrites, grouped by slot and interleaved across the disks
+        // like a write's (each disk still takes its dirty ids in id order).
+        let jobs = disk_interleaved(
+            &layout_subset(&meta.layout, &dirty_coded),
+            meta.file_id as usize,
+        );
+        let job_ids: Vec<u32> = jobs.iter().map(|&(_, coded)| coded).collect();
+        if job_ids.len() < dirty_coded.len() {
+            let stored: HashSet<u32> = job_ids.iter().copied().collect();
+            let coded = dirty_coded.iter().find(|id| !stored.contains(id));
+            return Err(StoreError::MissingBlock {
+                disk: usize::MAX,
+                block: coded.map_or(0, |&c| c as u64),
+            });
         }
         // Copy-on-write in place: each regenerated block lands under the
         // opposite-parity key of its current one, so the committed version
@@ -1797,11 +1899,10 @@ impl Client {
             let fresh = self.encode_and_write(
                 &code,
                 &blocks,
-                &dirty_coded,
+                &job_ids,
                 &|idx| {
-                    let coded = dirty_coded[idx];
-                    let key = gen_key(meta.file_id, coded, new_odd.contains(&coded));
-                    (disk_of[&coded], key)
+                    let (disk, coded) = jobs[idx];
+                    (disk, gen_key(meta.file_id, coded, new_odd.contains(&coded)))
                 },
                 &mut written,
                 &mut |_, refusal, _| Err(refusal),
@@ -1814,8 +1915,8 @@ impl Client {
                 delete_written(backend, &written);
                 return Err(e);
             }
-            for &coded in &dirty_coded {
-                let _ = backend.delete_block(disk_of[&coded], meta.block_key(coded));
+            for &(disk, coded) in &jobs {
+                let _ = backend.delete_block(disk, meta.block_key(coded));
             }
         }
         handle.meta = Some(new_meta);
@@ -1995,57 +2096,20 @@ impl Client {
                 };
             // A scrub visits *every* stored block (no cancellation), but
             // the requests stream through the per-disk queues with a
-            // bounded window so all the file's disks service it in
-            // parallel. Completions are consumed strictly in job order;
-            // the worker runs the bounded transient retry and counts the
-            // read.
-            let jobs: Vec<(usize, u32)> = meta
-                .layout
-                .iter()
-                .flat_map(|(d, ids)| ids.iter().map(move |&id| (*d, id)))
-                .collect();
-            // The handler recycles into the pool the submit loop draws
-            // scratch from; the two never run at the same instant.
-            let pool = std::cell::RefCell::new(&mut *pool);
-            let mut fetch = OrderedWindow::new(
-                ring,
-                self.system.next_access_id(),
+            // bounded window, interleaved across the file's disks so all
+            // of them service it in parallel. The throttle paces
+            // *submission*: tokens are charged before an op may enter the
+            // queue, so repair I/O never bursts past the budget no matter
+            // how deep the window is.
+            self.fetch_blocks(
+                meta,
+                &disk_interleaved(&meta.layout, meta.file_id as usize),
                 priority,
                 (4 * meta.layout.len()).max(16),
-            );
-            let mut on_read = |tag: u64, kind: CompletionKind| {
-                let (disk, id) = jobs[tag as usize];
-                let CompletionKind::Read { result, buf, .. } = kind else {
-                    unreachable!("scrub submits only reads");
-                };
-                if let Some(buf) = ingest(disk, id, result.is_ok(), buf) {
-                    recycle(&mut pool.borrow_mut(), buf, block_len);
-                }
-                Ok(())
-            };
-            let fetched = jobs
-                .iter()
-                .try_for_each(|&(disk, id)| {
-                    // The throttle paces *submission*: tokens are charged
-                    // before an op may enter the queue, so repair I/O
-                    // never bursts past the budget no matter how deep the
-                    // window is.
-                    charge(block_len);
-                    let buf = pool.borrow_mut().get_scratch();
-                    let key = meta.block_key(id);
-                    fetch.submit(disk, SubmitOp::Read { key, buf }, &mut on_read)
-                })
-                .and_then(|()| fetch.finish(&mut on_read));
-            if fetched.is_err() {
-                for (_, kind) in fetch.abort() {
-                    if let CompletionKind::Read { buf, .. }
-                    | CompletionKind::Cancelled { buf: Some(buf) } = kind
-                    {
-                        recycle(&mut pool.borrow_mut(), buf, block_len);
-                    }
-                }
-            }
-            fetched
+                pool,
+                || charge(block_len),
+                &mut ingest,
+            )
         };
         if let Err(e) = fetched {
             pool.put_all(decoder.drain_all());
@@ -2248,6 +2312,48 @@ fn wave_slots(meta: &FileMeta, backend: &ShardedBackend, avail: &[f64]) -> Vec<W
         .collect()
 }
 
+/// Every `(disk, id)` of `layout`, interleaved across its disks: round `r`
+/// visits the `r`-th id of every slot, starting at slot `rot` (mod the
+/// slot count; callers pass the file id, so concurrent accesses to
+/// different files start on different disks). A bounded in-order window
+/// over this order keeps every disk of the layout busy at once — the
+/// fork-join the paper's accesses are — instead of filling up on one disk
+/// and walking the layout disk by disk. Each disk still sees its slot's
+/// ids in slot order, so the backend's per-disk sequence (fault budgets,
+/// group commits, what lands where) is the same as a slot-by-slot walk's.
+fn disk_interleaved(layout: &[(usize, Vec<u32>)], rot: usize) -> Vec<(usize, u32)> {
+    let slots = layout.len();
+    let rot = rot % slots.max(1);
+    let rounds = layout.iter().map(|(_, ids)| ids.len()).max().unwrap_or(0);
+    let mut order = Vec::with_capacity(layout.iter().map(|(_, ids)| ids.len()).sum());
+    for r in 0..rounds {
+        for i in 0..slots {
+            let (disk, ids) = &layout[(i + rot) % slots];
+            if let Some(&id) = ids.get(r) {
+                order.push((*disk, id));
+            }
+        }
+    }
+    order
+}
+
+/// The subset `ids` of `layout`, slot by slot, each slot's share in
+/// ascending id order — the per-disk sequence an id-ordered walk issues.
+fn layout_subset(layout: &[(usize, Vec<u32>)], ids: &BTreeSet<u32>) -> Vec<(usize, Vec<u32>)> {
+    layout
+        .iter()
+        .map(|(disk, slot_ids)| {
+            let mut mine: Vec<u32> = slot_ids
+                .iter()
+                .copied()
+                .filter(|id| ids.contains(id))
+                .collect();
+            mine.sort_unstable();
+            (*disk, mine)
+        })
+        .collect()
+}
+
 /// Hand a fetched (or never-serviced) read buffer back to the pool at
 /// full block length, whatever the disk left in it.
 fn recycle(pool: &mut BlockPool, mut buf: Vec<u8>, block_len: usize) {
@@ -2440,9 +2546,12 @@ mod tests {
 
     #[test]
     fn repeated_reads_recycle_buffers() {
-        // The shared BlockPool's allocation counter proves the whole
-        // fetch→decode path is allocation-free once warm: read 1 fills
-        // the pool, read 2 onward reuse its buffers exclusively.
+        // The shared BlockPool's counters prove the fetch→decode path
+        // runs on recycled buffers. What one read holds at once is
+        // bounded by design — the blocks its decoder keeps plus its
+        // in-flight window — and every buffer goes back to the pool, so
+        // however far any read happens to speculate (wall-clock), the
+        // pool never allocates more than that bound across many reads.
         let sys = test_system();
         let u = sys.register_user();
         let client = Client::connect(&sys, u);
@@ -2451,28 +2560,33 @@ mod tests {
             .open("pooled", AccessMode::Write, QosOptions::best_effort())
             .unwrap();
         client.write(&mut h, &data).unwrap();
+        let window = (2 * h.meta().unwrap().layout.len()).max(8);
         client.close(h).unwrap();
 
         assert_eq!(sys.pool_stats(), (0, 0), "no reads yet");
         let h = client
             .open("pooled", AccessMode::Read, QosOptions::best_effort())
             .unwrap();
-        assert_eq!(client.read(&h).unwrap(), data);
-        let (fresh_after_first, _) = sys.pool_stats();
-        assert!(fresh_after_first > 0);
-        for _ in 0..3 {
-            assert_eq!(client.read(&h).unwrap(), data);
+        let (mut most_kept, mut fetched) = (0, 0);
+        for _ in 0..4 {
+            let (got, rr) = client.read_with_report(&h).unwrap();
+            assert_eq!(got, data);
+            most_kept = most_kept.max(rr.blocks_fetched);
+            fetched += rr.blocks_fetched as u64;
         }
+        client.close(h).unwrap();
         let (fresh, reuses) = sys.pool_stats();
-        assert_eq!(
-            fresh, fresh_after_first,
-            "warm reads must not allocate (hidden copy otherwise)"
+        assert!(fresh > 0, "reads draw their buffers from the pool");
+        assert!(
+            fresh <= (most_kept + window) as u64,
+            "{fresh} fresh buffers over 4 reads, but one read holds at most \
+             {most_kept} decoder blocks + a {window}-deep window (hidden copy otherwise)"
         );
         assert!(
-            reuses >= 3 * fresh_after_first,
-            "warm reads run on the pool"
+            fresh + reuses >= fetched,
+            "every fetched block came through the pool"
         );
-        client.close(h).unwrap();
+        assert_eq!(sys.pool_outstanding_bytes(), 0, "pool must balance");
     }
 
     #[test]
@@ -2891,6 +3005,72 @@ mod tests {
             client.open("ghost", AccessMode::Read, QosOptions::best_effort()),
             Err(StoreError::NotFound(_))
         ));
+    }
+
+    #[test]
+    fn disk_interleaved_fans_out_and_keeps_each_disks_order() {
+        // Uneven slots (a weighted layout), an empty slot, ids out of
+        // order within a slot (a re-homed block), disks not in slot order.
+        let layout: Vec<(usize, Vec<u32>)> = vec![
+            (5, vec![0, 1, 2, 3]),
+            (2, vec![]),
+            (7, vec![4, 5, 40]),
+            (0, vec![9, 6, 7, 8, 10, 11]),
+        ];
+        let base = disk_interleaved(&layout, 0);
+        assert_eq!(
+            base,
+            [
+                (5, 0),
+                (7, 4),
+                (0, 9),
+                (5, 1),
+                (7, 5),
+                (0, 6),
+                (5, 2),
+                (7, 40),
+                (0, 7),
+                (5, 3),
+                (0, 8),
+                (0, 10),
+                (0, 11)
+            ]
+        );
+        for rot in 0..2 * layout.len() {
+            let order = disk_interleaved(&layout, rot);
+            // A permutation of the layout's (disk, id) pairs.
+            let mut got = order.clone();
+            got.sort_unstable();
+            let mut want: Vec<(usize, u32)> = layout
+                .iter()
+                .flat_map(|(d, ids)| ids.iter().map(move |&id| (*d, id)))
+                .collect();
+            want.sort_unstable();
+            assert_eq!(got, want, "rot={rot}");
+            // Each disk sees its slot's ids in slot order.
+            for (disk, ids) in &layout {
+                let seen: Vec<u32> = order
+                    .iter()
+                    .filter(|(d, _)| d == disk)
+                    .map(|&(_, id)| id)
+                    .collect();
+                assert_eq!(&seen, ids, "rot={rot} disk={disk}");
+            }
+            // The first round touches every non-empty slot, from slot
+            // `rot` on; rotation changes nothing else.
+            let first: Vec<usize> = order[..3].iter().map(|&(d, _)| d).collect();
+            let start = (0..layout.len())
+                .map(|i| (i + rot) % layout.len())
+                .filter(|&s| !layout[s].1.is_empty())
+                .map(|s| layout[s].0)
+                .collect::<Vec<_>>();
+            assert_eq!(first, start, "rot={rot}");
+            let rotated: Vec<(usize, Vec<u32>)> = (0..layout.len())
+                .map(|i| layout[(i + rot) % layout.len()].clone())
+                .collect();
+            assert_eq!(order, disk_interleaved(&rotated, 0), "rot={rot}");
+        }
+        assert!(disk_interleaved(&[], 3).is_empty());
     }
 
     #[test]

@@ -39,7 +39,8 @@
 //! read is counted exactly once.
 //!
 //! Accesses that need their completions *in submission order* with a
-//! bounded number in flight — writes, updates, scrub fetches, deletes —
+//! bounded number in flight — writes, updates, scrub fetches, read-repair
+//! audits and rewrites, deletes —
 //! go through [`OrderedWindow`], the one reorder buffer over the ring.
 //!
 //! Each worker also exports live load telemetry — queue depth, in-flight
@@ -982,14 +983,16 @@ mod tests {
 
     #[test]
     fn ring_background_ops_wait_for_foreground() {
-        // Park the single worker on a slow foreground op (a missing-key
-        // read with real retry backoff), queue background deletes and
-        // *then* foreground deletes behind it, and check that strict
-        // priority services every foreground op first anyway.
-        let backend = Arc::new(ShardedBackend::new(
-            Box::new(InMemoryBackend::uniform(1, 10e6)),
-            true,
-        ));
+        // Park the single worker on a slow foreground op (a read that
+        // fails transiently twice, so the worker really sleeps its retry
+        // backoff — a plain missing-key read is not retried and returns
+        // at once, letting the worker reach the background queue early),
+        // queue background deletes and *then* foreground deletes behind
+        // it, and check that strict priority services every foreground op
+        // first anyway.
+        let (chaos, switch) = crate::chaos::ChaosBackend::new(InMemoryBackend::uniform(1, 10e6));
+        switch.transient_reads(0, 2);
+        let backend = Arc::new(ShardedBackend::new(Box::new(chaos), true));
         let r = IoRing::start(
             backend,
             RingConfig {

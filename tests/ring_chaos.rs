@@ -17,6 +17,11 @@
 //!   while writes from several accesses queue behind it, then observes
 //!   one coalesced batch in submission order (and that a cancelled
 //!   access's queued writes never reach the backend at all);
+//! * **multi-block accesses fan out across their disks** — with one
+//!   disk's I/O held at the gate, a write, and a degraded read's repair
+//!   audit and rewrites, still reach every other layout disk; and each
+//!   disk's write sequence is the slot-by-slot one, so what lands where
+//!   does not depend on the interleaving;
 //! * **seeded replay is identical under either wave policy** through
 //!   persistent damage (lost blocks, bit rot, an offline-disk window):
 //!   decoded bytes, layouts, and per-disk byte counts all match, run to
@@ -31,12 +36,14 @@
 
 mod common;
 
+use std::collections::BTreeSet;
 use std::sync::mpsc;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
 use common::check_committed_state;
 use robustore::core::{
-    AccessMode, ChaosBackend, Client, CompletionKind, DiskShard, InMemoryBackend, IoRing,
+    AccessMode, ChaosBackend, Client, CompletionKind, DiskShard, FileMeta, InMemoryBackend, IoRing,
     QosOptions, ReadPolicy, RefusedWrite, RingConfig, Scrubber, ShardedBackend, StorageBackend,
     StoreError, SubmitOp, System, SystemConfig, WriteOutcome,
 };
@@ -167,29 +174,45 @@ fn ring_write_abort_rolls_back_and_retry_succeeds() {
     assert_eq!(check_committed_state(&sys)["fresh"], data);
 }
 
-/// Blocks the first commit dispatch in service while later submissions
-/// queue, so the coalescing decision behind it is deterministic.
+/// One block I/O a tapped shard was asked to do: its disk, whether it
+/// writes, and its keys (one for a read, the batch for a commit dispatch).
+#[derive(Debug, Clone)]
+struct Io {
+    disk: usize,
+    write: bool,
+    keys: Vec<u64>,
+}
+
+/// Parks the I/Os it matches in service until the test releases it, so
+/// whatever queues or proceeds behind them is deterministic.
 struct Gate {
+    parks: Box<dyn Fn(&Io) -> bool + Send + Sync>,
     held: Mutex<bool>,
     released: Condvar,
-    entered: Mutex<usize>,
+    /// Disk of every I/O that parked, in arrival order.
+    entered: Mutex<Vec<usize>>,
     entry: Condvar,
 }
 
 impl Gate {
-    fn new() -> Arc<Gate> {
+    /// A closed gate parking every I/O `parks` matches.
+    fn new(parks: impl Fn(&Io) -> bool + Send + Sync + 'static) -> Arc<Gate> {
         Arc::new(Gate {
+            parks: Box::new(parks),
             held: Mutex::new(true),
             released: Condvar::new(),
-            entered: Mutex::new(0),
+            entered: Mutex::new(Vec::new()),
             entry: Condvar::new(),
         })
     }
 
-    /// Called by the shard at dispatch entry: count the entry, then park
-    /// until the test releases the gate.
-    fn enter_and_wait(&self) {
-        *self.entered.lock().unwrap() += 1;
+    /// Called by the shard at dispatch entry: if the I/O matches, record
+    /// the entry, then park until the test releases the gate.
+    fn pass(&self, io: &Io) {
+        if !(self.parks)(io) {
+            return;
+        }
+        self.entered.lock().unwrap().push(io.disk);
         self.entry.notify_all();
         let mut held = self.held.lock().unwrap();
         while *held {
@@ -197,11 +220,13 @@ impl Gate {
         }
     }
 
-    fn wait_entered(&self, n: usize) {
+    /// The disks of the first `n` parked I/Os, once that many arrived.
+    fn wait_entered(&self, n: usize) -> Vec<usize> {
         let mut e = self.entered.lock().unwrap();
-        while *e < n {
+        while e.len() < n {
             e = self.entry.wait(e).unwrap();
         }
+        e.clone()
     }
 
     fn release(&self) {
@@ -210,12 +235,66 @@ impl Gate {
     }
 }
 
-/// A [`DiskShard`] that records the keys of every commit dispatch and
-/// parks each dispatch on the shared [`Gate`].
+/// What the tapped shards share: the gates every I/O passes, and the
+/// log of every I/O in dispatch order (logged before it may park).
+struct Tap {
+    gates: Vec<Arc<Gate>>,
+    log: Mutex<Vec<Io>>,
+}
+
+impl Tap {
+    fn new(gates: Vec<Arc<Gate>>) -> Arc<Tap> {
+        Arc::new(Tap {
+            gates,
+            log: Mutex::default(),
+        })
+    }
+
+    fn see(&self, io: Io) {
+        self.log.lock().unwrap().push(io.clone());
+        for gate in &self.gates {
+            gate.pass(&io);
+        }
+    }
+
+    fn log(&self) -> Vec<Io> {
+        self.log.lock().unwrap().clone()
+    }
+
+    /// Poll the log until `done` holds, for at most `secs` seconds.
+    fn wait_until(&self, secs: u64, done: impl Fn(&[Io]) -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(secs);
+        while !done(&self.log.lock().unwrap()) {
+            if Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        true
+    }
+
+    /// Each disk's write keys, in the order the disk took them.
+    fn writes_per_disk(&self, disks: usize) -> Vec<Vec<u64>> {
+        let mut per_disk = vec![Vec::new(); disks];
+        for io in self.log().into_iter().filter(|io| io.write) {
+            per_disk[io.disk].extend(io.keys);
+        }
+        per_disk
+    }
+}
+
+/// A [`DiskShard`] that shows every block I/O to the shared [`Tap`]
+/// before doing it.
 struct GateShard {
     inner: Box<dyn DiskShard>,
-    gate: Arc<Gate>,
-    log: Arc<Mutex<Vec<Vec<u64>>>>,
+    tap: Arc<Tap>,
+}
+
+impl GateShard {
+    fn see(&self, write: bool, keys: Vec<u64>) {
+        let disk = self.inner.disk_id();
+        self.tap.see(Io { disk, write, keys });
+    }
 }
 
 impl DiskShard for GateShard {
@@ -224,24 +303,30 @@ impl DiskShard for GateShard {
     }
 
     fn write_block(&mut self, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
+        self.see(true, vec![block]);
         self.inner.write_block(block, data)
     }
 
     fn commit_batch(&mut self, batch: Vec<(u64, Vec<u8>)>) -> Vec<Result<(), RefusedWrite>> {
-        self.gate.enter_and_wait();
-        self.log
-            .lock()
-            .unwrap()
-            .push(batch.iter().map(|(k, _)| *k).collect());
+        self.see(true, batch.iter().map(|(k, _)| *k).collect());
         self.inner.commit_batch(batch)
     }
 
     fn read_block_into(&self, block: u64, buf: &mut Vec<u8>) -> Result<(), StoreError> {
+        self.see(false, vec![block]);
         self.inner.read_block_into(block, buf)
+    }
+
+    fn has_block(&self, block: u64) -> bool {
+        self.inner.has_block(block)
     }
 
     fn delete_block(&mut self, block: u64) -> Result<(), StoreError> {
         self.inner.delete_block(block)
+    }
+
+    fn drop_random_blocks(&mut self, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
+        self.inner.drop_random_blocks(fraction, seq)
     }
 
     fn speed(&self) -> f64 {
@@ -265,11 +350,10 @@ impl DiskShard for GateShard {
     }
 }
 
-/// Single-disk backend whose shard is a [`GateShard`].
+/// An in-memory backend whose shards are [`GateShard`]s on one [`Tap`].
 struct GateBackend {
     inner: InMemoryBackend,
-    gate: Arc<Gate>,
-    log: Arc<Mutex<Vec<Vec<u64>>>>,
+    tap: Arc<Tap>,
 }
 
 impl StorageBackend for GateBackend {
@@ -298,16 +382,14 @@ impl StorageBackend for GateBackend {
     }
 
     fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
-        let gate = self.gate.clone();
-        let log = self.log.clone();
+        let tap = &self.tap;
         self.inner.try_shard().map(|shards| {
             shards
                 .into_iter()
                 .map(|inner| {
                     Box::new(GateShard {
                         inner,
-                        gate: gate.clone(),
-                        log: log.clone(),
+                        tap: tap.clone(),
                     }) as Box<dyn DiskShard>
                 })
                 .collect()
@@ -315,14 +397,29 @@ impl StorageBackend for GateBackend {
     }
 }
 
+/// A ring-backed system over disks of these speeds, every block I/O
+/// shown to `tap`.
+fn tapped_system(speeds: Vec<f64>, tap: &Arc<Tap>, read_policy: ReadPolicy) -> System {
+    System::with_backend(
+        Box::new(GateBackend {
+            inner: InMemoryBackend::new(speeds),
+            tap: tap.clone(),
+        }),
+        SystemConfig {
+            block_bytes: 4 << 10,
+            read_policy,
+            ..Default::default()
+        },
+    )
+}
+
 #[test]
 fn cross_access_batches_respect_submission_order_and_cancel_revokes_queued_writes() {
-    let gate = Gate::new();
-    let log = Arc::new(Mutex::new(Vec::new()));
+    let gate = Gate::new(|io| io.write);
+    let tap = Tap::new(vec![gate.clone()]);
     let backend = GateBackend {
         inner: InMemoryBackend::new(vec![50e6]),
-        gate: gate.clone(),
-        log: log.clone(),
+        tap: tap.clone(),
     };
     let sharded = Arc::new(ShardedBackend::new(Box::new(backend), true));
     assert!(sharded.is_sharded());
@@ -378,7 +475,7 @@ fn cross_access_batches_respect_submission_order_and_cancel_revokes_queued_write
     // Exactly two dispatches: the gated single, then ONE coalesced batch
     // carrying accesses 1 and 3 in submission order — with access 2's
     // keys absent (the backend never saw them).
-    let dispatches = log.lock().unwrap().clone();
+    let dispatches: Vec<Vec<u64>> = tap.log().into_iter().map(|io| io.keys).collect();
     assert_eq!(
         dispatches,
         vec![vec![10], vec![11, 30]],
@@ -386,6 +483,205 @@ fn cross_access_batches_respect_submission_order_and_cancel_revokes_queued_write
     );
     assert_eq!(sharded.writes(), 3);
     assert_eq!(sharded.disk_used(0), 3 * 64);
+}
+
+/// Every disk of the system, pinned in order (equal shares on equal disks).
+fn all_disks(redundancy: f64) -> QosOptions {
+    QosOptions::best_effort()
+        .with_redundancy(redundancy)
+        .with_pinned_disks((0..DISKS).collect())
+}
+
+#[test]
+fn a_held_disk_does_not_stall_the_rest_of_a_write() {
+    // Hold whichever disk a write dispatches to first. The write's window
+    // is interleaved across its disks, so every other layout disk still
+    // takes writes while that one is stuck — a slot-by-slot walk would
+    // fill the whole window on the held disk and stall there.
+    let first = OnceLock::new();
+    let gate = Gate::new(move |io| io.write && *first.get_or_init(|| io.disk) == io.disk);
+    let tap = Tap::new(vec![gate.clone()]);
+    let sys = tapped_system(vec![20e6; DISKS], &tap, ReadPolicy::default());
+    let user = sys.register_user();
+    let data = payload(64 * 4096, 21); // K = 64, N = 192: 24 blocks per disk
+    let writer = {
+        let (sys, data) = (sys.clone(), data.clone());
+        std::thread::spawn(move || put(&Client::connect(&sys, user), "wide", &data, all_disks(2.0)))
+    };
+    let held = gate.wait_entered(1)[0];
+    let fanned_out = tap.wait_until(10, |log| {
+        (0..DISKS).all(|d| log.iter().any(|io| io.write && io.disk == d))
+    });
+    gate.release();
+    writer.join().unwrap();
+    assert!(
+        fanned_out,
+        "with disk {held} held, the write never reached every other disk"
+    );
+
+    let meta = sys.export_meta("wide").unwrap();
+    assert_eq!(meta.layout.len(), DISKS);
+    assert!(
+        meta.layout.iter().all(|(_, ids)| ids.len() > 16),
+        "every slot outlasts the 16-deep write window"
+    );
+    assert_eq!(check_committed_state(&sys)["wide"], data);
+}
+
+#[test]
+fn per_disk_write_sequence_follows_the_layout() {
+    // Interleaving changes only the order *across* disks. Each disk takes
+    // a write's blocks in slot order, and an update's in id order — the
+    // sequences a slot-by-slot walk issues — so fault budgets, group
+    // commits and committed state are what they always were.
+    let tap = Tap::new(Vec::new());
+    let sys = tapped_system(speeds(), &tap, ReadPolicy::default());
+    let client = Client::connect(&sys, sys.register_user());
+    let mut h = client
+        .open("seq", AccessMode::Write, all_disks(2.0))
+        .unwrap();
+    let expect = |meta: &FileMeta, ids: &dyn Fn(&[u32]) -> Vec<u32>| -> Vec<Vec<u64>> {
+        let mut per_disk = vec![Vec::new(); DISKS];
+        for (disk, slot) in &meta.layout {
+            per_disk[*disk] = ids(slot).iter().map(|&id| meta.block_key(id)).collect();
+        }
+        per_disk
+    };
+    let mut seen = vec![Vec::new(); DISKS];
+    let mut step = |what: &str, want: Vec<Vec<u64>>| {
+        let all = tap.writes_per_disk(DISKS);
+        for (d, keys) in all.iter().enumerate() {
+            assert_eq!(keys[seen[d].len()..], want[d], "{what}: disk {d}");
+        }
+        seen = all;
+    };
+
+    client.write(&mut h, &payload(200_000, 31)).unwrap();
+    let v1 = h.meta().unwrap().clone();
+    assert!(v1.layout.iter().all(|(_, ids)| !ids.is_empty()));
+    step("write", expect(&v1, &|slot| slot.to_vec()));
+
+    client.write(&mut h, &payload(260_000, 32)).unwrap();
+    let v2 = h.meta().unwrap().clone();
+    step("overwrite", expect(&v2, &|slot| slot.to_vec()));
+
+    client.update(&mut h, 9_000, &[0x5Au8; 12_000]).unwrap();
+    let v3 = h.meta().unwrap().clone();
+    let dirty: Vec<u32> = v2
+        .odd_keys
+        .symmetric_difference(&v3.odd_keys)
+        .copied()
+        .collect();
+    assert!(dirty.len() > 1);
+    step(
+        "update",
+        expect(&v3, &|slot| {
+            let mut ids: Vec<u32> = slot
+                .iter()
+                .copied()
+                .filter(|id| dirty.contains(id))
+                .collect();
+            ids.sort_unstable();
+            ids
+        }),
+    );
+    client.close(h).unwrap();
+    check_committed_state(&sys);
+}
+
+#[test]
+fn a_held_disk_does_not_stall_read_repair_audit_or_rewrites() {
+    // A degraded read audits every block it did not verify, then rewrites
+    // the damage in place. Both passes are interleaved across the file's
+    // disks on the ring: holding one disk's audit reads, then its
+    // rewrites, must not keep the other disks from theirs. Slot 0 is
+    // held — where a walk that audits and rewrites one block at a time,
+    // layout order, id order, gets stuck first.
+    let audit_target: Arc<OnceLock<(usize, BTreeSet<u64>)>> = Arc::default();
+    let rewrite_target: Arc<OnceLock<usize>> = Arc::default();
+    let audit_gate = {
+        let target = audit_target.clone();
+        Gate::new(move |io| {
+            !io.write
+                && target
+                    .get()
+                    .is_some_and(|(d, late)| io.disk == *d && late.contains(&io.keys[0]))
+        })
+    };
+    let rewrite_gate = {
+        let target = rewrite_target.clone();
+        Gate::new(move |io| io.write && target.get() == Some(&io.disk))
+    };
+    let tap = Tap::new(vec![audit_gate.clone(), rewrite_gate.clone()]);
+    // Static: the read fetches in the nominal round-robin order, so the
+    // tail of every slot is touched only by the audit.
+    let sys = tapped_system(vec![20e6; DISKS], &tap, ReadPolicy::Static);
+    let client = Client::connect(&sys, sys.register_user());
+    let data = payload(16 * 4096, 41); // K = 16, N = 128: 16 blocks per disk
+    put(&client, "healed", &data, all_disks(7.0));
+    let meta = sys.export_meta("healed").unwrap();
+    let late: Vec<BTreeSet<u64>> = meta
+        .layout
+        .iter()
+        .map(|(_, ids)| ids[12..].iter().map(|&id| meta.block_key(id)).collect())
+        .collect();
+    let seq = SeedSequence::new(0x5EED);
+    let lost: Vec<usize> = (0..DISKS)
+        .map(|d| {
+            sys.lose_blocks(d, 0.3, &seq.subsequence("lose", d as u64))
+                .len()
+        })
+        .collect();
+    assert!(
+        lost.iter().all(|&n| n > 0),
+        "every disk has damage: {lost:?}"
+    );
+    let held = meta.layout[0].0;
+    audit_target.set((held, late[0].clone())).unwrap();
+    rewrite_target.set(held).unwrap();
+
+    let mark = tap.log().len();
+    let reader = {
+        let (sys, owner) = (sys.clone(), meta.owner);
+        std::thread::spawn(move || {
+            let client = Client::connect(&sys, owner);
+            let h = client
+                .open("healed", AccessMode::Read, QosOptions::best_effort())
+                .unwrap();
+            let got = client.read_with_report(&h).unwrap();
+            client.close(h).unwrap();
+            got
+        })
+    };
+    let audited = tap.wait_until(10, |log| {
+        (0..DISKS).all(|slot| {
+            log[mark..]
+                .iter()
+                .any(|io| !io.write && late[slot].contains(&io.keys[0]))
+        })
+    });
+    audit_gate.release();
+    let rewritten = tap.wait_until(10, |log| {
+        (0..DISKS).all(|d| log[mark..].iter().any(|io| io.write && io.disk == d))
+    });
+    rewrite_gate.release();
+    let (got, report) = reader.join().unwrap();
+    assert!(
+        audited,
+        "with disk {held}'s audit held, the other disks' audits never ran"
+    );
+    assert!(
+        rewritten,
+        "with disk {held}'s rewrites held, the other disks' never ran"
+    );
+    assert_eq!(got, data);
+    let lost: usize = lost.iter().sum();
+    assert_eq!(
+        report.blocks_repaired, lost,
+        "the canonical damage set, restored in place"
+    );
+    assert_eq!(sys.pool_outstanding_bytes(), 0, "audit leaked pool buffers");
+    assert_eq!(check_committed_state(&sys)["healed"], data);
 }
 
 #[test]

@@ -191,11 +191,22 @@ impl System {
         Self::with_backend(Box::new(backend), config)
     }
 
-    /// Stand up a system over any [`StorageBackend`] (e.g. the durable
-    /// [`crate::file_backend::FileBackend`]).
+    /// Stand up a system over any [`StorageBackend`]. Panics if the
+    /// metadata replicas cannot be opened; [`System::try_with_backend`]
+    /// is the fallible form.
     pub fn with_backend(backend: Box<dyn StorageBackend + Send>, config: SystemConfig) -> Self {
-        let mut meta =
-            Metastore::new(config.metastore.clone()).expect("metastore replicas must be openable");
+        Self::try_with_backend(backend, config).expect("metastore replicas must be openable")
+    }
+
+    /// Stand up a system over any [`StorageBackend`] (e.g. the durable
+    /// [`crate::file_backend::FileBackend`]), recovering the metadata
+    /// plane from its replicas. Fails when file-backed replicas under
+    /// [`MetastoreConfig::dir`] cannot be opened or recovered.
+    pub fn try_with_backend(
+        backend: Box<dyn StorageBackend + Send>,
+        config: SystemConfig,
+    ) -> Result<Self, StoreError> {
+        let mut meta = Metastore::new(config.metastore.clone())?;
         let admission = (0..backend.num_disks())
             .map(|_| AdmissionController::new(config.admission_capacity))
             .collect();
@@ -220,7 +231,7 @@ impl System {
                 backoff_micros: config.read_retry.backoff_micros,
             },
         );
-        System {
+        Ok(System {
             inner: Arc::new(SystemInner {
                 config,
                 meta: Mutex::new(meta),
@@ -233,7 +244,7 @@ impl System {
                 clock: AtomicU64::new(0),
                 next_access: AtomicU64::new(0),
             }),
-        }
+        })
     }
 
     /// System configuration.
@@ -427,15 +438,16 @@ impl System {
         dropped
     }
 
-    /// Snapshot a file's metadata (for persistence alongside a durable
-    /// backend).
+    /// Snapshot a file's committed metadata.
     pub fn export_meta(&self, name: &str) -> Option<FileMeta> {
         self.inner.meta.lock().stat(name).cloned()
     }
 
-    /// Restore metadata saved by [`System::export_meta`] into a freshly
-    /// opened system (bootstrapping a durable store). This is a quorum
-    /// commit and can fail.
+    /// Commit metadata taken from outside the metastore, bypassing locks
+    /// (see [`Metastore::restore`]). The product's one caller is the CLI's
+    /// one-shot import of legacy sidecar files; tests use it to seed a
+    /// system with hand-edited metadata. This is a quorum commit and can
+    /// fail.
     pub fn import_meta(&self, meta: FileMeta) -> Result<(), StoreError> {
         self.inner.meta.lock().restore(meta)
     }

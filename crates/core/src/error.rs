@@ -71,7 +71,9 @@ pub enum StoreError {
         /// Acks required for majority.
         need: usize,
     },
-    /// A filesystem-level I/O error from a durable metadata replica.
+    /// A filesystem-level error from durable storage: a metadata
+    /// replica, or a block store's own files (its `speeds` file, its disk
+    /// directories) missing, unreadable or malformed.
     Io(String),
 }
 
@@ -110,7 +112,7 @@ impl std::fmt::Display for StoreError {
                     "metadata shard {shard} lost quorum: {acks} of {need} required acks"
                 )
             }
-            StoreError::Io(e) => write!(f, "metadata replica I/O error: {e}"),
+            StoreError::Io(e) => write!(f, "storage I/O error: {e}"),
         }
     }
 }

@@ -319,9 +319,11 @@ impl Metastore {
         names
     }
 
-    /// Bootstrap: insert metadata restored from external storage (e.g.
-    /// sidecar files), bypassing locks, and keep the durable id floor
-    /// ahead of the restored id.
+    /// Bootstrap: commit metadata restored from outside the plane,
+    /// bypassing locks, and keep the durable id floor ahead of the
+    /// restored id. The product's one caller is the CLI's one-shot import
+    /// of legacy sidecar files (through [`crate::System::import_meta`]);
+    /// tests and benchmarks use it to seed an image.
     pub fn restore(&mut self, meta: FileMeta) -> Result<(), StoreError> {
         self.next_file_id = self.next_file_id.max(meta.file_id);
         if meta.file_id > self.id_floor {

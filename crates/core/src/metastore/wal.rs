@@ -224,7 +224,7 @@ pub struct FileReplica {
 impl FileReplica {
     /// Open (creating the directory if needed) a replica rooted at `dir`.
     pub fn open(dir: PathBuf) -> Result<Self, StoreError> {
-        fs::create_dir_all(&dir).map_err(|e| StoreError::Io(e.to_string()))?;
+        fs::create_dir_all(&dir).map_err(|e| StoreError::Io(format!("{}: {e}", dir.display())))?;
         Ok(FileReplica {
             dir,
             guard: Mutex::new(()),

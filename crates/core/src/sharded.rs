@@ -20,7 +20,9 @@
 //! Group commit rides on the same seam: [`ShardedBackend::commit_batch`]
 //! hands a run of consecutive same-disk writes to the shard in one lock
 //! acquisition ([`DiskShard::commit_batch`]), amortising the per-dispatch
-//! cost (lock traffic here; a queue flush or fsync on a real filer). The
+//! cost (lock traffic here; on the durable
+//! [`FileBackend`](crate::file_backend::FileBackend), the one directory
+//! fsync that makes the whole batch's new block files durable). The
 //! batch contract keeps failure semantics identical to unbatched writes:
 //! entries are processed in order and the batch stops at the first hard
 //! fault, so the commit protocol's rollback sees the same world either

@@ -8,23 +8,34 @@
 //! robustore --store DIR rm   <name>
 //! robustore --store DIR ls
 //! robustore --store DIR stat <name>
+//! robustore --store DIR scrub [<name>]
 //! ```
 //!
 //! Blocks are LT-coded and spread over `N` virtual disks under `DIR`
 //! (directories on one filesystem — the point is exercising the real
 //! coding/metadata/planning stack end to end, not multi-machine
-//! deployment). File metadata persists as plain-text sidecars under
-//! `DIR/metadata/`. The store is single-owner: ownership is anchored in
-//! filesystem permissions on `DIR`, so restored metadata is re-owned by
-//! the invoking session.
+//! deployment). File metadata lives in the write-ahead-logged metastore
+//! under `DIR/meta/` (`shard-<s>/replica-<r>/`, quorum-replicated on the
+//! same filesystem). Every `put`, `rm`, read-repair and scrub follows one
+//! order: coded blocks synced to their disks, then the metadata commit
+//! synced to the log, then garbage collection of what it superseded — so
+//! a process killed at any instant leaves each file at its old or its new
+//! content, never at a name without its blocks.
+//!
+//! Stores written by earlier versions kept metadata as plain-text
+//! sidecars under `DIR/metadata/`. Each one is imported into the
+//! metastore on the next open and removed once the import has committed;
+//! a name the metastore already holds wins over its sidecar. The store is
+//! single-owner: ownership is anchored in filesystem permissions on
+//! `DIR`, so imported metadata is owned by the invoking session.
 
 use std::path::{Path, PathBuf};
 use std::process::exit;
 
 use robustore::core::metadata::CodingSpec;
 use robustore::core::{
-    AccessMode, Client, FileBackend, FileMeta, QosOptions, ScrubReport, Scrubber, System,
-    SystemConfig,
+    AccessMode, Client, FileBackend, FileMeta, MetastoreConfig, QosOptions, ScrubReport, Scrubber,
+    System, SystemConfig,
 };
 use robustore::erasure::LtParams;
 
@@ -48,40 +59,14 @@ fn usage() -> ! {
     exit(2);
 }
 
-/// Plain-text metadata sidecar (no serde_json offline; the format is a
-/// versioned key=value list with one `disk` line per layout entry).
+/// The legacy plain-text metadata sidecar, now an import format only: a
+/// versioned key=value list with one `disk` line per layout entry. v3
+/// carries per-block CRC32C checksums (`crc` lines); v2 has none, so its
+/// blocks read as unverified until a scrub adds them; v1 indexed blocks
+/// under the pre-generation key scheme and is refused rather than
+/// misaddress every block.
 mod sidecar {
     use super::*;
-
-    pub fn encode(m: &FileMeta) -> String {
-        let mut out = String::new();
-        // v3: per-block CRC32C checksums (`crc` lines). v2 sidecars (no
-        // checksums) still decode — their blocks read as unverified until
-        // a scrub upgrades them. v1 sidecars index blocks under the old
-        // key scheme, so decode refuses them instead of misaddressing
-        // every block.
-        out.push_str("robustore-meta-v3\n");
-        out.push_str(&format!("name={}\n", m.name));
-        out.push_str(&format!("file_id={}\n", m.file_id));
-        out.push_str(&format!("size_bytes={}\n", m.size_bytes));
-        out.push_str(&format!("k={}\n", m.coding.k));
-        out.push_str(&format!("n={}\n", m.coding.n));
-        out.push_str(&format!("block_bytes={}\n", m.coding.block_bytes));
-        out.push_str(&format!("lt_c={}\n", m.coding.params.c));
-        out.push_str(&format!("lt_delta={}\n", m.coding.params.delta));
-        out.push_str(&format!("seed={}\n", m.coding.seed));
-        out.push_str(&format!("version={}\n", m.version));
-        let odd: Vec<String> = m.odd_keys.iter().map(|i| i.to_string()).collect();
-        out.push_str(&format!("odd={}\n", odd.join(",")));
-        for (disk, ids) in &m.layout {
-            let list: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
-            out.push_str(&format!("disk={}:{}\n", disk, list.join(",")));
-        }
-        for (id, crc) in &m.checksums {
-            out.push_str(&format!("crc={id}:{crc:08x}\n"));
-        }
-        out
-    }
 
     /// Decode a sidecar, or say precisely why it cannot be trusted —
     /// torn/truncated files and unknown versions must surface a clean
@@ -186,22 +171,9 @@ mod sidecar {
     }
 }
 
-fn meta_dir(store: &Path) -> PathBuf {
-    store.join("metadata")
-}
-
-fn meta_path(store: &Path, name: &str) -> PathBuf {
-    // File names may contain '/', which must not escape the sidecar dir.
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in name.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    meta_dir(store).join(format!("{h:016x}.meta"))
-}
-
-/// Open the store and restore all persisted metadata, owned by a fresh
-/// session identity.
+/// Open the store — blocks under `DIR/disk-*`, metadata recovered from
+/// the metastore's logs under `DIR/meta` — and import any legacy
+/// sidecars, all owned by a fresh session identity.
 fn open_store(store: &Path) -> (System, Client) {
     if !store.join("speeds").exists() {
         die(&format!(
@@ -210,54 +182,62 @@ fn open_store(store: &Path) -> (System, Client) {
             store.display()
         ));
     }
-    let text = std::fs::read_to_string(store.join("speeds")).unwrap_or_default();
-    let speeds: Vec<f64> = text
-        .split_whitespace()
-        .filter_map(|t| t.parse().ok())
-        .collect();
-    let backend = FileBackend::open(store, speeds).unwrap_or_else(|e| die(&e.to_string()));
-    let system = System::with_backend(
+    let backend = FileBackend::reopen(store).unwrap_or_else(|e| die(&e.to_string()));
+    let system = System::try_with_backend(
         Box::new(backend),
         SystemConfig {
             block_bytes: 256 << 10,
+            metastore: MetastoreConfig {
+                dir: Some(store.join("meta")),
+                ..Default::default()
+            },
             ..Default::default()
         },
-    );
+    )
+    .unwrap_or_else(|e| die(&e.to_string()));
     let me = system.register_user();
-    if let Ok(entries) = std::fs::read_dir(meta_dir(store)) {
-        for entry in entries.filter_map(|e| e.ok()) {
-            if let Ok(text) = std::fs::read_to_string(entry.path()) {
-                // A sidecar that cannot be trusted is skipped loudly:
-                // the file's blocks stay on disk, the namespace entry is
-                // simply absent until the sidecar is repaired.
-                match sidecar::decode(&text, me) {
-                    Ok(meta) => {
-                        if let Err(e) = system.import_meta(meta) {
-                            eprintln!(
-                                "warning: could not restore metadata from {}: {e}",
-                                entry.path().display()
-                            );
-                        }
-                    }
-                    Err(why) => eprintln!(
-                        "warning: skipping sidecar {}: {why}",
-                        entry.path().display()
-                    ),
-                }
-            }
-        }
-    }
+    import_sidecars(store, &system, me);
     let client = Client::connect(&system, me);
     (system, client)
 }
 
-fn persist_meta(store: &Path, system: &System, name: &str) {
-    let meta = system
-        .export_meta(name)
-        .unwrap_or_else(|| die("metadata vanished after write"));
-    std::fs::create_dir_all(meta_dir(store)).ok();
-    std::fs::write(meta_path(store, name), sidecar::encode(&meta))
-        .unwrap_or_else(|e| die(&format!("cannot persist metadata: {e}")));
+/// One-shot migration of `DIR/metadata/*.meta`. A sidecar is removed
+/// only once its content is in the metastore — imported now, or already
+/// there because the metastore holds a committed entry under that name,
+/// which is newer than any sidecar. A sidecar that cannot be removed
+/// stops the command: left behind, it could resurrect a name a later
+/// `rm` deletes. A sidecar that cannot be trusted stays in place and
+/// warns on every open: the file's blocks stay on disk, its name is
+/// absent until the sidecar is repaired.
+fn import_sidecars(store: &Path, system: &System, owner: u64) {
+    let Ok(entries) = std::fs::read_dir(store.join("metadata")) else {
+        return;
+    };
+    let sidecars = entries
+        .filter_map(|e| e.ok())
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "meta"));
+    for path in sidecars {
+        let meta = std::fs::read_to_string(&path)
+            .map_err(|e| e.to_string())
+            .and_then(|text| sidecar::decode(&text, owner));
+        let imported = match meta {
+            Err(why) => Err(format!("skipping sidecar {}: {why}", path.display())),
+            Ok(meta) if system.export_meta(&meta.name).is_some() => Ok(()),
+            Ok(meta) => system
+                .import_meta(meta)
+                .map_err(|e| format!("could not import sidecar {}: {e}", path.display())),
+        };
+        match imported {
+            Ok(()) => std::fs::remove_file(&path).unwrap_or_else(|e| {
+                die(&format!(
+                    "sidecar {} is imported but cannot be removed: {e}",
+                    path.display()
+                ))
+            }),
+            Err(warning) => eprintln!("warning: {warning}"),
+        }
+    }
 }
 
 fn main() {
@@ -298,7 +278,6 @@ fn main() {
                 .map(|d| 10e6 * spread.powf(d as f64 / (disks.max(2) - 1) as f64))
                 .collect();
             FileBackend::open(&store, speeds).unwrap_or_else(|e| die(&e.to_string()));
-            std::fs::create_dir_all(meta_dir(&store)).ok();
             println!(
                 "initialised store at {} with {disks} disks",
                 store.display()
@@ -311,7 +290,7 @@ fn main() {
                 .and_then(|v| v.parse().ok())
                 .unwrap_or(3.0);
             let data = std::fs::read(src).unwrap_or_else(|e| die(&format!("read {src}: {e}")));
-            let (system, client) = open_store(&store);
+            let (_system, client) = open_store(&store);
             let mut h = client
                 .open(
                     &name,
@@ -323,7 +302,6 @@ fn main() {
                 .write(&mut h, &data)
                 .unwrap_or_else(|e| die(&e.to_string()));
             client.close(h).unwrap_or_else(|e| die(&e.to_string()));
-            persist_meta(&store, &system, &name);
             println!(
                 "stored {name}: {} bytes as {} coded blocks on {} disks ({:.0}% redundancy)",
                 data.len(),
@@ -344,11 +322,6 @@ fn main() {
                 .unwrap_or_else(|e| die(&e.to_string()));
             client.close(h).unwrap_or_else(|e| die(&e.to_string()));
             std::fs::write(&out, &data).unwrap_or_else(|e| die(&format!("write {out}: {e}")));
-            if rr.blocks_repaired > 0 {
-                // Read-repair may have committed a new layout; keep the
-                // sidecar in step with it.
-                persist_meta(&store, &_system, name);
-            }
             println!(
                 "retrieved {name} -> {out} ({} bytes from {} blocks, {} left unread)",
                 data.len(),
@@ -363,7 +336,6 @@ fn main() {
             let name = rest.get(1).unwrap_or_else(|| usage());
             let (_system, client) = open_store(&store);
             client.delete(name).unwrap_or_else(|e| die(&e.to_string()));
-            std::fs::remove_file(meta_path(&store, name)).ok();
             println!("removed {name}");
         }
         "ls" => {
@@ -373,7 +345,7 @@ fn main() {
             }
         }
         "scrub" => {
-            let (system, client) = open_store(&store);
+            let (_system, client) = open_store(&store);
             let print_report = |r: &ScrubReport| {
                 println!(
                     "{}: {}/{} blocks stored ({} verified, {} unverified, \
@@ -392,13 +364,11 @@ fn main() {
             match rest.get(1).filter(|a| !a.starts_with("--")) {
                 Some(name) => {
                     let r = client.scrub(name).unwrap_or_else(|e| die(&e.to_string()));
-                    persist_meta(&store, &system, name);
                     print_report(&r);
                 }
                 None => {
                     let sweep = Scrubber::new(&client).sweep();
                     for r in &sweep.scrubbed {
-                        persist_meta(&store, &system, &r.file);
                         print_report(r);
                     }
                     for (name, e) in &sweep.failed {

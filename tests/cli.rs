@@ -1,8 +1,12 @@
 //! End-to-end tests of the `robustore` CLI binary: a durable store
 //! exercised across separate process invocations.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
+
+use robustore::core::{
+    AccessMode, Client, FileBackend, FileMeta, QosOptions, System, SystemConfig,
+};
 
 fn bin() -> &'static str {
     env!("CARGO_BIN_EXE_robustore")
@@ -22,14 +26,108 @@ fn temp_dir(tag: &str) -> PathBuf {
     p
 }
 
-fn run(args: &[&str]) -> (bool, String) {
+/// Run the CLI; returns its exit code (`None` if killed by a signal) and
+/// its stdout followed by its stderr.
+fn run_code(args: &[&str]) -> (Option<i32>, String) {
     let out = Command::new(bin()).args(args).output().expect("spawn CLI");
     let text = format!(
         "{}{}",
         String::from_utf8_lossy(&out.stdout),
         String::from_utf8_lossy(&out.stderr)
     );
-    (out.status.success(), text)
+    (out.status.code(), text)
+}
+
+fn run(args: &[&str]) -> (bool, String) {
+    let (code, text) = run_code(args);
+    (code == Some(0), text)
+}
+
+/// `get name` into `dst`; the bytes on success, the CLI output on failure.
+fn get(store: &str, name: &str, dst: &Path) -> Result<Vec<u8>, String> {
+    match run(&[
+        "--store",
+        store,
+        "get",
+        name,
+        "--out",
+        dst.to_str().unwrap(),
+    ]) {
+        (true, _) => Ok(std::fs::read(dst).unwrap()),
+        (false, out) => Err(out),
+    }
+}
+
+/// A legacy sidecar as earlier versions of the CLI wrote it: v3 carries
+/// `crc=` lines, v2 has none.
+fn sidecar_text(m: &FileMeta, v3: bool) -> String {
+    let mut out = format!("robustore-meta-v{}\n", if v3 { 3 } else { 2 });
+    out.push_str(&format!("name={}\n", m.name));
+    out.push_str(&format!("file_id={}\n", m.file_id));
+    out.push_str(&format!("size_bytes={}\n", m.size_bytes));
+    out.push_str(&format!("k={}\n", m.coding.k));
+    out.push_str(&format!("n={}\n", m.coding.n));
+    out.push_str(&format!("block_bytes={}\n", m.coding.block_bytes));
+    out.push_str(&format!("lt_c={}\n", m.coding.params.c));
+    out.push_str(&format!("lt_delta={}\n", m.coding.params.delta));
+    out.push_str(&format!("seed={}\n", m.coding.seed));
+    out.push_str(&format!("version={}\n", m.version));
+    let odd: Vec<String> = m.odd_keys.iter().map(|i| i.to_string()).collect();
+    out.push_str(&format!("odd={}\n", odd.join(",")));
+    for (disk, ids) in &m.layout {
+        let list: Vec<String> = ids.iter().map(|i| i.to_string()).collect();
+        out.push_str(&format!("disk={}:{}\n", disk, list.join(",")));
+    }
+    if v3 {
+        for (id, crc) in &m.checksums {
+            out.push_str(&format!("crc={id}:{crc:08x}\n"));
+        }
+    }
+    out
+}
+
+/// A store as earlier versions of the CLI left it: `init --disks 6`'s
+/// speeds, the files' coded blocks under `disk-*`, and one sidecar per
+/// file under `metadata/` — no metastore. Returns each file's sidecar
+/// path.
+fn legacy_store(store: &Path, files: &[(&str, &[u8])], v3: bool) -> Vec<PathBuf> {
+    let speeds = (0..6).map(|d| 10e6 * 4f64.powf(d as f64 / 5.0)).collect();
+    let system = System::with_backend(
+        Box::new(FileBackend::open(store, speeds).unwrap()),
+        SystemConfig {
+            block_bytes: 256 << 10,
+            ..Default::default()
+        },
+    );
+    let client = Client::connect(&system, system.register_user());
+    let meta_dir = store.join("metadata");
+    std::fs::create_dir_all(&meta_dir).unwrap();
+    files
+        .iter()
+        .map(|(name, data)| {
+            let mut h = client
+                .open(
+                    name,
+                    AccessMode::Write,
+                    QosOptions::best_effort().with_redundancy(3.0),
+                )
+                .unwrap();
+            client.write(&mut h, data).unwrap();
+            client.close(h).unwrap();
+            let path = meta_dir.join(format!("{name}.meta"));
+            let text = sidecar_text(&system.export_meta(name).unwrap(), v3);
+            std::fs::write(&path, text).unwrap();
+            path
+        })
+        .collect()
+}
+
+fn sidecars_left(store: &Path) -> usize {
+    std::fs::read_dir(store.join("metadata"))
+        .unwrap()
+        .filter_map(|e| e.ok())
+        .filter(|e| e.path().extension().is_some_and(|x| x == "meta"))
+        .count()
 }
 
 #[test]
@@ -88,6 +186,10 @@ fn full_lifecycle_across_invocations() {
     let (ok, out) = run(&["--store", store_s, "ls"]);
     assert!(ok && !out.contains("proj/payload"), "{out}");
 
+    // Metadata lives in the metastore's logs; nothing writes sidecars.
+    assert!(store.join("meta").join("shard-0").is_dir());
+    assert!(!store.join("metadata").exists());
+
     std::fs::remove_dir_all(dir).ok();
 }
 
@@ -134,78 +236,37 @@ fn get_survives_losing_disks_up_to_redundancy() {
 
 #[test]
 fn v2_sidecars_without_checksums_still_read_and_scrub_upgrades_them() {
-    // Forward-compat: a store written before sidecar v3 has no `crc`
-    // lines. Reads must still work (blocks are just unverified), and one
-    // `scrub` pass must rewrite the sidecar as v3 with a full digest map.
+    // A store written before sidecar v3 has no `crc` lines. Its first
+    // open imports the sidecar into the metastore; the blocks read fine
+    // but unverified, one scrub adds every digest, and a second scrub
+    // finds nothing left to add.
     let dir = temp_dir("v2compat");
     let store = dir.join("store");
     let store_s = store.to_str().unwrap();
-    run(&["--store", store_s, "init", "--disks", "6"]);
-
     let payload: Vec<u8> = (0..300_000u32).map(|i| (i % 241) as u8).collect();
-    let src = dir.join("p.bin");
-    std::fs::write(&src, &payload).unwrap();
-    let (ok, out) = run(&[
-        "--store",
-        store_s,
-        "put",
-        src.to_str().unwrap(),
-        "--name",
-        "old",
-    ]);
-    assert!(ok, "{out}");
-
-    // Downgrade the sidecar to v2 by hand: drop the crc lines and the
-    // header version, exactly what a pre-checksum binary wrote.
-    let meta_dir = store.join("metadata");
-    let sidecar = std::fs::read_dir(&meta_dir)
+    let sidecar = legacy_store(&store, &[("old", &payload)], false).remove(0);
+    assert!(std::fs::read_to_string(&sidecar)
         .unwrap()
-        .filter_map(|e| e.ok())
-        .find(|e| e.path().extension().is_some_and(|x| x == "meta"))
-        .unwrap()
-        .path();
-    let v3 = std::fs::read_to_string(&sidecar).unwrap();
-    assert!(v3.starts_with("robustore-meta-v3"), "{v3}");
-    assert!(v3.contains("\ncrc="), "{v3}");
-    let v2: String = v3
-        .replace("robustore-meta-v3", "robustore-meta-v2")
-        .lines()
-        .filter(|l| !l.starts_with("crc="))
-        .map(|l| format!("{l}\n"))
-        .collect();
-    std::fs::write(&sidecar, v2).unwrap();
+        .starts_with("robustore-meta-v2"));
 
-    // A fresh process reads the v2 store fine.
     let dst = dir.join("old.out");
-    let (ok, out) = run(&[
-        "--store",
-        store_s,
-        "get",
-        "old",
-        "--out",
-        dst.to_str().unwrap(),
-    ]);
-    assert!(ok, "v2 get failed: {out}");
-    assert_eq!(std::fs::read(&dst).unwrap(), payload);
+    assert_eq!(get(store_s, "old", &dst).unwrap(), payload);
+    assert!(!sidecar.exists(), "an imported sidecar is removed");
 
-    // Scrub upgrades: sidecar is v3 again, with one digest per stored
-    // block, and the file still round-trips.
     let (ok, out) = run(&["--store", store_s, "scrub"]);
     assert!(ok, "scrub failed: {out}");
-    assert!(out.contains("checksums"), "{out}");
-    let upgraded = std::fs::read_to_string(&sidecar).unwrap();
-    assert!(upgraded.starts_with("robustore-meta-v3"), "{upgraded}");
-    assert!(upgraded.contains("\ncrc="), "{upgraded}");
-    let (ok, out) = run(&[
-        "--store",
-        store_s,
-        "get",
-        "old",
-        "--out",
-        dst.to_str().unwrap(),
-    ]);
+    assert!(
+        !out.contains(" 0 unverified"),
+        "v2 blocks unverified: {out}"
+    );
+    assert!(!out.contains("+0 checksums"), "{out}");
+    let (ok, out) = run(&["--store", store_s, "scrub"]);
     assert!(ok, "{out}");
-    assert_eq!(std::fs::read(&dst).unwrap(), payload);
+    assert!(
+        out.contains(" 0 unverified") && out.contains("+0 checksums"),
+        "the first scrub's digests persist: {out}"
+    );
+    assert_eq!(get(store_s, "old", &dst).unwrap(), payload);
 
     std::fs::remove_dir_all(dir).ok();
 }
@@ -287,44 +348,67 @@ fn unknown_command_and_missing_store_fail_cleanly() {
 }
 
 #[test]
+fn damaged_store_files_fail_cleanly_not_panic() {
+    // Outside input on the open path — the store's own `speeds` file and
+    // its metadata replica directories — is an error message and exit 1,
+    // never a panic.
+    type Damage = fn(&Path);
+    let cases: [(&str, Damage, &str); 3] = [
+        (
+            "empty speeds",
+            |s| std::fs::write(s.join("speeds"), "").unwrap(),
+            "no disks listed",
+        ),
+        (
+            "zero speed",
+            |s| std::fs::write(s.join("speeds"), "10000000\n0\n").unwrap(),
+            "not a positive bandwidth",
+        ),
+        (
+            "two of three replicas unopenable",
+            |s| {
+                for r in 0..2 {
+                    let replica = s.join("meta").join("shard-0").join(format!("replica-{r}"));
+                    std::fs::remove_dir_all(&replica).unwrap();
+                    std::fs::write(&replica, "not a directory").unwrap();
+                }
+            },
+            "replica-",
+        ),
+    ];
+    let dir = temp_dir("damaged");
+    let src = dir.join("p.bin");
+    std::fs::write(&src, vec![0x11u8; 50_000]).unwrap();
+    for (i, (what, damage, why)) in cases.into_iter().enumerate() {
+        let store = dir.join(format!("store-{i}"));
+        let store_s = store.to_str().unwrap();
+        let (ok, out) = run(&["--store", store_s, "init", "--disks", "4"]);
+        assert!(ok, "{out}");
+        let (ok, out) = run(&["--store", store_s, "put", src.to_str().unwrap()]);
+        assert!(ok, "{out}");
+        damage(&store);
+        let (code, out) = run_code(&["--store", store_s, "ls"]);
+        assert_eq!(code, Some(1), "{what}: {out}");
+        assert!(out.contains("error:") && out.contains(why), "{what}: {out}");
+        assert!(!out.contains("panicked"), "{what}: {out}");
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn torn_and_legacy_sidecars_surface_clean_errors_not_panics() {
-    // Forward-compat under truncation: whatever state a crash or an old
-    // binary leaves a sidecar in — v1 header, half a header, a file cut
-    // mid-line, a missing field, an empty file — the store must open,
-    // warn precisely, keep serving the healthy files, and fail the
-    // damaged file's reads cleanly. Never a panic, never a silently
-    // empty meta.
+    // Whatever state a crash or an old binary left a sidecar in — v1
+    // header, half a header, a future version, a missing field, a file
+    // cut mid-line, an empty file — the store must open, warn precisely
+    // on every open, keep serving the healthy files, and never import the
+    // damaged one. Never a panic, never a silently empty meta.
     let dir = temp_dir("torn");
     let store = dir.join("store");
     let store_s = store.to_str().unwrap();
-    run(&["--store", store_s, "init", "--disks", "6"]);
-
     let payload = vec![0x3Cu8; 200_000];
-    let src = dir.join("p.bin");
-    std::fs::write(&src, &payload).unwrap();
-    for name in ["good", "victim"] {
-        let (ok, out) = run(&[
-            "--store",
-            store_s,
-            "put",
-            src.to_str().unwrap(),
-            "--name",
-            name,
-        ]);
-        assert!(ok, "{out}");
-    }
-
-    // Find the victim's sidecar by content (paths are name-hashed).
-    let sidecar = std::fs::read_dir(store.join("metadata"))
-        .unwrap()
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .find(|p| {
-            p.extension().is_some_and(|x| x == "meta")
-                && std::fs::read_to_string(p).is_ok_and(|t| t.contains("name=victim"))
-        })
-        .unwrap();
-    let pristine = std::fs::read_to_string(&sidecar).unwrap();
+    let sidecars = legacy_store(&store, &[("good", &payload), ("victim", &payload)], true);
+    let sidecar = &sidecars[1];
+    let pristine = std::fs::read_to_string(sidecar).unwrap();
     assert!(pristine.starts_with("robustore-meta-v3"), "{pristine}");
 
     let v2: String = pristine
@@ -364,65 +448,86 @@ fn torn_and_legacy_sidecars_surface_clean_errors_not_panics() {
         (String::new(), "empty sidecar"),
     ];
 
+    let warning = |out: &str, why: &str| {
+        out.lines()
+            .find(|l| l.starts_with("warning: skipping sidecar") && l.contains(why))
+            .map(str::to_string)
+    };
     for (bytes, why) in cases {
-        std::fs::write(&sidecar, &bytes).unwrap();
+        std::fs::write(sidecar, &bytes).unwrap();
 
         // The store opens, warns about the one bad sidecar, and still
         // lists the healthy file.
         let (ok, out) = run(&["--store", store_s, "ls"]);
         assert!(ok, "ls must survive a bad sidecar ({why}): {out}");
         assert!(!out.contains("panicked"), "panic leaked ({why}): {out}");
-        assert!(
-            out.contains("warning: skipping sidecar") && out.contains(why),
-            "expected a warning naming {why:?}: {out}"
-        );
-        assert!(out.contains("good"), "healthy file vanished ({why}): {out}");
-        assert!(
-            !out.contains("victim"),
-            "untrusted meta served ({why}): {out}"
-        );
+        let first = warning(&out, why)
+            .unwrap_or_else(|| panic!("expected a warning naming {why:?}: {out}"));
+        let listed = |name: &str| out.lines().any(|l| l == name);
+        assert!(listed("good"), "healthy file vanished ({why}): {out}");
+        assert!(!listed("victim"), "untrusted meta served ({why}): {out}");
 
-        // Reading the damaged file fails cleanly in a fresh process.
-        let dst = dir.join("v.out");
+        // Reading the damaged file fails cleanly in a fresh process, which
+        // warns again with the same text: nothing was imported.
         let (ok, out) = run(&[
             "--store",
             store_s,
             "get",
             "victim",
             "--out",
-            dst.to_str().unwrap(),
+            dir.join("v.out").to_str().unwrap(),
         ]);
         assert!(!ok, "get of a torn-sidecar file must fail ({why}): {out}");
         assert!(!out.contains("panicked"), "panic leaked ({why}): {out}");
+        assert_eq!(warning(&out, why).as_ref(), Some(&first), "({why})");
+        assert!(sidecar.exists(), "an untrusted sidecar stays ({why})");
 
         // The healthy file still round-trips bit-exact.
-        let dst = dir.join("g.out");
-        let (ok, out) = run(&[
-            "--store",
-            store_s,
-            "get",
-            "good",
-            "--out",
-            dst.to_str().unwrap(),
-        ]);
-        assert!(ok, "healthy get failed ({why}): {out}");
-        assert_eq!(std::fs::read(&dst).unwrap(), payload, "({why})");
+        let got = get(store_s, "good", &dir.join("g.out"));
+        assert_eq!(got.as_ref(), Ok(&payload), "({why})");
     }
 
     // Restoring the pristine sidecar restores the file: the damage was
-    // never destructive, only distrusted.
-    std::fs::write(&sidecar, &pristine).unwrap();
-    let dst = dir.join("v.out");
+    // never destructive, only distrusted. Its import empties `metadata/`.
+    std::fs::write(sidecar, &pristine).unwrap();
+    let got = get(store_s, "victim", &dir.join("v.out"));
+    assert_eq!(got.as_ref(), Ok(&payload), "restored sidecar must serve");
+    assert_eq!(sidecars_left(&store), 0);
+    let got = get(store_s, "victim", &dir.join("v.out"));
+    assert_eq!(got.as_ref(), Ok(&payload), "served from the metastore");
+
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn stale_sidecar_loses_to_the_metastore() {
+    // A name the metastore already holds was committed after any sidecar
+    // for it: the sidecar is deleted unread, and the metastore's bytes
+    // are served — even though the sidecar still decodes.
+    let dir = temp_dir("stale");
+    let store = dir.join("store");
+    let store_s = store.to_str().unwrap();
+    let old = vec![0x01u8; 150_000];
+    let sidecar = legacy_store(&store, &[("doc", &old)], true).remove(0);
+    let stale = std::fs::read_to_string(&sidecar).unwrap();
+
+    let new: Vec<u8> = (0..180_000u32).map(|i| (i % 239) as u8).collect();
+    let src = dir.join("new.bin");
+    std::fs::write(&src, &new).unwrap();
     let (ok, out) = run(&[
         "--store",
         store_s,
-        "get",
-        "victim",
-        "--out",
-        dst.to_str().unwrap(),
+        "put",
+        src.to_str().unwrap(),
+        "--name",
+        "doc",
     ]);
-    assert!(ok, "restored sidecar must serve again: {out}");
-    assert_eq!(std::fs::read(&dst).unwrap(), payload);
+    assert!(ok, "{out}");
+    assert!(!sidecar.exists(), "imported on open, before the put");
+
+    std::fs::write(&sidecar, &stale).unwrap();
+    assert_eq!(get(store_s, "doc", &dir.join("d.out")).unwrap(), new);
+    assert!(!sidecar.exists(), "the stale sidecar is deleted");
 
     std::fs::remove_dir_all(dir).ok();
 }

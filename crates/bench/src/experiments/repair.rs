@@ -15,9 +15,8 @@
 //!   foreground ring priority with no throttle: every scrub read and
 //!   restore write interleaves FIFO with user I/O.
 //! * `ratelimited` — the same loop through [`RepairService`]: background
-//!   ring priority (serviced only when no foreground op is queued), a
-//!   token-bucket byte budget charged before every submission, and
-//!   load-aware re-placement.
+//!   ring priority (serviced only when no foreground op is queued) and a
+//!   token-bucket byte budget charged before every submission.
 //!
 //! Foreground p99 per variant lands in `BENCH_repair.json`
 //! ([`crate::SectionRow`]), alongside repair throughput, bytes charged, and
@@ -183,7 +182,7 @@ pub fn repair(trials: u64) -> String {
                         // opens files for writing to commit layouts.
                         let rc = Client::connect(&sys, client.identity());
                         let service = match mode {
-                            Mode::Eager => RepairService::new(rc).eager().load_aware(false),
+                            Mode::Eager => RepairService::new(rc).eager(),
                             _ => RepairService::new(rc).with_rate(rl_rate, rl_burst),
                         };
                         let mut side = RepairSide::default();

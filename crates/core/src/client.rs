@@ -851,87 +851,56 @@ impl Client {
         // instead of convoying on the same shard. Per-slot id order is
         // unchanged, so the committed layout depends on neither the
         // interleaving nor the rotation.
-        let slots = meta.layout.len();
-        let rot = (file_id as usize) % slots.max(1);
-        let jobs = disk_interleaved(&meta.layout, rot);
+        let jobs = disk_interleaved(&meta.layout, file_id as usize);
         let job_ids: Vec<u32> = jobs.iter().map(|&(_, coded)| coded).collect();
 
         {
             // Writes the commit protocol must undo if this access aborts.
             let mut written: Vec<(usize, u64)> = Vec::new();
-            // Blocks a disk refused, with their encoded bytes and the
-            // rank of their slot in the rotation — redirected below
-            // without re-encoding. Rateless writing routes around refusing
-            // disks (§4.1.1); anything worse aborts the access.
-            let mut displaced: Vec<(usize, u32, Block)> = Vec::new();
+            // Blocks a disk refused, with their encoded bytes — relocated
+            // below without re-encoding. Rateless writing routes around
+            // refusing disks (§4.1.1); anything worse aborts the access.
+            let mut displaced: BTreeMap<u32, (Option<usize>, Block)> = BTreeMap::new();
+            let key_of = |coded: u32| gen_key(file_id, coded, new_odd.contains(&coded));
             let checksums = self.encode_and_write(
                 &code,
                 blocks,
                 &job_ids,
                 &|idx| {
                     let (disk, coded) = jobs[idx];
-                    (disk, gen_key(file_id, coded, new_odd.contains(&coded)))
+                    (disk, key_of(coded))
                 },
                 &mut written,
                 &mut |idx, _refusal, data| {
                     let (disk, coded) = jobs[idx];
-                    let slot = disks.iter().position(|&d| d == disk).unwrap_or(0);
-                    displaced.push(((slot + slots - rot) % slots, coded, data));
+                    displaced.insert(coded, (Some(disk), data));
                     Ok(())
                 },
             )?;
             if !displaced.is_empty() {
-                // Re-home slot by slot in rotation order (stable: each
-                // slot's refusals arrived in slot order), so every
-                // displaced id lands where a slot-by-slot walk sends it.
-                displaced.sort_by_key(|&(rank, ..)| rank);
                 // Each layout slot keeps the ids that landed; the refused
-                // ones are re-homed on the disks that took their writes.
-                let moved: HashSet<u32> = displaced.iter().map(|&(_, coded, _)| coded).collect();
+                // ones move to the disks that took writes, and the access
+                // fails if any finds no disk.
                 for (_, ids) in meta.layout.iter_mut() {
-                    ids.retain(|id| !moved.contains(id));
+                    ids.retain(|id| !displaced.contains_key(id));
                 }
-                let healthy: Vec<usize> = meta
+                let landed: Vec<usize> = meta
                     .layout
                     .iter()
-                    .enumerate()
-                    .filter(|(_, (_, ids))| !ids.is_empty())
-                    .map(|(slot, _)| slot)
+                    .filter(|(_, ids)| !ids.is_empty())
+                    .map(|(disk, _)| *disk)
                     .collect();
-                if healthy.is_empty() {
+                let unplaced = self.relocate(
+                    &mut meta.layout,
+                    displaced,
+                    &key_of,
+                    &landed,
+                    Priority::Foreground,
+                    &mut written,
+                );
+                if unplaced > 0 {
                     delete_written(backend, &written);
                     return Err(StoreError::InsufficientDisks { got: 0, need: 1 });
-                }
-                for (i, (_, coded, data)) in displaced.into_iter().enumerate() {
-                    // Round-robin over the healthy disks, reusing the
-                    // already-encoded bytes — a refusal hands the buffer
-                    // back, so it just moves on to the next candidate.
-                    let key = gen_key(file_id, coded, new_odd.contains(&coded));
-                    let mut data = data;
-                    let mut placed = false;
-                    for attempt in 0..healthy.len() {
-                        let slot = healthy[(i + attempt) % healthy.len()];
-                        let disk = meta.layout[slot].0;
-                        match backend.write_block(disk, key, data) {
-                            Ok(()) => {
-                                meta.layout[slot].1.push(coded);
-                                written.push((disk, key));
-                                placed = true;
-                                break;
-                            }
-                            Err(rw) => match rw.error {
-                                StoreError::MissingBlock { .. } => data = rw.data,
-                                e => {
-                                    delete_written(backend, &written);
-                                    return Err(e);
-                                }
-                            },
-                        }
-                    }
-                    if !placed {
-                        delete_written(backend, &written);
-                        return Err(StoreError::InsufficientDisks { got: 0, need: 1 });
-                    }
                 }
             }
             meta.checksums = checksums;
@@ -1309,25 +1278,17 @@ impl Client {
                     st.retries += retries;
                     match result {
                         Ok(()) => {
-                            // Integrity gate: a block that fails its
-                            // recorded digest — or arrives short (torn
-                            // read) — is silent corruption, demoted to
-                            // missing. Digest-less blocks (pre-checksum
-                            // metadata) pass, counted as unverified.
-                            let accepted = if buf.len() != block_len {
-                                st.corrupt += 1;
-                                false
-                            } else {
-                                match st.meta.checksums.get(&coded) {
-                                    Some(&want) if crc32c(&buf) != want => {
-                                        st.corrupt += 1;
-                                        false
-                                    }
-                                    Some(_) => true,
-                                    None => {
-                                        st.unverified += 1;
-                                        true
-                                    }
+                            // Integrity gate: silent corruption is demoted
+                            // to missing; digest-less blocks pass, counted.
+                            let accepted = match check_block(st.meta, coded, &buf, block_len) {
+                                BlockCheck::Verified => true,
+                                BlockCheck::Unverified => {
+                                    st.unverified += 1;
+                                    true
+                                }
+                                BlockCheck::Corrupt => {
+                                    st.corrupt += 1;
+                                    false
                                 }
                             };
                             if accepted {
@@ -1526,7 +1487,7 @@ impl Client {
                                 && !bad.is_empty()
                             {
                                 let code = codes[si].as_ref().expect("state implies planned code");
-                                self.try_read_repair(meta, code, &blocks, &bad, &good, pool)
+                                self.try_read_repair(meta, code, &blocks, bad, &good, pool)
                             } else {
                                 0
                             };
@@ -1607,39 +1568,17 @@ impl Client {
         }
     }
 
-    /// Best-effort read-repair. Re-encodes the coded blocks a read found
-    /// missing or corrupt and re-places them:
-    ///
-    /// - **In place** (same disk, same key) whenever the home disk takes
-    ///   the write — coded bytes are a deterministic function of content
-    ///   and the key parity is per-id, so the rewrite is idempotent and
-    ///   needs no metadata change.
-    /// - **Relocated** to another layout disk when the home refuses. A
-    ///   relocation moves the id in the layout, which needs a metadata
-    ///   commit — taken only if this reader can upgrade its reader lock
-    ///   (i.e. it is the sole reader; `update` holds the writer lock so
-    ///   it can never race this commit). Otherwise relocations roll back.
+    /// Best-effort read-repair: [`Client::restore`] the damage a read
+    /// found. Ids rewritten in place need no metadata change; a layout
+    /// that moved is committed only if this reader can upgrade its reader
+    /// lock (it is the sole reader; `update` holds the writer lock so it
+    /// can never race this commit). Otherwise the relocations roll back.
     ///
     /// The repair set is **canonical**: which damaged blocks a read
     /// *encounters* before its decoder completes depends on the wave
-    /// schedule's prefix (adaptive scheduling reorders it under load), so
-    /// repairing only the encountered set would make committed state
-    /// arrival-order-sensitive. Once any damage is seen, every stored id
-    /// the read did not itself verify is audited (read + checksum, or
-    /// compared against a re-encode for digest-less legacy blocks) and
-    /// the full damage set is repaired — byte-identical committed state
-    /// whatever prefix the read happened to fetch.
-    ///
-    /// Both passes run on the ring like every other block I/O, fanned out
-    /// across the layout's disks (`disk_interleaved`) through bounded
-    /// in-order windows at foreground priority: the audit reads into
-    /// scratch drawn from the read's `pool` and checks each block in tag
-    /// order; the in-place rewrites follow in the same interleaved order
-    /// (each disk takes its damaged ids in id order). A hard fault gives
-    /// up on that block only; a refusal hands the bytes back for
-    /// relocation, done serially in id order afterwards — relocations are
-    /// rare. If a ring worker is lost mid-audit the damage set is
-    /// incomplete, so nothing is repaired.
+    /// schedule's prefix, so `restore` audits every stored id the read did
+    /// not itself verify — the committed state is byte-identical whatever
+    /// prefix the read fetched.
     ///
     /// Returns the number of blocks restored. Never fails the read.
     fn try_read_repair(
@@ -1647,159 +1586,245 @@ impl Client {
         meta: &FileMeta,
         code: &LtCode,
         blocks: &[Block],
-        bad: &BTreeSet<u32>,
+        bad: BTreeSet<u32>,
         good: &BTreeSet<u32>,
         pool: &mut BlockPool,
     ) -> usize {
-        let ring = &self.system.inner.ring;
+        let opts = ScrubOptions::default();
+        let Ok(r) = self.restore(meta, code, blocks, good, bad, pool, &opts) else {
+            return 0; // a lost worker cut the audit short
+        };
+        if r.layout == meta.layout {
+            return r.in_place;
+        }
+        let mut meta_srv = self.system.inner.meta.lock();
+        let mut committed = false;
+        if meta_srv.try_upgrade(&meta.name) {
+            let mut new_meta = meta.clone();
+            new_meta.version += 1;
+            new_meta.layout = r.layout;
+            committed = meta_srv.commit(new_meta).is_ok();
+            meta_srv.downgrade(&meta.name);
+        }
+        drop(meta_srv);
         let backend = &self.system.inner.backend;
+        if committed {
+            delete_written(backend, &r.stale);
+            r.in_place + r.relocated.len()
+        } else {
+            delete_written(backend, &r.relocated);
+            r.in_place
+        }
+    }
+
+    /// Put a file's damaged blocks back — the one restore path behind
+    /// read-repair and scrub; its last step, [`Client::relocate`], is also
+    /// a write's re-homing. An id in `damaged` has the disk of its layout
+    /// slot as its home, or no home if the layout does not store it.
+    ///
+    /// 1. **Audit** every stored id neither `good` nor `damaged` (a scrub
+    ///    has classified them all); a failure joins the damage.
+    /// 2. **Rewrite in place**: re-encode each damaged id from `blocks` and
+    ///    rewrite it at its home under its committed key. Coded bytes are
+    ///    a deterministic function of content, so this needs no metadata
+    ///    change.
+    /// 3. **Relocate** what the home refused, and the homeless ids.
+    ///
+    /// The audit and the rewrites each run through one bounded in-order
+    /// window on the ring, fanned out across the layout's disks
+    /// (`disk_interleaved`), in the class `opts` asks for, the throttle
+    /// charged per block before submission. A hard fault gives up on that
+    /// id, which leaves the layout. Fails only if a lost ring worker cuts
+    /// the audit short: the damage set would be incomplete.
+    #[allow(clippy::too_many_arguments)]
+    fn restore(
+        &self,
+        meta: &FileMeta,
+        code: &LtCode,
+        blocks: &[Block],
+        good: &BTreeSet<u32>,
+        mut damaged: BTreeSet<u32>,
+        pool: &mut BlockPool,
+        opts: &ScrubOptions<'_>,
+    ) -> Result<Restored, StoreError> {
         let block_len = meta.coding.block_bytes as usize;
+        let priority = repair_priority(opts);
         let window = (2 * meta.layout.len()).max(8);
         let rot = meta.file_id as usize;
-        // Audit everything the read neither verified nor already condemned.
         let audit: Vec<(usize, u32)> = disk_interleaved(&meta.layout, rot)
             .into_iter()
-            .filter(|(_, id)| !good.contains(id) && !bad.contains(id))
+            .filter(|(_, id)| !good.contains(id) && !damaged.contains(id))
             .collect();
-        let mut damage = bad.clone();
-        let audited = self.fetch_blocks(
-            meta,
-            &audit,
-            Priority::Foreground,
-            window,
-            pool,
-            || {},
-            &mut |_, id, read_ok, buf| {
-                let ok = read_ok
-                    && buf.len() == block_len
-                    && match meta.checksums.get(&id) {
-                        Some(&want) => crc32c(&buf) == want,
-                        // Legacy digest-less block: the decoded data is
-                        // ground truth, compare against the re-encode.
-                        None => buf == code.encode_block(blocks, id as usize),
-                    };
-                if !ok {
-                    damage.insert(id);
-                }
-                Some(buf)
-            },
-        );
-        if audited.is_err() {
-            return 0;
-        }
+        self.fetch_blocks(meta, &audit, window, pool, opts, &mut |id, read_ok, buf| {
+            let intact = read_ok
+                && match check_block(meta, id, &buf, block_len) {
+                    BlockCheck::Verified => true,
+                    // The decoded data is ground truth for a legacy block.
+                    BlockCheck::Unverified => buf == code.encode_block(blocks, id as usize),
+                    BlockCheck::Corrupt => false,
+                };
+            if !intact {
+                damaged.insert(id);
+            }
+            Some(buf)
+        })?;
 
-        // Rewrite the damage in place; collect what the home disks refuse.
-        let rewrites = disk_interleaved(&layout_subset(&meta.layout, &damage), rot);
-        let mut repaired = 0usize;
-        // id → (home disk, the bytes it handed back), in id order.
-        let mut refused: BTreeMap<u32, (usize, Block)> = BTreeMap::new();
+        let rewrites = disk_interleaved(&layout_subset(&meta.layout, &damaged), rot);
+        let mut in_place: BTreeSet<u32> = BTreeSet::new();
+        // id → (the home that refused it or none, its bytes).
+        let mut homeless: BTreeMap<u32, (Option<usize>, Block)> = BTreeMap::new();
         let mut on_write = |tag: u64, kind: CompletionKind| {
+            let (disk, id) = rewrites[tag as usize];
             match kind {
-                CompletionKind::Write(WriteOutcome::Done) => repaired += 1,
-                CompletionKind::Write(WriteOutcome::Refused { data, .. }) => {
-                    let (disk, id) = rewrites[tag as usize];
-                    refused.insert(id, (disk, data));
+                CompletionKind::Write(WriteOutcome::Done) => {
+                    in_place.insert(id);
                 }
-                _ => {} // hard failure: give up on this block
+                CompletionKind::Write(WriteOutcome::Refused { data, .. }) => {
+                    homeless.insert(id, (Some(disk), data));
+                }
+                _ => {} // hard failure: give up on this id
             }
             Ok(())
         };
         let mut put = OrderedWindow::new(
-            ring,
+            &self.system.inner.ring,
             self.system.next_access_id(),
-            Priority::Foreground,
+            priority,
             window,
         );
         let rewritten = rewrites
             .iter()
             .try_for_each(|&(disk, id)| {
-                let key = meta.block_key(id);
-                let data = code.encode_block(blocks, id as usize);
+                charge(opts, block_len);
+                let (key, data) = (meta.block_key(id), code.encode_block(blocks, id as usize));
                 put.submit(disk, SubmitOp::Write { key, data }, &mut on_write)
             })
             .and_then(|()| put.finish(&mut on_write));
         if rewritten.is_err() {
-            // A lost worker: in-place rewrites restore committed bytes, so
-            // whatever landed stays; the rest waits for the next repair.
-            for (_, kind) in put.abort() {
+            // A lost worker: what landed stays, the rest is given up.
+            for (tag, kind) in put.abort() {
                 if matches!(kind, CompletionKind::Write(WriteOutcome::Done)) {
-                    repaired += 1;
+                    in_place.insert(rewrites[tag as usize].1);
                 }
             }
-            return repaired;
         }
 
-        let mut relocations: Vec<(u32, usize, usize)> = Vec::new();
-        // Relocation writes only — rolled back if the commit is skipped.
-        let mut placed: Vec<(usize, u64)> = Vec::new();
-        for (id, (home_disk, mut data)) in refused {
-            let Some(home) = meta.layout.iter().position(|(d, _)| *d == home_disk) else {
-                continue;
-            };
-            let key = meta.block_key(id);
-            for attempt in 1..meta.layout.len() {
-                let slot = (home + attempt) % meta.layout.len();
-                let disk = meta.layout[slot].0;
-                match backend.write_block(disk, key, data) {
-                    Ok(()) => {
-                        relocations.push((id, home, slot));
-                        placed.push((disk, key));
+        let homed: BTreeSet<u32> = rewrites.iter().map(|&(_, id)| id).collect();
+        for &id in damaged.difference(&homed) {
+            charge(opts, block_len);
+            homeless.insert(id, (None, code.encode_block(blocks, id as usize)));
+        }
+        let mut layout = meta.layout.clone();
+        for (_, ids) in layout.iter_mut() {
+            ids.retain(|id| !damaged.contains(id) || in_place.contains(id));
+        }
+        let mut relocated = Vec::new();
+        let disks: Vec<usize> = (0..self.system.num_disks()).collect();
+        let key_of = |id| meta.block_key(id);
+        self.relocate(
+            &mut layout,
+            homeless,
+            &key_of,
+            &disks,
+            priority,
+            &mut relocated,
+        );
+        let stale = rewrites
+            .iter()
+            .filter(|(_, id)| !in_place.contains(id))
+            .map(|&(disk, id)| (disk, meta.block_key(id)))
+            .collect();
+        Ok(Restored {
+            layout,
+            in_place: in_place.len(),
+            relocated,
+            stale,
+        })
+    }
+
+    /// Relocation, serially in id order, one block at a time through the
+    /// ring at `priority`: each `homeless` block goes to the first of
+    /// `candidates` (its home excluded) that takes it, ordered by live ring
+    /// backlog ([`IoRing::load_map`]), then the file's block count on the
+    /// disk per `layout`, then disk id — on a quiescent ring, a pure
+    /// function of the layout. A refusal hands the bytes back for the next
+    /// candidate; a hard fault or a lost worker gives up on the id. A
+    /// placed id joins its disk's slot in `layout` (a new slot if the file
+    /// had none there) and its write joins `written`. Returns how many ids
+    /// found no disk.
+    fn relocate(
+        &self,
+        layout: &mut Vec<(usize, Vec<u32>)>,
+        homeless: BTreeMap<u32, (Option<usize>, Block)>,
+        key_of: &dyn Fn(u32) -> u64,
+        candidates: &[usize],
+        priority: Priority,
+        written: &mut Vec<(usize, u64)>,
+    ) -> usize {
+        let ring = &self.system.inner.ring;
+        let access = self.system.next_access_id();
+        let mut count = vec![0usize; self.system.num_disks()];
+        for (disk, ids) in layout.iter() {
+            count[*disk] += ids.len();
+        }
+        let mut unplaced = 0;
+        for (id, (home, mut data)) in homeless {
+            let key = key_of(id);
+            let load = ring.load_map();
+            let mut order: Vec<usize> = candidates
+                .iter()
+                .copied()
+                .filter(|&d| Some(d) != home)
+                .collect();
+            order.sort_by_key(|&d| (load.get(d).map_or(0, |l| l.backlog()), count[d], d));
+            let mut placed = None;
+            for disk in order {
+                // A channel per attempt, its sender dropped once the op is
+                // queued: a lost worker closes it instead of hanging here.
+                let (tx, rx) = std::sync::mpsc::channel();
+                let op = SubmitOp::Write { key, data };
+                ring.submit_with(disk, access, 0, op, priority, &tx);
+                drop(tx);
+                match rx.recv().map(|c| c.kind) {
+                    Ok(CompletionKind::Write(WriteOutcome::Done)) => {
+                        placed = Some(disk);
                         break;
                     }
-                    Err(rw) => match rw.error {
-                        StoreError::MissingBlock { .. } => data = rw.data,
-                        _ => break,
-                    },
-                }
-            }
-        }
-        if !relocations.is_empty() {
-            let mut meta_srv = self.system.inner.meta.lock();
-            if meta_srv.try_upgrade(&meta.name) {
-                let mut new_meta = meta.clone();
-                new_meta.version += 1;
-                for &(id, old_slot, new_slot) in &relocations {
-                    new_meta.layout[old_slot].1.retain(|&x| x != id);
-                    new_meta.layout[new_slot].1.push(id);
-                }
-                let committed = meta_srv.commit(new_meta).is_ok();
-                meta_srv.downgrade(&meta.name);
-                drop(meta_srv);
-                if committed {
-                    repaired += relocations.len();
-                    // Corrupt leftovers at the old homes are garbage now.
-                    for &(id, old_slot, _) in &relocations {
-                        let _ = backend.delete_block(meta.layout[old_slot].0, meta.block_key(id));
+                    Ok(CompletionKind::Write(WriteOutcome::Refused { data: back, .. })) => {
+                        data = back
                     }
-                } else {
-                    delete_written(backend, &placed);
+                    _ => break,
                 }
-            } else {
-                // Overlapping readers: keep the file exactly as committed.
-                drop(meta_srv);
-                delete_written(backend, &placed);
+            }
+            let Some(disk) = placed else {
+                unplaced += 1;
+                continue;
+            };
+            count[disk] += 1;
+            written.push((disk, key));
+            match layout.iter_mut().find(|(d, _)| *d == disk) {
+                Some((_, ids)) => ids.push(id),
+                None => layout.push((disk, vec![id])),
             }
         }
-        repaired
+        unplaced
     }
 
     /// Read every `(disk, id)` of `jobs` — all of them, no cancellation —
-    /// through one bounded in-order window at `priority`, into scratch
-    /// from `pool`; the ring worker runs the bounded transient retry and
-    /// counts the read. `before_submit` runs ahead of each submission (a
-    /// throttle). `ingest(disk, id, read_ok, buf)` sees each block in job
+    /// through one bounded in-order window in the class `opts` asks for,
+    /// into scratch from `pool`, charging the throttle before each
+    /// submission; the ring worker runs the bounded transient retry and
+    /// counts the read. `ingest(id, read_ok, buf)` sees each block in job
     /// order and hands the buffer back for recycling unless it keeps it.
     /// On error every outstanding buffer is recycled before returning.
-    #[allow(clippy::too_many_arguments)]
     fn fetch_blocks(
         &self,
         meta: &FileMeta,
         jobs: &[(usize, u32)],
-        priority: Priority,
         window: usize,
         pool: &mut BlockPool,
-        mut before_submit: impl FnMut(),
-        ingest: &mut dyn FnMut(usize, u32, bool, Block) -> Option<Block>,
+        opts: &ScrubOptions<'_>,
+        ingest: &mut dyn FnMut(u32, bool, Block) -> Option<Block>,
     ) -> Result<(), StoreError> {
         let block_len = meta.coding.block_bytes as usize;
         // The handler recycles into the pool the submit loop draws
@@ -1808,15 +1833,14 @@ impl Client {
         let mut fetch = OrderedWindow::new(
             &self.system.inner.ring,
             self.system.next_access_id(),
-            priority,
+            repair_priority(opts),
             window,
         );
         let mut on_read = |tag: u64, kind: CompletionKind| {
-            let (disk, id) = jobs[tag as usize];
             let CompletionKind::Read { result, buf, .. } = kind else {
                 unreachable!("a fetch submits only reads");
             };
-            if let Some(buf) = ingest(disk, id, result.is_ok(), buf) {
+            if let Some(buf) = ingest(jobs[tag as usize].1, result.is_ok(), buf) {
                 recycle(&mut pool.borrow_mut(), buf, block_len);
             }
             Ok(())
@@ -1824,7 +1848,7 @@ impl Client {
         let fetched = jobs
             .iter()
             .try_for_each(|&(disk, id)| {
-                before_submit();
+                charge(opts, block_len);
                 let buf = pool.borrow_mut().get_scratch();
                 let key = meta.block_key(id);
                 fetch.submit(disk, SubmitOp::Read { key, buf }, &mut on_read)
@@ -1983,12 +2007,14 @@ impl Client {
     /// whole store).
     ///
     /// Unlike a read, a scrub visits *every* stored block (no early
-    /// cancel): it verifies checksums disk by disk, decodes the file,
-    /// re-encodes whatever is missing or corrupt, re-places it on the
-    /// least-loaded disks (colonising disks the file never used if that's
-    /// where the space is), and commits metadata carrying a complete
-    /// checksum map — so a legacy, pre-checksum file comes out fully
-    /// verifiable.
+    /// cancel): it verifies checksums disk by disk, decodes the file, and
+    /// hands everything the code can generate but the disks do not
+    /// demonstrably hold to the restore path read-repair also takes —
+    /// damaged blocks are rewritten in place at their home disks, which
+    /// keeps the speed-proportional layout; ids a home refuses, or that
+    /// no disk stores, go to the least-loaded disk that takes them. It
+    /// always commits metadata carrying a complete checksum map, so a
+    /// legacy, pre-checksum file comes out fully verifiable.
     ///
     /// Legacy blocks with no recorded digest are fed to the decoder
     /// optimistically and audited afterwards against a re-encode of the
@@ -2000,129 +2026,82 @@ impl Client {
     }
 
     /// [`Client::scrub`] with repair-service controls: an optional
-    /// token-bucket throttle charged per block of repair I/O, background
-    /// scheduling class on its ring submissions (so repair traffic waits
-    /// behind every queued foreground op), and load-aware re-placement
-    /// that consults the ring's live load map so restored blocks land on
-    /// genuinely least-loaded disks. The default options reproduce
-    /// [`Client::scrub`] exactly.
+    /// token-bucket throttle charged per block of repair I/O, and
+    /// background scheduling class on its ring submissions (so repair
+    /// traffic waits behind every queued foreground op). The default
+    /// options reproduce [`Client::scrub`] exactly.
     pub fn scrub_with(
         &self,
         name: &str,
         opts: &ScrubOptions<'_>,
     ) -> Result<ScrubReport, StoreError> {
         let handle = self.open(name, AccessMode::Write, QosOptions::best_effort())?;
-        let result = self.scrub_admitted_with(&handle, opts);
+        let result = match handle.meta.as_ref() {
+            Some(meta) => {
+                let mut pool = self.system.borrow_pool(meta.coding.block_bytes as usize);
+                let result = self.scrub_inner(meta, &mut pool, opts);
+                self.system.return_pool(pool);
+                result
+            }
+            None => Err(StoreError::NotFound(name.into())),
+        };
         self.close(handle)?;
-        result
-    }
-
-    fn scrub_admitted_with(
-        &self,
-        handle: &FileHandle,
-        opts: &ScrubOptions<'_>,
-    ) -> Result<ScrubReport, StoreError> {
-        let meta = handle
-            .meta
-            .clone()
-            .ok_or_else(|| StoreError::NotFound(handle.name.clone()))?;
-        let spec = meta.coding.clone();
-        let code = LtCode::plan(spec.k, spec.n, spec.params, spec.seed)?;
-        let block_len = spec.block_bytes as usize;
-        let mut pool = self.system.borrow_pool(block_len);
-        let result = self.scrub_inner(&meta, &code, block_len, &mut pool, opts);
-        self.system.return_pool(pool);
         result
     }
 
     fn scrub_inner(
         &self,
         meta: &FileMeta,
-        code: &LtCode,
-        block_len: usize,
         pool: &mut BlockPool,
         opts: &ScrubOptions<'_>,
     ) -> Result<ScrubReport, StoreError> {
         let spec = &meta.coding;
-        let priority = if opts.background {
-            Priority::Background
-        } else {
-            Priority::Foreground
-        };
-        let charge = |bytes: usize| {
-            if let Some(bucket) = opts.throttle {
-                bucket.acquire(bytes as u64);
-            }
-        };
-        let ring = &self.system.inner.ring;
+        let code = &LtCode::plan(spec.k, spec.n, spec.params, spec.seed)?;
+        let block_len = spec.block_bytes as usize;
         let mut decoder = LtDecoder::new(code, block_len);
         let mut verified: BTreeSet<u32> = BTreeSet::new();
         // Readable blocks not covered by the checksum map: id → CRC of the
         // bytes actually read, audited against a re-encode after decode.
         let mut legacy: BTreeMap<u32, u32> = BTreeMap::new();
-        let mut corrupt: BTreeSet<u32> = BTreeSet::new();
-        // Disk each unusable block — corrupt, or unreadable right now (a
-        // transient fault past the retry budget, an offline window) — may
-        // still occupy: the stale-copy cleanup after the commit.
-        let mut stale_home: BTreeMap<u32, usize> = BTreeMap::new();
-        let mut missing = 0usize;
+        let (mut corrupt, mut missing) = (0usize, 0usize);
         let mut complete = false;
-        let backend = &self.system.inner.backend;
-        let fetched = {
-            // Acceptance ladder for one fetched (or failed) block. Returns
-            // the buffer when it should be recycled (the decoder keeps
-            // accepted blocks until it completes).
-            let mut ingest =
-                |disk: usize, id: u32, read_ok: bool, buf: Vec<u8>| -> Option<Vec<u8>> {
-                    let mut accepted = false;
-                    if read_ok {
-                        if buf.len() == block_len {
-                            match meta.checksums.get(&id) {
-                                Some(&want) => {
-                                    if crc32c(&buf) == want {
-                                        verified.insert(id);
-                                        accepted = true;
-                                    }
-                                }
-                                None => {
-                                    legacy.insert(id, crc32c(&buf));
-                                    accepted = true;
-                                }
-                            }
-                        }
-                        if !accepted {
-                            corrupt.insert(id);
-                        }
-                    } else {
-                        missing += 1;
+        // A scrub visits *every* stored block (no cancellation), but the
+        // requests stream through the per-disk queues with a bounded
+        // window, interleaved across the file's disks so all of them
+        // service it in parallel. The throttle paces *submission*: tokens
+        // are charged before an op may enter the queue, so repair I/O
+        // never bursts past the budget no matter how deep the window is.
+        let fetched = self.fetch_blocks(
+            meta,
+            &disk_interleaved(&meta.layout, meta.file_id as usize),
+            (4 * meta.layout.len()).max(16),
+            pool,
+            opts,
+            &mut |id, read_ok, buf| {
+                if !read_ok {
+                    missing += 1;
+                    return Some(buf);
+                }
+                match check_block(meta, id, &buf, block_len) {
+                    BlockCheck::Verified => {
+                        verified.insert(id);
                     }
-                    if !accepted {
-                        stale_home.insert(id, disk);
+                    BlockCheck::Unverified => {
+                        legacy.insert(id, crc32c(&buf));
                     }
-                    if accepted && !complete {
-                        complete = decoder.receive(id as usize, buf);
-                        None
-                    } else {
-                        Some(buf)
+                    BlockCheck::Corrupt => {
+                        corrupt += 1;
+                        return Some(buf);
                     }
-                };
-            // A scrub visits *every* stored block (no cancellation), but
-            // the requests stream through the per-disk queues with a
-            // bounded window, interleaved across the file's disks so all
-            // of them service it in parallel. The throttle paces
-            // *submission*: tokens are charged before an op may enter the
-            // queue, so repair I/O never bursts past the budget no matter
-            // how deep the window is.
-            self.fetch_blocks(
-                meta,
-                &disk_interleaved(&meta.layout, meta.file_id as usize),
-                priority,
-                (4 * meta.layout.len()).max(16),
-                pool,
-                || charge(block_len),
-                &mut ingest,
-            )
-        };
+                }
+                // The decoder keeps accepted blocks until it completes.
+                if complete {
+                    return Some(buf);
+                }
+                complete = decoder.receive(id as usize, buf);
+                None
+            },
+        );
         if let Err(e) = fetched {
             pool.put_all(decoder.drain_all());
             return Err(e);
@@ -2150,145 +2129,60 @@ impl Client {
         }
 
         // Everything the code can generate, minus what is demonstrably
-        // good on disk, gets re-placed — restoring the file to its full
-        // target of N coded blocks (this also heals blocks a write-time
-        // refusal dropped entirely).
-        let present: BTreeSet<u32> = verified.iter().chain(legacy.keys()).copied().collect();
-        let absent: Vec<u32> = (0..spec.n as u32)
-            .filter(|id| !present.contains(id))
-            .collect();
-        let mut new_layout = meta.layout.clone();
-        for (_, ids) in new_layout.iter_mut() {
-            ids.retain(|id| present.contains(id));
-        }
-        let mut new_checksums: BTreeMap<u32, u32> = BTreeMap::new();
-        for &id in &verified {
-            new_checksums.insert(id, meta.checksums[&id]);
-        }
-        for (&id, &crc) in &legacy {
-            new_checksums.insert(id, crc);
-        }
-
-        let mut restored = 0usize;
-        let mut final_disk: BTreeMap<u32, usize> = BTreeMap::new();
-        // Writes to a *new* location for an id — rolled back if the
-        // metadata commit fails. In-place overwrites of unusable copies
-        // need no rollback: they restore exactly the committed bytes.
-        let mut relocated: Vec<(usize, u64)> = Vec::new();
-        let report = {
-            let num_disks = backend.num_disks();
-            let mut count: Vec<usize> = vec![0; num_disks];
-            for (disk, ids) in &new_layout {
-                count[*disk] += ids.len();
-            }
-            let mut slot_of_disk: BTreeMap<usize, usize> = new_layout
-                .iter()
-                .enumerate()
-                .map(|(slot, (d, _))| (*d, slot))
-                .collect();
-            // Repair writes go through the ring one at a time at the
-            // scrub's priority — in the background class a foreground
-            // burst can always overtake. A refusal hands the payload back
-            // for the next candidate disk; a hard fault (or a lost
-            // worker) consumes it and the block is left for the next
-            // repair cycle.
-            let place_access = self.system.next_access_id();
-            let place = |disk: usize, key: u64, data: Vec<u8>| -> Result<(), Option<Vec<u8>>> {
-                let mut outcome = Err(None);
-                let mut on_write = |_, kind| {
-                    outcome = match kind {
-                        CompletionKind::Write(WriteOutcome::Done) => Ok(()),
-                        CompletionKind::Write(WriteOutcome::Refused { data, .. }) => {
-                            Err(Some(data))
-                        }
-                        _ => Err(None),
-                    };
-                    Ok(())
-                };
-                let mut one = OrderedWindow::new(ring, place_access, priority, 1);
-                let _ = one
-                    .submit(disk, SubmitOp::Write { key, data }, &mut on_write)
-                    .and_then(|()| one.finish(&mut on_write));
-                outcome
-            };
-            for &id in &absent {
-                let key = gen_key(meta.file_id, id, meta.odd_keys.contains(&id));
-                let mut data = code.encode_block(&blocks, id as usize);
-                let crc = crc32c(&data);
-                charge(block_len);
-                // Candidate disks: live queue pressure first when the
-                // repair service asks for load-aware placement (quiescent
-                // disks tie at zero and the order degenerates to the
-                // default), then per-file balance, then lowest id.
-                // Refusals just move to the next candidate — best effort.
-                let mut order: Vec<usize> = (0..num_disks).collect();
-                if opts.load_aware {
-                    let lm = ring.load_map();
-                    order.sort_by_key(|&d| {
-                        let backlog = lm.get(d).map_or(0, |l| l.queued + l.in_flight);
-                        (backlog, count[d], d)
-                    });
-                } else {
-                    order.sort_by_key(|&d| (count[d], d));
-                }
-                let mut placed_on = None;
-                for &disk in &order {
-                    match place(disk, key, data) {
-                        Ok(()) => {
-                            placed_on = Some(disk);
-                            break;
-                        }
-                        Err(Some(back)) => data = back,
-                        Err(None) => break, // hard fault consumed the payload
-                    }
-                }
-                let Some(disk) = placed_on else { continue };
-                count[disk] += 1;
-                let slot = *slot_of_disk.entry(disk).or_insert_with(|| {
-                    new_layout.push((disk, Vec::new()));
-                    new_layout.len() - 1
-                });
-                new_layout[slot].1.push(id);
-                new_checksums.insert(id, crc);
-                final_disk.insert(id, disk);
-                if stale_home.get(&id) != Some(&disk) {
-                    relocated.push((disk, key));
-                }
-                restored += 1;
-            }
-            let blocks_stored_after: usize = new_layout.iter().map(|(_, ids)| ids.len()).sum();
-            let checksums_added = new_checksums.len().saturating_sub(meta.checksums.len());
-            let mut new_meta = meta.clone();
-            new_meta.version += 1;
-            new_meta.layout = new_layout;
-            new_meta.checksums = new_checksums;
-            if let Err(e) = self.system.inner.meta.lock().commit(new_meta) {
-                delete_written(backend, &relocated);
+        // good on disk, is restored — back to the full target of N coded
+        // blocks (this also heals blocks a write-time refusal dropped).
+        let good: BTreeSet<u32> = verified.iter().chain(legacy.keys()).copied().collect();
+        let damaged = (0..spec.n as u32).filter(|id| !good.contains(id)).collect();
+        let restored = self.restore(meta, code, &blocks, &good, damaged, pool, opts);
+        let Restored {
+            layout,
+            in_place,
+            relocated,
+            stale,
+        } = match restored {
+            Ok(r) => r,
+            Err(e) => {
                 pool.put_all(blocks);
                 return Err(e);
             }
-            // Stale copies that were re-placed elsewhere (or not restorable
-            // at all, and so dropped from the layout) are garbage now —
-            // including a block that was only unreadable, not gone, when
-            // the scrub looked.
-            for (&id, &home) in &stale_home {
-                if final_disk.get(&id) != Some(&home) {
-                    let _ = backend.delete_block(home, meta.block_key(id));
-                }
-            }
-            ScrubReport {
-                file: meta.name.clone(),
-                blocks_target: spec.n,
-                blocks_verified: verified.len(),
-                blocks_unverified: legacy.len(),
-                blocks_corrupt: corrupt.len(),
-                blocks_missing: missing,
-                blocks_restored: restored,
-                blocks_stored_after,
-                checksums_added,
-            }
         };
+        // A complete digest map: the recorded digests, the audited legacy
+        // ones, and fresh ones for restored ids that had neither.
+        let checksums: BTreeMap<u32, u32> = layout
+            .iter()
+            .flat_map(|(_, ids)| ids)
+            .map(|&id| {
+                let known = meta.checksums.get(&id).or(legacy.get(&id)).copied();
+                let digest =
+                    known.unwrap_or_else(|| crc32c(&code.encode_block(&blocks, id as usize)));
+                (id, digest)
+            })
+            .collect();
         pool.put_all(blocks);
+        let report = ScrubReport {
+            file: meta.name.clone(),
+            blocks_target: spec.n,
+            blocks_verified: verified.len(),
+            blocks_unverified: legacy.len(),
+            blocks_corrupt: corrupt,
+            blocks_missing: missing,
+            blocks_restored: in_place + relocated.len(),
+            blocks_stored_after: layout.iter().map(|(_, ids)| ids.len()).sum(),
+            checksums_added: checksums.len().saturating_sub(meta.checksums.len()),
+        };
+        let mut new_meta = meta.clone();
+        new_meta.version += 1;
+        new_meta.layout = layout;
+        new_meta.checksums = checksums;
+        let backend = &self.system.inner.backend;
+        if let Err(e) = self.system.inner.meta.lock().commit(new_meta) {
+            delete_written(backend, &relocated);
+            return Err(e);
+        }
+        // Copies left at a home their id no longer lives on are garbage
+        // now — including a block that was only unreadable, not gone,
+        // when the scrub looked.
+        delete_written(backend, &stale);
         Ok(report)
     }
 
@@ -2364,6 +2258,59 @@ fn layout_subset(layout: &[(usize, Vec<u32>)], ids: &BTreeSet<u32>) -> Vec<(usiz
             (*disk, mine)
         })
         .collect()
+}
+
+/// What a fetched block's bytes say about it.
+enum BlockCheck {
+    /// Full length, and it matches its recorded digest.
+    Verified,
+    /// Full length, but the metadata records no digest (a legacy file).
+    Unverified,
+    /// Short (a torn read) or failing its digest: silent corruption.
+    Corrupt,
+}
+
+/// The one integrity check of a fetched block — the read's gate,
+/// read-repair's audit and the scrub's fetch all take its verdict.
+fn check_block(meta: &FileMeta, id: u32, buf: &[u8], block_len: usize) -> BlockCheck {
+    if buf.len() != block_len {
+        return BlockCheck::Corrupt;
+    }
+    match meta.checksums.get(&id) {
+        Some(&want) if crc32c(buf) == want => BlockCheck::Verified,
+        Some(_) => BlockCheck::Corrupt,
+        None => BlockCheck::Unverified,
+    }
+}
+
+/// What [`Client::restore`] put back, for its caller's commit rule.
+struct Restored {
+    /// The file's layout with every damaged id where it now lives — in
+    /// place, relocated, or (given up on) gone.
+    layout: Vec<(usize, Vec<u32>)>,
+    /// Ids rewritten in place at their home disks.
+    in_place: usize,
+    /// Writes to a new location — undone if the caller does not commit.
+    relocated: Vec<(usize, u64)>,
+    /// Copies at homes their ids no longer live on — garbage once the
+    /// caller commits.
+    stale: Vec<(usize, u64)>,
+}
+
+/// The ring class repair I/O under `opts` runs in.
+fn repair_priority(opts: &ScrubOptions<'_>) -> Priority {
+    if opts.background {
+        Priority::Background
+    } else {
+        Priority::Foreground
+    }
+}
+
+/// Charge one block of repair I/O to `opts`' throttle, if it has one.
+fn charge(opts: &ScrubOptions<'_>, block_len: usize) {
+    if let Some(bucket) = opts.throttle {
+        bucket.acquire(block_len as u64);
+    }
 }
 
 /// Hand a fetched (or never-serviced) read buffer back to the pool at

@@ -37,7 +37,9 @@
 //!   digested at write time and verified on every read, demoting silent
 //!   corruption to a missing block the redundancy absorbs.
 //! * [`scrub`] — background scrubbing: sweep files, verify every stored
-//!   block, and restore each file to its full redundancy target.
+//!   block, and restore each file to its full redundancy target through
+//!   the restore path read-repair shares — rewrite in place at the home
+//!   disk, relocate only what the home refuses.
 //! * [`metastore`] — the durable metadata plane: the namespace
 //!   hash-sharded across WAL-backed shards, each replicated with
 //!   majority-quorum commits, crash recovery with torn-tail truncation
@@ -48,9 +50,8 @@
 //!   reclaim, shared by the metastore and the reference server.
 //! * [`repair`] — the prioritised, rate-limited repair service over the
 //!   scrubber: a risk queue ordering files most-at-risk-first (weighted
-//!   by disk health), a token-bucket MB/s budget on repair I/O, a
-//!   background scheduling class on ring submissions, and load-aware
-//!   re-placement.
+//!   by disk health), a token-bucket MB/s budget on repair I/O, and a
+//!   background scheduling class on ring submissions.
 //!
 //! Everything is deterministic and synchronous: the crate models the
 //! *control* architecture with real coding and real data movement, while

@@ -214,7 +214,8 @@ impl ReplicaStore for MemReplica {
 
 /// File-backed replica: `<dir>/wal.log` (append) and `<dir>/snap.bin`
 /// (installed via write-to-temp + rename, so a crash mid-install leaves
-/// the old snapshot intact).
+/// the old snapshot intact). Every mutation is synced before it returns,
+/// directory entries included.
 pub struct FileReplica {
     dir: PathBuf,
     /// Serialises appends/truncates against concurrent readers.
@@ -238,11 +239,20 @@ impl FileReplica {
     fn snap_path(&self) -> PathBuf {
         self.dir.join("snap.bin")
     }
+
+    /// Make the directory's entries durable: a file created or renamed
+    /// into it survives power loss only once the directory is synced.
+    fn sync_dir(&self) -> Result<(), StoreError> {
+        fs::File::open(&self.dir)
+            .and_then(|d| d.sync_all())
+            .map_err(|e| StoreError::Io(format!("{}: {e}", self.dir.display())))
+    }
 }
 
 impl ReplicaStore for FileReplica {
     fn append_log(&self, bytes: &[u8]) -> Result<(), StoreError> {
         let _g = self.guard.lock();
+        let created = !self.log_path().exists();
         let mut f = fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -251,6 +261,9 @@ impl ReplicaStore for FileReplica {
         f.write_all(bytes)
             .map_err(|e| StoreError::Io(e.to_string()))?;
         f.sync_data().map_err(|e| StoreError::Io(e.to_string()))?;
+        if created {
+            self.sync_dir()?;
+        }
         Ok(())
     }
 
@@ -291,12 +304,22 @@ impl ReplicaStore for FileReplica {
         }
     }
 
+    /// The bytes reach the disk before the rename, and the rename before
+    /// this returns. Recovery installs a snapshot and then truncates the
+    /// log it covers (a synced truncation), so a snapshot still in the page
+    /// cache when power fails would leave the truncated log behind with
+    /// neither the old snapshot nor the new one. Killing the process cannot
+    /// show this: the page cache outlives it, which is why process-kill
+    /// tests pass either way.
     fn install_snapshot(&self, bytes: Arc<Vec<u8>>) -> Result<(), StoreError> {
         let _g = self.guard.lock();
         let tmp = self.dir.join("snap.tmp");
-        fs::write(&tmp, bytes.as_slice()).map_err(|e| StoreError::Io(e.to_string()))?;
-        fs::rename(&tmp, self.snap_path()).map_err(|e| StoreError::Io(e.to_string()))?;
-        Ok(())
+        let io = |e: std::io::Error| StoreError::Io(e.to_string());
+        let mut f = fs::File::create(&tmp).map_err(io)?;
+        f.write_all(bytes.as_slice()).map_err(io)?;
+        f.sync_all().map_err(io)?;
+        fs::rename(&tmp, self.snap_path()).map_err(io)?;
+        self.sync_dir()
     }
 
     fn describe(&self) -> String {

@@ -9,10 +9,13 @@
 //!   repair traffic can never burst past `rate · elapsed + burst` bytes
 //!   no matter how deep the submission window is.
 //! * [`ScrubOptions`] — the knobs the repair service threads into the
-//!   scrub path: the throttle, background scheduling class on ring
+//!   scrub path: the throttle, and background scheduling class on ring
 //!   submissions (repair ops wait behind every queued foreground op —
-//!   see [`crate::ring::Priority`]), and load-aware re-placement that
-//!   consults [`crate::ring::IoRing::load_map`].
+//!   see [`crate::ring::Priority`]). Where restored blocks land is not a
+//!   knob: every restore rewrites in place at the home disk and moves
+//!   only what the home refuses, to the least-loaded disk by
+//!   [`crate::ring::IoRing::load_map`] — the one restore path read-repair
+//!   also takes.
 //! * [`RepairService`] — the risk queue: every file is surveyed with
 //!   presence probes (no disk traffic), scored by its surviving
 //!   redundancy margin weighted by per-disk health, and repaired
@@ -156,8 +159,7 @@ impl TokenBucket {
 
 /// Repair-service controls threaded through the scrub path
 /// ([`Client::scrub_with`]). The default reproduces a plain
-/// [`Client::scrub`]: no throttle, foreground class, balance-only
-/// placement.
+/// [`Client::scrub`]: no throttle, foreground class.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct ScrubOptions<'a> {
     /// Charge each block of repair I/O against this budget before
@@ -166,9 +168,6 @@ pub struct ScrubOptions<'a> {
     /// Submit repair I/O at background priority on the ring: every
     /// queued foreground op is serviced first.
     pub background: bool,
-    /// Order re-placement candidates by live ring backlog before the
-    /// per-file balance tie-break.
-    pub load_aware: bool,
 }
 
 /// Health weight a present block contributes to its file's survival
@@ -229,7 +228,6 @@ pub struct RepairService {
     bucket: Option<TokenBucket>,
     health: Mutex<BTreeMap<usize, DiskHealth>>,
     background: bool,
-    load_aware: bool,
     /// Files earlier sweeps could not fully restore, awaiting the next
     /// [`RepairService::run_enqueued`] pass (deduplicated, name-ordered).
     pending: Mutex<BTreeSet<String>>,
@@ -248,15 +246,14 @@ pub struct ScrubTickReport {
 }
 
 impl RepairService {
-    /// A repair service over `client`'s store: background class and
-    /// load-aware placement on, no rate limit.
+    /// A repair service over `client`'s store: background class, no
+    /// rate limit.
     pub fn new(client: Client) -> Self {
         RepairService {
             client,
             bucket: None,
             health: Mutex::new(BTreeMap::new()),
             background: true,
-            load_aware: true,
             pending: Mutex::new(BTreeSet::new()),
         }
     }
@@ -274,12 +271,6 @@ impl RepairService {
         self
     }
 
-    /// Consult the ring's live load map when re-placing restored blocks.
-    pub fn load_aware(mut self, on: bool) -> Self {
-        self.load_aware = on;
-        self
-    }
-
     /// The throttle, if one was configured (for invariant checks).
     pub fn bucket(&self) -> Option<&TokenBucket> {
         self.bucket.as_ref()
@@ -289,6 +280,14 @@ impl RepairService {
     /// only — the data path is untouched).
     pub fn set_disk_health(&self, disk: usize, health: DiskHealth) {
         self.health.lock().insert(disk, health);
+    }
+
+    /// The controls every scrub this service runs takes.
+    fn scrub_options(&self) -> ScrubOptions<'_> {
+        ScrubOptions {
+            throttle: self.bucket.as_ref(),
+            background: self.background,
+        }
     }
 
     fn disk_weight(&self, disk: usize) -> f64 {
@@ -359,11 +358,7 @@ impl RepairService {
             surveyed: queue.len(),
             ..RepairRunReport::default()
         };
-        let opts = ScrubOptions {
-            throttle: self.bucket.as_ref(),
-            background: self.background,
-            load_aware: self.load_aware,
-        };
+        let opts = self.scrub_options();
         for entry in queue {
             if report.repaired + report.failed.len() >= max_files {
                 break;
@@ -392,12 +387,7 @@ impl RepairService {
     /// Scrub a single named file under this service's options (used by
     /// experiments that drive the queue themselves).
     pub fn repair_file(&self, name: &str) -> Result<ScrubReport, StoreError> {
-        let opts = ScrubOptions {
-            throttle: self.bucket.as_ref(),
-            background: self.background,
-            load_aware: self.load_aware,
-        };
-        self.client.scrub_with(name, &opts)
+        self.client.scrub_with(name, &self.scrub_options())
     }
 
     /// Queue a file for the next [`RepairService::run_enqueued`] pass.
@@ -451,11 +441,7 @@ impl RepairService {
             surveyed: queue.len(),
             ..RepairRunReport::default()
         };
-        let opts = ScrubOptions {
-            throttle: self.bucket.as_ref(),
-            background: self.background,
-            load_aware: self.load_aware,
-        };
+        let opts = self.scrub_options();
         for entry in queue {
             if report.repaired + report.failed.len() >= max_files {
                 self.pending.lock().insert(entry.name); // next pass
@@ -496,11 +482,7 @@ impl RepairService {
     /// standing scrub-feeds-repair loop.
     pub fn scrub_tick(&self, max_backlog: usize) -> ScrubTickReport {
         let backlog = self.run_enqueued(max_backlog);
-        let opts = ScrubOptions {
-            throttle: self.bucket.as_ref(),
-            background: self.background,
-            load_aware: self.load_aware,
-        };
+        let opts = self.scrub_options();
         let sweep = Scrubber::new(&self.client).sweep_with(&opts);
         let enqueued_for_next = self.enqueue_sweep(&sweep);
         ScrubTickReport {

@@ -39,8 +39,8 @@
 //! read is counted exactly once.
 //!
 //! Accesses that need their completions *in submission order* with a
-//! bounded number in flight — writes, updates, scrub fetches, read-repair
-//! audits and rewrites, deletes —
+//! bounded number in flight — writes, updates, scrub fetches, the restore
+//! path's audits and in-place rewrites, deletes —
 //! go through [`OrderedWindow`], the one reorder buffer over the ring.
 //!
 //! Each worker also exports live load telemetry — queue depth, in-flight

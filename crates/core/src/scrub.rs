@@ -4,9 +4,12 @@
 //! hunts. [`Scrubber::sweep`] walks every file the metadata server knows
 //! about and runs [`crate::Client::scrub`] on each: read *all* stored
 //! blocks (no early cancel), verify checksums, decode, re-encode whatever
-//! is missing or corrupt, and re-place it on the least-loaded disks —
-//! restoring each file to its full target of N coded blocks before latent
-//! faults accumulate past the code's decodability margin.
+//! is missing or corrupt, and put it back through the restore path
+//! read-repair also takes — in place on its home disk, so the file keeps
+//! its speed-proportional layout, and on the least-loaded disk that takes
+//! it only when the home refuses. Each file returns to its full target of
+//! N coded blocks before latent faults accumulate past the code's
+//! decodability margin.
 //!
 //! Scrubbing is also the upgrade path for legacy metadata: a file written
 //! before checksums existed comes out of a scrub with a complete digest
@@ -33,7 +36,8 @@ pub struct ScrubReport {
     /// Stored blocks that would not read back at all (lost sectors,
     /// offline disks, spent retry budgets).
     pub blocks_missing: usize,
-    /// Blocks re-encoded from the decoded data and re-placed on disk.
+    /// Blocks re-encoded from the decoded data and put back on disk — in
+    /// place, or relocated where the home disk refused.
     pub blocks_restored: usize,
     /// Blocks the committed layout stores after the pass (≤ target; less
     /// only when disks refused restore writes).
@@ -85,8 +89,7 @@ impl<'a> Scrubber<'a> {
     }
 
     /// [`Scrubber::sweep`] with repair-service controls (throttle,
-    /// background class, load-aware placement) threaded into every
-    /// per-file scrub.
+    /// background class) threaded into every per-file scrub.
     pub fn sweep_with(&self, opts: &ScrubOptions<'_>) -> SweepReport {
         self.sweep_names(&self.client.system().list_files(), opts)
     }

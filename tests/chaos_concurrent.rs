@@ -203,8 +203,12 @@ fn mid_write_failure_rolls_back_only_the_unlucky_accesses() {
 
 /// Seeded refusing disks under concurrency: refusals are stateless, so
 /// every access commits with its displaced blocks rerouted, the refused
-/// disks drain to zero bytes, and the entire committed state replays
-/// identically for the same seed — even though four threads raced.
+/// disks drain to zero bytes, and the committed state replays
+/// identically for the same seed — even though four threads raced. The
+/// one part left to the race is which disk each displaced block lands
+/// on: relocation picks the least-loaded disk by live ring backlog, so
+/// it is checked for what it must be — every displaced id appended once
+/// to a disk that took the write, every planned id kept in plan order.
 #[test]
 fn refusing_disks_concurrent_state_replays_identically() {
     let run = |seed: u64, group_commit: usize| {
@@ -212,6 +216,11 @@ fn refusing_disks_concurrent_state_replays_identically() {
         let owner = sys.register_user();
         let client = Client::connect(&sys, owner);
         precreate(&client);
+        // Same size, same pinned disks: version 1's layout is the plan
+        // every overwrite starts from.
+        let planned: Vec<_> = (0..FILES)
+            .map(|f| sys.export_meta(&name(f)).unwrap().layout)
+            .collect();
 
         let seq = SeedSequence::new(seed);
         let plan =
@@ -227,12 +236,33 @@ fn refusing_disks_concurrent_state_replays_identically() {
         switch.clear();
 
         let mut state = Vec::new();
-        for f in 0..FILES {
+        for (f, planned) in planned.iter().enumerate() {
             assert_eq!(read_back(&client, f), payload(f, 2), "file {f} corrupted");
             let meta = sys.export_meta(&name(f)).unwrap();
+            assert_eq!(meta.layout.len(), planned.len());
+            let (mut displaced, mut appended): (Vec<u32>, Vec<u32>) = Default::default();
+            let mut kept = Vec::new();
+            for ((disk, plan), (d, ids)) in planned.iter().zip(&meta.layout) {
+                assert_eq!(disk, d, "file {f}: slot order changed");
+                let keep: &[u32] = if refused.contains(disk) {
+                    displaced.extend(plan);
+                    &[]
+                } else {
+                    plan
+                };
+                assert!(
+                    ids.starts_with(keep),
+                    "file {f}: disk {disk} lost a planned id"
+                );
+                appended.extend(&ids[keep.len()..]);
+                kept.push((*disk, keep.to_vec()));
+            }
+            displaced.sort_unstable();
+            appended.sort_unstable();
+            assert_eq!(appended, displaced, "file {f}: each displaced id, once");
             let mut odd: Vec<u32> = meta.odd_keys.iter().copied().collect();
             odd.sort_unstable();
-            state.push((meta.layout.clone(), odd));
+            state.push((kept, odd));
         }
         for &d in &refused {
             assert_eq!(
@@ -242,7 +272,7 @@ fn refusing_disks_concurrent_state_replays_identically() {
             );
         }
         check_committed_state(&sys);
-        (refused, state, used_snapshot(&sys))
+        (refused, state, sys.total_used())
     };
     let a = run(77, 8);
     let b = run(77, 8);

@@ -10,7 +10,9 @@
 //!   checksum verification and demoted to a missing block the redundancy
 //!   absorbs — the returned bytes are always correct or the read errors;
 //! * **read-repair** re-encodes the damage from the decoded data and puts
-//!   it back, so the next read finds a healthy file;
+//!   it back, so the next read finds a healthy file — in place, or, when
+//!   the home disk refuses, relocated: committed for a sole reader, rolled
+//!   back beside a second one;
 //! * the **scrubber** restores files to their full redundancy target
 //!   before latent faults accumulate past decodability;
 //! * every exit path — success, decode failure, hard I/O error — returns
@@ -25,6 +27,9 @@
 //! the file's blocks in one fixed submission order) and spend the whole
 //! budget before the decode point by construction; each says how.
 
+mod common;
+
+use common::check_committed_state;
 use robustore::core::{
     AccessMode, ChaosBackend, Client, FaultSwitch, InMemoryBackend, QosOptions, ReadPolicy,
     ReadReport, Scrubber, StoreError, System, SystemConfig,
@@ -169,6 +174,72 @@ fn read_repair_restores_damage_for_the_next_read() {
     assert_eq!(rr2.blocks_missing, 0, "repair did not stick");
     assert_eq!(rr2.blocks_corrupt, 0);
     let _ = switch;
+}
+
+/// A file with bit rot on a disk that refuses writes: read-repair cannot
+/// rewrite the damage in place, so it relocates it.
+fn rot_on_a_refusing_disk() -> (System, FaultSwitch, Client, Vec<u8>, usize) {
+    let (sys, switch) = chaos_system();
+    let client = Client::connect(&sys, sys.register_user());
+    let data = payload(200_000, 9);
+    put(&client, "moved", &data);
+    let home = sys.export_meta("moved").unwrap().layout[0].0;
+    let rotted = sys.corrupt_blocks(home, 0.5, &SeedSequence::new(0xD15C));
+    assert!(!rotted.is_empty());
+    switch.refuse_disk(home);
+    (sys, switch, client, data, rotted.len())
+}
+
+#[test]
+fn read_repair_relocation_commits_for_a_sole_reader() {
+    let (sys, switch, client, data, rotted) = rot_on_a_refusing_disk();
+    let before = sys.export_meta("moved").unwrap();
+    let (home, block) = (before.layout[0].0, before.coding.block_bytes);
+    let (home_used, used) = (sys.disk_used(home), sys.total_used());
+
+    let (got, rr) = read_with_report(&sys, &client, "moved");
+    assert_eq!(got, data);
+    assert_eq!(
+        rr.blocks_repaired, rotted,
+        "the whole damage set, relocated"
+    );
+    let after = sys.export_meta("moved").unwrap();
+    assert_eq!(after.version, before.version + 1, "the layout moved");
+    assert_eq!(after.layout[0].1.len(), before.layout[0].1.len() - rotted);
+    assert_eq!(
+        sys.disk_used(home),
+        home_used - rotted as u64 * block,
+        "the stale home copies were collected"
+    );
+    assert_eq!(sys.total_used(), used, "one new copy per stale one");
+
+    let (again, rr2) = read_with_report(&sys, &client, "moved");
+    assert_eq!(again, data);
+    assert_eq!((rr2.blocks_missing, rr2.blocks_corrupt), (0, 0));
+    switch.clear();
+    check_committed_state(&sys);
+}
+
+#[test]
+fn read_repair_relocation_rolls_back_beside_a_second_reader() {
+    let (sys, switch, client, data, _) = rot_on_a_refusing_disk();
+    let before = sys.export_meta("moved").unwrap();
+    let used: Vec<u64> = (0..DISKS).map(|d| sys.disk_used(d)).collect();
+
+    // Another reader holds the file, so the repairing read cannot take
+    // the writer lock a layout commit needs.
+    let other = client
+        .open("moved", AccessMode::Read, QosOptions::best_effort())
+        .unwrap();
+    let (got, rr) = read_with_report(&sys, &client, "moved");
+    client.close(other).unwrap();
+    assert_eq!(got, data);
+    assert_eq!(rr.blocks_repaired, 0, "nothing restored in place");
+    assert_eq!(sys.export_meta("moved").unwrap().layout, before.layout);
+    let after: Vec<u64> = (0..DISKS).map(|d| sys.disk_used(d)).collect();
+    assert_eq!(after, used, "relocated copies were left behind");
+    switch.clear();
+    check_committed_state(&sys);
 }
 
 #[test]

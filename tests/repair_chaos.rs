@@ -20,14 +20,20 @@
 //! * **repair restores full strength across decay rounds** — seeded
 //!   per-file loss each round, and every round ends with every file
 //!   bit-correct and back to its full `n`-block target;
+//! * **restored blocks go home** — a scrub rewrites at-rest loss on the
+//!   disks it was lost from, so the layout and every disk's byte count
+//!   come back exactly as written;
 //! * **sweep reports feed the repair backlog** — a file the sweep could
 //!   not finish (lock-busy, refused restores) is enqueued and healed by
 //!   a later backlog pass that probes only the suspects, and the
 //!   continuous `scrub_tick` schedule converges without any on-demand
 //!   store-wide survey.
 
+mod common;
+
 use std::sync::atomic::{AtomicBool, Ordering};
 
+use common::check_committed_state;
 use robustore::core::{
     AccessMode, Client, InMemoryBackend, QosOptions, RepairService, ScrubOptions, Scrubber, System,
     SystemConfig, TokenBucket,
@@ -357,7 +363,6 @@ fn unthrottled_bucket_charges_are_exact() {
     let opts = ScrubOptions {
         throttle: Some(&bucket),
         background: true,
-        load_aware: true,
     };
     let report = client.scrub_with("f", &opts).unwrap();
     assert_eq!(report.blocks_restored, lost);
@@ -368,6 +373,37 @@ fn unthrottled_bucket_charges_are_exact() {
         (stored as u64) * BLOCK + (lost as u64) * BLOCK,
         "scrub charged a different byte count than it moved"
     );
+}
+
+#[test]
+fn scrub_restores_at_rest_loss_to_its_home() {
+    // Lost blocks go back where they were: each disk's share of a file
+    // is proportional to its speed (§5.3.2), and a scrub that parked
+    // restored blocks on whichever disks held fewest would erode that
+    // layout every time it ran. Slot for slot and byte for byte, the
+    // store comes back as written.
+    let sys = system();
+    let client = Client::connect(&sys, sys.register_user());
+    put(&client, "home", &payload(120_000, 50));
+    put(&client, "bystander", &payload(60_000, 51));
+    let before = sys.export_meta("home").unwrap();
+    let used: Vec<u64> = (0..DISKS).map(|d| sys.disk_used(d)).collect();
+    let lost = sys.lose_file_blocks("home", 0.3, &SeedSequence::new(0x4E3E));
+    assert!(lost > 0);
+
+    let report = client.scrub("home").unwrap();
+    assert_eq!(
+        (report.blocks_missing, report.blocks_restored),
+        (lost, lost)
+    );
+    assert_eq!(
+        sys.export_meta("home").unwrap().layout,
+        before.layout,
+        "scrub moved restored blocks off their homes"
+    );
+    let after: Vec<u64> = (0..DISKS).map(|d| sys.disk_used(d)).collect();
+    assert_eq!(after, used, "per-disk bytes differ from before the loss");
+    check_committed_state(&sys);
 }
 
 #[test]

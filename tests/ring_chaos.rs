@@ -22,6 +22,9 @@
 //!   audit and rewrites, still reach every other layout disk; and each
 //!   disk's write sequence is the slot-by-slot one, so what lands where
 //!   does not depend on the interleaving;
+//! * **every block read and write rides the ring** — including the
+//!   blocks a write, a read-repair or a scrub relocates because their
+//!   disk refused them;
 //! * **seeded replay is identical under either wave policy** through
 //!   persistent damage (lost blocks, bit rot, an offline-disk window):
 //!   decoded bytes, layouts, and per-disk byte counts all match, run to
@@ -175,12 +178,14 @@ fn ring_write_abort_rolls_back_and_retry_succeeds() {
 }
 
 /// One block I/O a tapped shard was asked to do: its disk, whether it
-/// writes, and its keys (one for a read, the batch for a commit dispatch).
+/// writes, its keys (one for a read, the batch for a commit dispatch),
+/// and the name of the thread that did it.
 #[derive(Debug, Clone)]
 struct Io {
     disk: usize,
     write: bool,
     keys: Vec<u64>,
+    thread: String,
 }
 
 /// Parks the I/Os it matches in service until the test releases it, so
@@ -293,7 +298,13 @@ struct GateShard {
 impl GateShard {
     fn see(&self, write: bool, keys: Vec<u64>) {
         let disk = self.inner.disk_id();
-        self.tap.see(Io { disk, write, keys });
+        let thread = std::thread::current().name().unwrap_or("").to_string();
+        self.tap.see(Io {
+            disk,
+            write,
+            keys,
+            thread,
+        });
     }
 }
 
@@ -327,6 +338,10 @@ impl DiskShard for GateShard {
 
     fn drop_random_blocks(&mut self, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
         self.inner.drop_random_blocks(fraction, seq)
+    }
+
+    fn set_offline(&mut self, offline: bool) {
+        self.inner.set_offline(offline)
     }
 
     fn speed(&self) -> f64 {
@@ -682,6 +697,72 @@ fn a_held_disk_does_not_stall_read_repair_audit_or_rewrites() {
     );
     assert_eq!(sys.pool_outstanding_bytes(), 0, "audit leaked pool buffers");
     assert_eq!(check_committed_state(&sys)["healed"], data);
+}
+
+#[test]
+fn every_block_read_and_write_rides_the_ring() {
+    // Blocks put back where a disk refused them — a write's displaced
+    // share, read-repair's and scrub's relocations — go through the ring
+    // like every other block I/O, so its queues, load map and group
+    // commits see all of the traffic. The tap records which thread did
+    // each backend read and write; every one must be a ring worker.
+    let tap = Tap::new(Vec::new());
+    let sys = tapped_system(vec![20e6; DISKS], &tap, ReadPolicy::default());
+    let client = Client::connect(&sys, sys.register_user());
+    let data = payload(32 * 4096, 51);
+    let ids_on = |name: &str, disk: usize| {
+        let meta = sys.export_meta(name).unwrap();
+        meta.layout
+            .iter()
+            .filter(|(d, _)| *d == disk)
+            .map(|(_, ids)| ids.len())
+            .sum::<usize>()
+    };
+
+    // A write with one refusing disk: its share moves to the others.
+    sys.set_disk_offline(3, true);
+    put(&client, "routed", &data, all_disks(2.0));
+    sys.set_disk_offline(3, false);
+    assert_eq!(ids_on("routed", 3), 0, "the refused share was relocated");
+
+    // A degraded read whose home disk refuses the rewrites: relocation.
+    put(&client, "repaired", &data, all_disks(2.0));
+    let homed = ids_on("repaired", 5);
+    sys.set_disk_offline(5, true);
+    let h = client
+        .open("repaired", AccessMode::Read, QosOptions::best_effort())
+        .unwrap();
+    let (got, report) = client.read_with_report(&h).unwrap();
+    client.close(h).unwrap();
+    sys.set_disk_offline(5, false);
+    assert_eq!(got, data);
+    assert_eq!(report.blocks_repaired, homed, "disk 5's share, relocated");
+    assert_eq!(ids_on("repaired", 5), 0);
+
+    // A scrub with a disk offline: its share is restored elsewhere.
+    let homed = ids_on("routed", 6);
+    sys.set_disk_offline(6, true);
+    let scrub = client.scrub("routed").unwrap();
+    sys.set_disk_offline(6, false);
+    assert_eq!(scrub.blocks_restored, homed, "disk 6's share, relocated");
+    assert_eq!(ids_on("routed", 6), 0);
+
+    let off_ring: Vec<Io> = tap
+        .log()
+        .into_iter()
+        .filter(|io| !io.thread.starts_with("io-ring-"))
+        .collect();
+    assert!(
+        off_ring.is_empty(),
+        "{} block I/Os ran off the ring, first {:?}",
+        off_ring.len(),
+        off_ring.first()
+    );
+    let committed = check_committed_state(&sys);
+    assert_eq!(
+        (&committed["routed"], &committed["repaired"]),
+        (&data, &data)
+    );
 }
 
 #[test]

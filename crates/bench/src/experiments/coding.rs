@@ -64,28 +64,39 @@ pub fn table5_1(_trials: u64) -> String {
     out
 }
 
-/// The four kernel operations `bench-coding` times one at a time.
+/// The five kernel operations `bench-coding` times one at a time.
 #[derive(Clone, Copy)]
 enum KernelOp {
     Xor,
     Axpy,
     AxpyMulti,
     Scale,
+    Crc32c,
 }
 
 impl KernelOp {
-    const ALL: [(KernelOp, &'static str); 4] = [
+    const ALL: [(KernelOp, &'static str); 5] = [
         (KernelOp::Xor, "xor_into"),
         (KernelOp::Axpy, "gf_axpy"),
         (KernelOp::AxpyMulti, "gf_axpy_multi"),
         (KernelOp::Scale, "gf_scale"),
+        (KernelOp::Crc32c, "crc32c"),
     ];
 
     /// Run the operation once on the scalar reference (`None`) or pinned
-    /// to a tier; the single-source ops use `srcs[0]`.
+    /// to a tier; the single-source ops use `srcs[0]`, and CRC32C digests
+    /// it (through `black_box`, so a pure digest of unchanged bytes is
+    /// recomputed every call).
     fn run(self, kernel: Option<SimdLevel>, acc: &mut [u8], srcs: &[(u8, &[u8])]) {
+        use std::hint::black_box;
         let (coef, src) = srcs[0];
         match (self, kernel) {
+            (KernelOp::Crc32c, None) => {
+                black_box(kernels::crc32c_scalar(black_box(src)));
+            }
+            (KernelOp::Crc32c, Some(t)) => {
+                black_box(simd::crc32c_at(t, black_box(src)));
+            }
             (KernelOp::Xor, None) => kernels::xor_into_scalar(acc, src),
             (KernelOp::Xor, Some(t)) => simd::xor_into_at(t, acc, src),
             (KernelOp::Axpy, None) => kernels::gf_axpy_scalar(acc, coef, src),
@@ -100,8 +111,9 @@ impl KernelOp {
 
 /// Kernel benchmark, in two parts on identical inputs. (a) What the
 /// ladder is made of: each kernel operation (`gf_axpy_multi` over K=32
-/// sources) on a small and a large block, for the scalar reference and
-/// every tier this host supports, pinned through the `*_at` entry points.
+/// sources; `crc32c` digesting one block) on a small and a large block,
+/// for the scalar reference and every tier this host supports, pinned
+/// through the `*_at` entry points.
 /// (b) What the codes get from it: RS and LT encode/decode bandwidth on
 /// the tier the dispatchers picked. Writes machine-readable rows to
 /// `BENCH_coding.json` — `{kernel, op, bytes, mbps, host}` for (a),

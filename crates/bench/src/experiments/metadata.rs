@@ -10,7 +10,8 @@
 //!
 //! The acceptance bar is *flatness*: sharding (hash-ordered images,
 //! O(1) point lookups) plus snapshot compaction (trigger
-//! `max(snapshot_every, image size)`, one shared buffer per snapshot)
+//! `max(snapshot_every, image size)` records, or as many log bytes as
+//! the last snapshot, one shared buffer per snapshot)
 //! amortises the log to O(1) per operation, so the median per-commit
 //! latency measured while growing 10⁵ → 10⁶ must stay within
 //! [`FLAT_FACTOR`]× of the median measured growing 0 → 10⁴ (medians

@@ -1,4 +1,6 @@
 #![warn(missing_docs)]
+// The CPU intrinsics (CRC32C included) live in `robustore_erasure::simd`.
+#![forbid(unsafe_code)]
 
 //! The RobuSTore distributed-filesystem framework (Chapter 4).
 //!
@@ -35,7 +37,8 @@
 //!   degraded-read testing.
 //! * [`integrity`] — CRC32C block checksums: every coded block is
 //!   digested at write time and verified on every read, demoting silent
-//!   corruption to a missing block the redundancy absorbs.
+//!   corruption to a missing block the redundancy absorbs. The digest
+//!   runs on the erasure crate's kernel ladder.
 //! * [`scrub`] — background scrubbing: sweep files, verify every stored
 //!   block, and restore each file to its full redundancy target through
 //!   the restore path read-repair shares — rewrite in place at the home

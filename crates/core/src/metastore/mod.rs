@@ -9,10 +9,10 @@
 //! devices with **majority-quorum** acknowledgement on commit, and
 //! recovery replays the log (truncating torn tails), elects the
 //! longest-prefix replica, and **read-repairs** the rest. Periodic
-//! snapshot+compaction bounds replay time; a chunked durable file-id
-//! floor makes allocation crash-safe. See [`shard`] for the quorum and
-//! recovery rules, [`wal`] for framing and replica devices, [`record`]
-//! for the record codec.
+//! snapshot+compaction bounds replay time and log size; a chunked
+//! durable file-id floor makes allocation crash-safe. See [`shard`] for
+//! the quorum and recovery rules, [`wal`] for framing and replica
+//! devices, [`record`] for the record codec.
 //!
 //! [`Metastore`] fronts the shards with the same open/commit/close
 //! surface as the in-memory [`MetadataServer`](crate::metadata::MetadataServer),
@@ -52,7 +52,9 @@ pub struct MetastoreConfig {
     pub replicas: usize,
     /// Baseline records between snapshots; the effective trigger is
     /// `max(snapshot_every, shard image size)` so compaction amortises
-    /// to O(1) per record at any namespace size.
+    /// to O(1) per record at any namespace size. A shard also compacts
+    /// once its log holds as many bytes as its last snapshot (at least
+    /// 64 KiB), which bounds the log when records are large.
     pub snapshot_every: usize,
     /// Root directory for file-backed replicas
     /// (`<dir>/shard-<s>/replica-<r>/`). `None` keeps replicas in

@@ -39,6 +39,10 @@ use crate::metadata::FileMeta;
 use super::record::{decode_record, decode_snapshot, encode_record, encode_snapshot, MetaRecord};
 use super::wal::{frame, scan_frames, ReplicaStore};
 
+/// A shard compacts once its log holds this many bytes, or as many as
+/// its last snapshot if that is larger.
+const LOG_BYTES_FLOOR: usize = 64 << 10;
+
 /// What one shard recovery did (surfaced in chaos tests and
 /// `xp metadata` output).
 #[derive(Debug, Clone, Default)]
@@ -84,6 +88,10 @@ pub struct MetaShard {
     /// Highest id floor this shard has logged/replayed.
     id_floor: u64,
     records_since_snapshot: usize,
+    /// Framed bytes appended to the log since the last snapshot.
+    log_bytes: usize,
+    /// Size of the last snapshot installed (0 before the first).
+    snapshot_bytes: usize,
     snapshot_every: usize,
 }
 
@@ -101,6 +109,8 @@ impl MetaShard {
             next_lsn: 0,
             id_floor: 0,
             records_since_snapshot: 0,
+            log_bytes: 0,
+            snapshot_bytes: 0,
             snapshot_every: snapshot_every.max(1),
         }
     }
@@ -187,21 +197,29 @@ impl MetaShard {
             rec,
         );
         self.records_since_snapshot += 1;
+        self.log_bytes += bytes.len();
         self.maybe_compact();
         Ok(())
     }
 
-    /// Snapshot + truncate when the log has outgrown the image. The
-    /// trigger is `max(snapshot_every, image_size)` records since the
-    /// last snapshot: at small namespaces it compacts every
-    /// `snapshot_every` records, at large ones the snapshot cost
-    /// (O(image)) amortises to O(1) per record — per-op latency stays
-    /// flat as the file count grows.
+    /// Snapshot + truncate when the log has outgrown the image, counted
+    /// two ways. In records, after `max(snapshot_every, image_size)`: at
+    /// small namespaces it compacts every `snapshot_every` records, at
+    /// large ones the snapshot cost (O(image)) amortises to O(1) per
+    /// record — per-op latency stays flat as the file count grows. In
+    /// bytes, once the log holds `max(LOG_BYTES_FLOOR, last snapshot)`:
+    /// the same amortisation per byte, and a bound on each replica's log
+    /// when records are large. A 768-block file's record is ~9 KiB, so
+    /// counting records alone let every replica's log grow to ~10 MiB
+    /// between snapshots, reallocating as it doubled in the committing
+    /// thread's heap — churn that pushed a reader's large result buffers
+    /// onto fresh pages mid-run.
     fn maybe_compact(&mut self) {
-        if self.records_since_snapshot < self.snapshot_every.max(self.image.len()) {
-            return;
+        let records = self.records_since_snapshot >= self.snapshot_every.max(self.image.len());
+        let bytes = self.log_bytes >= LOG_BYTES_FLOOR.max(self.snapshot_bytes);
+        if records || bytes {
+            self.compact();
         }
-        self.compact();
     }
 
     /// Force a snapshot+truncate on every reachable replica. A replica
@@ -216,6 +234,8 @@ impl MetaShard {
             }
         }
         self.records_since_snapshot = 0;
+        self.log_bytes = 0;
+        self.snapshot_bytes = snap.len();
     }
 
     /// Reconstruct one replica's state. `None` if the replica is
@@ -305,10 +325,12 @@ impl MetaShard {
         self.next_lsn = winner.applied_lsn;
         self.id_floor = winner.id_floor;
         self.records_since_snapshot = 0;
+        self.log_bytes = 0;
 
         // Read-repair: install the winner state everywhere reachable
         // and drop every log — laggards converge, torn tails vanish.
         let snap = Arc::new(encode_snapshot(self.next_lsn, self.id_floor, &self.image));
+        self.snapshot_bytes = snap.len();
         for (i, r) in self.replicas.iter().enumerate() {
             if r.install_snapshot(snap.clone()).is_ok() {
                 let _ = r.truncate_log(0);
@@ -466,6 +488,36 @@ mod tests {
         assert!(report.records_replayed < 20, "snapshot folded the bulk");
         assert_eq!(fresh.image()["f"].version, 20);
         assert_eq!(report.applied_lsn, 20);
+    }
+
+    #[test]
+    fn large_records_compact_by_log_bytes() {
+        // 1024 ids with digests: one record is ~9 KiB, so counting
+        // records alone would let the log reach ~9 MiB between snapshots.
+        let (mut s, mems) = shard_with(3, 1024);
+        let mut big = meta("f", 1);
+        big.layout = vec![(0, (0..1024).collect())];
+        big.checksums = (0..1024).map(|id| (id, id)).collect();
+        for v in 1..=64 {
+            big.version = v;
+            s.commit_record(MetaRecord::Commit(big.clone())).unwrap();
+        }
+        for m in &mems {
+            assert!(
+                m.log_len() < 2 * LOG_BYTES_FLOOR,
+                "log {} bytes",
+                m.log_len()
+            );
+        }
+        let mut fresh = MetaShard::new(
+            0,
+            mems.iter()
+                .map(|m| Arc::new(m.clone()) as Arc<dyn ReplicaStore>)
+                .collect(),
+            1024,
+        );
+        fresh.recover().unwrap();
+        assert_eq!(fresh.image()["f"].version, 64);
     }
 
     #[test]

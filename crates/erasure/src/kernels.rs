@@ -1,5 +1,5 @@
-//! Hot-loop coding kernels: GF(256) multiply-accumulate, wide XOR, and
-//! block-buffer pooling.
+//! Hot-loop coding kernels: GF(256) multiply-accumulate, wide XOR, the
+//! CRC32C block digest, and block-buffer pooling.
 //!
 //! Every code in this crate bottoms out in two inner loops — `acc ^= src`
 //! (LT/Raptor/Tornado/parity) and `acc ^= coef · src` over GF(2⁸)
@@ -7,10 +7,13 @@
 //! The paper makes coding bandwidth a first-class constraint (§5.2.3
 //! item 4: "long operands, register- and cache-conscious loops"; Table 5-1
 //! rules RS out for long code words because its per-byte field math halves
-//! bandwidth with every K doubling).
+//! bandwidth with every K doubling). The store's end-to-end integrity
+//! check, a CRC32C over every coded block written and every block
+//! fetched, touches as many bytes as the codes do, so it rides the same
+//! ladder.
 //!
-//! Each of the four operations — [`xor_into`], [`gf_axpy`],
-//! [`gf_axpy_multi`], [`gf_scale`] — runs on one ladder of
+//! Each of the five operations — [`xor_into`], [`gf_axpy`],
+//! [`gf_axpy_multi`], [`gf_scale`], [`crc32c`] — runs on one ladder of
 //! implementations, and which rung runs is a function of the CPU
 //! ([`crate::simd::level`], probed once per process), never of a build
 //! flag or a setting:
@@ -25,10 +28,12 @@
 //!   ([`NibbleTables`], `c·b = lo[b & 15] ^ hi[b >> 4]`) are expanded
 //!   once into a 256-entry product table that stays L1-resident for the
 //!   whole block, so the inner loop is one branch-free lookup per byte.
-//!   A fallback: kept correct and safe, not tuned.
+//!   CRC32C runs the scalar table. A fallback: kept correct and safe, not
+//!   tuned.
 //! * **Scalar reference** (`*_scalar`) — the textbook byte-at-a-time
-//!   loops (log/exp table lookups for GF, single-byte XOR). Never
-//!   dispatched to; they pin the semantics. Every tier must be
+//!   loops (log/exp table lookups for GF, single-byte XOR, one 256-entry
+//!   table step per byte for CRC32C). They pin the semantics; only the
+//!   CRC32C one is also dispatched to. Every tier must be
 //!   *byte-identical* to them for every input, a guarantee enforced by
 //!   differential tests that take the tier as an argument (the `*_at`
 //!   entry points in [`crate::simd`]). They double as the ablation
@@ -385,6 +390,56 @@ pub(crate) fn gf_scale_portable(block: &mut [u8], x: u8) {
     for b in d.into_remainder().iter_mut() {
         *b = full[*b as usize];
     }
+}
+
+// ---------------------------------------------------------------------------
+// CRC32C block digest
+// ---------------------------------------------------------------------------
+
+/// The reflected CRC32C (Castagnoli) polynomial.
+const CRC32C_POLY: u32 = 0x82F6_3B78;
+
+/// 256-entry lookup table, one byte of input per step. Built in a `const`
+/// fn, so the reference carries no init-time or locking cost.
+const CRC32C_TABLE: [u32; 256] = crc32c_table();
+
+const fn crc32c_table() -> [u32; 256] {
+    let mut table = [0u32; 256];
+    let mut i = 0;
+    while i < 256 {
+        let mut crc = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ CRC32C_POLY
+            } else {
+                crc >> 1
+            };
+            bit += 1;
+        }
+        table[i] = crc;
+        i += 1;
+    }
+    table
+}
+
+/// CRC32C digest of `data` (full init/finalize in one call), on the
+/// probed tier.
+#[inline]
+pub fn crc32c(data: &[u8]) -> u32 {
+    simd::crc32c_at(simd::level(), data)
+}
+
+/// Table-driven CRC32C reference, one byte per step. Each step depends on
+/// the last, so the loop is serial by construction. This is the oracle
+/// the hardware tiers are tested against, and what the tiers without a
+/// CRC instruction run.
+pub fn crc32c_scalar(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &byte in data {
+        crc = (crc >> 8) ^ CRC32C_TABLE[((crc ^ byte as u32) & 0xFF) as usize];
+    }
+    !crc
 }
 
 // ---------------------------------------------------------------------------

@@ -29,7 +29,8 @@
 //!   Figure 4-1 (replication vs erasure-coded redundancy).
 //! * [`block`] — the shared block representation and XOR helpers.
 //! * [`kernels`] — the hot-loop substrate every code runs on: GF(256)
-//!   multiply-accumulate, scale and wide XOR, dispatched to the best tier
+//!   multiply-accumulate, scale, wide XOR and the CRC32C block digest
+//!   (SSE4.2 `crc32` on the top x86_64 tiers), dispatched to the best tier
 //!   the CPU supports, with byte-identical scalar reference kernels as
 //!   the test oracle, plus [`BlockPool`] buffer recycling.
 //! * [`simd`] — the tiers themselves and the probe that picks one, once

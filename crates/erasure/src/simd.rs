@@ -37,6 +37,13 @@
 //! reachable through the `*_at` entry points so the differential suite
 //! can pin each tier against the scalar reference.
 //!
+//! CRC32C is not field math, so it maps onto the ladder differently. The
+//! three top x86_64 tiers (GFNI, AVX-512VBMI, AVX2) run SSE4.2's `crc32`
+//! instruction, which computes exactly this polynomial: one 8-byte word
+//! per `_mm_crc32_u64`, a `_mm_crc32_u8` per tail byte, one dependent
+//! chain. Their gates therefore also require `sse4.2`, which every AVX2
+//! part has. SSSE3, NEON and portable run the scalar table.
+//!
 //! Every tier is byte-identical to the scalar reference (the differential
 //! suite in `tests/kernel_differential.rs` runs all of its randomized
 //! cases on each tier the host supports); tails shorter than one vector
@@ -50,7 +57,9 @@
 //! `*_at` functions below, which check the tier against the CPU and the
 //! slice lengths before their single `match`.
 
-use crate::kernels::{gf_axpy_portable, gf_scale_portable, xor_into_wide, NibbleTables};
+use crate::kernels::{
+    crc32c_scalar, gf_axpy_portable, gf_scale_portable, xor_into_wide, NibbleTables,
+};
 
 /// One rung of the kernel ladder.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,17 +115,21 @@ pub fn level() -> SimdLevel {
 /// probe *prefers*. The `*_at` entry points assert this, so differential
 /// tests can exercise every supported tier, not just [`level`]'s pick.
 pub fn tier_supported(tier: SimdLevel) -> bool {
+    // The three top x86_64 tiers run CRC32C on SSE4.2's `crc32`.
+    #[cfg(target_arch = "x86_64")]
+    let sse42 = || std::arch::is_x86_feature_detected!("sse4.2");
     match tier {
         SimdLevel::Portable => true,
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
         #[cfg(target_arch = "x86_64")]
-        SimdLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+        SimdLevel::Avx2 => std::arch::is_x86_feature_detected!("avx2") && sse42(),
         #[cfg(target_arch = "x86_64")]
         SimdLevel::Avx512Vbmi => {
             std::arch::is_x86_feature_detected!("avx512f")
                 && std::arch::is_x86_feature_detected!("avx512bw")
                 && std::arch::is_x86_feature_detected!("avx512vbmi")
+                && sse42()
         }
         // The GFNI kernels use the VEX-encoded 256-bit forms, which need
         // AVX2 alongside the GFNI bit (pre-AVX hosts expose only the
@@ -125,6 +138,7 @@ pub fn tier_supported(tier: SimdLevel) -> bool {
         SimdLevel::Gfni => {
             std::arch::is_x86_feature_detected!("gfni")
                 && std::arch::is_x86_feature_detected!("avx2")
+                && sse42()
         }
         #[cfg(target_arch = "aarch64")]
         SimdLevel::Neon => std::arch::is_aarch64_feature_detected!("neon"),
@@ -272,6 +286,24 @@ pub fn gf_axpy_multi_at(tier: SimdLevel, acc: &mut [u8], srcs: &[(u8, &[u8])]) {
                 gf_axpy_at(tier, acc, c1, s1);
             }
         }
+    }
+}
+
+/// CRC32C digest of `data` on a specific tier.
+///
+/// # Panics
+/// Panics if the host cannot execute `tier` (see [`tier_supported`]).
+pub fn crc32c_at(tier: SimdLevel, data: &[u8]) -> u32 {
+    assert_supported(tier);
+    // SAFETY: tier support was asserted above, and the gates of these
+    // three tiers include SSE4.2; the kernel takes a single slice, so
+    // there is no length relation to uphold.
+    match tier {
+        #[cfg(target_arch = "x86_64")]
+        SimdLevel::Avx2 | SimdLevel::Avx512Vbmi | SimdLevel::Gfni => unsafe {
+            x86::crc32c_sse42(data)
+        },
+        _ => crc32c_scalar(data),
     }
 }
 
@@ -683,6 +715,29 @@ mod x86 {
             *db ^= *sb;
         }
     }
+
+    // -- SSE4.2: CRC32C ---------------------------------------------------
+    //
+    // The `crc32` instruction folds a word into a reflected CRC32C state,
+    // the same state the table reference keeps, so init (`!0`), the
+    // little-endian word order and the final inversion carry over as is.
+
+    /// Single-stream CRC32C: one 8-byte word per `crc32`, then the tail
+    /// byte by byte.
+    #[target_feature(enable = "sse4.2")]
+    pub unsafe fn crc32c_sse42(data: &[u8]) -> u32 {
+        let mut words = data.chunks_exact(8);
+        let mut crc = u64::from(!0u32);
+        for w in &mut words {
+            crc = _mm_crc32_u64(crc, u64::from_le_bytes(w.try_into().unwrap()));
+        }
+        // `crc32` on a 64-bit operand zero-extends its 32-bit result.
+        let mut crc = crc as u32;
+        for &b in words.remainder() {
+            crc = _mm_crc32_u8(crc, b);
+        }
+        !crc
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -758,7 +813,7 @@ mod neon {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernels::{gf_axpy_scalar, gf_scale_scalar, xor_into_scalar};
+    use crate::kernels::{crc32c_scalar, gf_axpy_scalar, gf_scale_scalar, xor_into_scalar};
 
     #[test]
     fn probe_is_stable() {
@@ -810,6 +865,12 @@ mod tests {
                 xor_into_at(tier, &mut a, &src);
                 xor_into_scalar(&mut b, &src);
                 assert_eq!(a, b, "xor {tier:?} len={len}");
+
+                assert_eq!(
+                    crc32c_at(tier, &src),
+                    crc32c_scalar(&src),
+                    "crc32c {tier:?} len={len}"
+                );
 
                 let srcs_owned: Vec<(u8, Vec<u8>)> = (0..5u8)
                     .map(|t| {

@@ -13,11 +13,12 @@ use std::sync::OnceLock;
 
 use rand::{Rng, RngCore};
 use robustore_erasure::kernels::{
-    gf, gf_axpy, gf_axpy_multi_scalar, gf_axpy_scalar, gf_scale, gf_scale_scalar, xor_into,
-    xor_into_scalar,
+    crc32c, crc32c_scalar, gf, gf_axpy, gf_axpy_multi_scalar, gf_axpy_scalar, gf_scale,
+    gf_scale_scalar, xor_into, xor_into_scalar,
 };
 use robustore_erasure::simd::{
-    gf_axpy_at, gf_axpy_multi_at, gf_scale_at, level, tier_supported, xor_into_at, SimdLevel,
+    crc32c_at, gf_axpy_at, gf_axpy_multi_at, gf_scale_at, level, tier_supported, xor_into_at,
+    SimdLevel,
 };
 use robustore_erasure::ReedSolomon;
 use robustore_simkit::SeedSequence;
@@ -245,6 +246,63 @@ fn large_unaligned_cases_match_scalar_dispatched_and_per_tier() {
             }
             gf_scale_scalar(&mut b, coef);
             assert_eq!(a, b, "{route:?} scale round {round}: len={len} coef={coef}");
+        }
+    }
+}
+
+/// Every length from 0 to 4 KiB at every offset into a cache line, so
+/// each word-count/tail split meets each misalignment, then 40 block-sized
+/// 32–40 KiB cases at random offsets: each tier's digest equals the
+/// table's.
+#[test]
+fn crc32c_random_cases_per_tier() {
+    let mut rng = SeedSequence::new(0xA9).fork("crc32c", 0);
+    let mut buf = vec![0u8; 64 + 4096];
+    rng.fill_bytes(&mut buf);
+    for len in 0..=4096 {
+        for off in 0..64 {
+            let data = &buf[off..off + len];
+            let want = crc32c_scalar(data);
+            for &tier in supported_tiers() {
+                assert_eq!(crc32c_at(tier, data), want, "{tier:?} len={len} off={off}");
+            }
+        }
+    }
+    for round in 0..40 {
+        let len = 32 * 1024 + rng.gen_range(0usize..=8 * 1024);
+        let case = Case::large(&mut rng, len);
+        let data = case.src();
+        let want = crc32c_scalar(data);
+        assert_eq!(crc32c(data), want, "dispatched round {round}: len={len}");
+        for &tier in supported_tiers() {
+            assert_eq!(
+                crc32c_at(tier, data),
+                want,
+                "{tier:?} round {round}: len={len}"
+            );
+        }
+    }
+}
+
+/// RFC 3720 §B.4's CRC32C test vectors, on the reference, the dispatcher
+/// and every supported tier. Stored block digests and WAL frames are
+/// these values; no tier may change them.
+#[test]
+fn crc32c_rfc3720_vectors_per_tier() {
+    let ascending: Vec<u8> = (0u8..32).collect();
+    let descending: Vec<u8> = (0u8..32).rev().collect();
+    let vectors: [(&[u8], u32); 5] = [
+        (b"", 0),
+        (&[0u8; 32], 0x8A91_36AA),
+        (&[0xFFu8; 32], 0x62A8_AB43),
+        (&ascending, 0x46DD_794E),
+        (&descending, 0x113F_DB5C),
+    ];
+    for (data, want) in vectors {
+        assert_eq!(crc32c_scalar(data), want, "scalar {data:02x?}");
+        assert_eq!(crc32c(data), want, "dispatched {data:02x?}");
+        for &tier in supported_tiers() {
+            assert_eq!(crc32c_at(tier, data), want, "{tier:?} {data:02x?}");
         }
     }
 }

@@ -10,8 +10,8 @@ use std::sync::Barrier;
 
 use rand::{Rng, RngCore};
 use robustore_erasure::kernels::{
-    gf_axpy, gf_axpy_multi, gf_axpy_multi_scalar, gf_axpy_scalar, gf_scale, gf_scale_scalar,
-    xor_into, xor_into_scalar,
+    crc32c, crc32c_scalar, gf_axpy, gf_axpy_multi, gf_axpy_multi_scalar, gf_axpy_scalar, gf_scale,
+    gf_scale_scalar, xor_into, xor_into_scalar,
 };
 use robustore_simkit::SeedSequence;
 
@@ -34,9 +34,9 @@ fn eight_threads_racing_the_first_dispatch_all_match_scalar() {
                 let srcs: [(u8, &[u8]); 3] = [(coef, &src), (0, &src), (coef ^ 1, &src)];
 
                 // Each thread opens with a different dispatcher, so the
-                // probe is raced from all four entry points.
+                // probe is raced from all five entry points.
                 start.wait();
-                for op in (0..4).map(|i| (i + t) % 4) {
+                for op in (0..5).map(|i| (i + t) % 5) {
                     match op {
                         0 => {
                             xor_into(&mut a, &src);
@@ -50,10 +50,11 @@ fn eight_threads_racing_the_first_dispatch_all_match_scalar() {
                             gf_axpy_multi(&mut a, &srcs);
                             gf_axpy_multi_scalar(&mut b, &srcs);
                         }
-                        _ => {
+                        3 => {
                             gf_scale(&mut a, coef);
                             gf_scale_scalar(&mut b, coef);
                         }
+                        _ => assert_eq!(crc32c(&a), crc32c_scalar(&b), "thread {t} crc32c"),
                     }
                     assert_eq!(a, b, "thread {t} op {op}: len={len} coef={coef}");
                 }

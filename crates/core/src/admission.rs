@@ -78,102 +78,6 @@ impl AdmissionController {
     }
 }
 
-/// Outcome of a priority-based admission request.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PriorityDecision {
-    /// Admitted into a free slot.
-    Admitted,
-    /// Admitted by preempting the listed lower-priority accesses; the
-    /// caller must abort or re-queue them.
-    AdmittedWithPreemption(Vec<u64>),
-    /// Refused: full, and nothing active has lower priority.
-    Refused,
-}
-
-/// Priority-based admission control — the PAC alternative §5.4 describes
-/// and defers to future work: "priority-based admission control allows
-/// some requests to preempt others based on priority settings".
-///
-/// Higher numeric priority wins. A new request preempts the lowest-
-/// priority active access if (and only if) that access has *strictly*
-/// lower priority; ties behave like CAC (first come, first admitted).
-#[derive(Debug, Clone)]
-pub struct PriorityAdmissionController {
-    capacity: usize,
-    active: std::collections::HashMap<u64, u8>,
-    admitted_total: u64,
-    refused_total: u64,
-    preempted_total: u64,
-}
-
-impl PriorityAdmissionController {
-    /// A controller admitting at most `capacity` concurrent accesses.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "capacity must be positive");
-        PriorityAdmissionController {
-            capacity,
-            active: std::collections::HashMap::new(),
-            admitted_total: 0,
-            refused_total: 0,
-            preempted_total: 0,
-        }
-    }
-
-    /// Request admission at `priority`. Idempotent for active accesses
-    /// (the stored priority is kept).
-    pub fn request(&mut self, access: u64, priority: u8) -> PriorityDecision {
-        if self.active.contains_key(&access) {
-            return PriorityDecision::Admitted;
-        }
-        if self.active.len() < self.capacity {
-            self.active.insert(access, priority);
-            self.admitted_total += 1;
-            return PriorityDecision::Admitted;
-        }
-        // Find the lowest-priority victim strictly below the newcomer.
-        let victim = self
-            .active
-            .iter()
-            .filter(|(_, &p)| p < priority)
-            .min_by_key(|(id, &p)| (p, **id))
-            .map(|(&id, _)| id);
-        match victim {
-            Some(v) => {
-                self.active.remove(&v);
-                self.active.insert(access, priority);
-                self.admitted_total += 1;
-                self.preempted_total += 1;
-                PriorityDecision::AdmittedWithPreemption(vec![v])
-            }
-            None => {
-                self.refused_total += 1;
-                PriorityDecision::Refused
-            }
-        }
-    }
-
-    /// Release an active access; `false` if it was not active (possibly
-    /// already preempted).
-    pub fn release(&mut self, access: u64) -> bool {
-        self.active.remove(&access).is_some()
-    }
-
-    /// Currently admitted accesses.
-    pub fn in_use(&self) -> usize {
-        self.active.len()
-    }
-
-    /// Lifetime preemptions performed.
-    pub fn preempted_total(&self) -> u64 {
-        self.preempted_total
-    }
-
-    /// Lifetime refusals.
-    pub fn refused_total(&self) -> u64 {
-        self.refused_total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -219,58 +123,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn zero_capacity_panics() {
         AdmissionController::new(0);
-    }
-
-    #[test]
-    fn priority_preempts_strictly_lower() {
-        let mut a = PriorityAdmissionController::new(2);
-        assert_eq!(a.request(1, 1), PriorityDecision::Admitted);
-        assert_eq!(a.request(2, 3), PriorityDecision::Admitted);
-        // Full. Priority 5 preempts the lowest (access 1, priority 1).
-        assert_eq!(
-            a.request(3, 5),
-            PriorityDecision::AdmittedWithPreemption(vec![1])
-        );
-        assert_eq!(a.in_use(), 2);
-        assert_eq!(a.preempted_total(), 1);
-        // Equal priority does not preempt.
-        assert_eq!(a.request(4, 3), PriorityDecision::Refused);
-        // Lower priority is refused outright.
-        assert_eq!(a.request(5, 1), PriorityDecision::Refused);
-        assert_eq!(a.refused_total(), 2);
-    }
-
-    #[test]
-    fn priority_victim_is_the_lowest() {
-        let mut a = PriorityAdmissionController::new(3);
-        a.request(10, 4);
-        a.request(11, 2);
-        a.request(12, 6);
-        assert_eq!(
-            a.request(13, 7),
-            PriorityDecision::AdmittedWithPreemption(vec![11])
-        );
-    }
-
-    #[test]
-    fn priority_release_and_idempotence() {
-        let mut a = PriorityAdmissionController::new(1);
-        assert_eq!(a.request(1, 2), PriorityDecision::Admitted);
-        assert_eq!(a.request(1, 2), PriorityDecision::Admitted, "idempotent");
-        assert!(a.release(1));
-        assert!(!a.release(1));
-        assert_eq!(a.request(2, 0), PriorityDecision::Admitted);
-    }
-
-    #[test]
-    fn preempted_access_cannot_release() {
-        let mut a = PriorityAdmissionController::new(1);
-        a.request(1, 1);
-        assert_eq!(
-            a.request(2, 9),
-            PriorityDecision::AdmittedWithPreemption(vec![1])
-        );
-        assert!(!a.release(1), "victim already evicted");
-        assert!(a.release(2));
     }
 }

@@ -6,6 +6,12 @@
 //! implementation stands in for the remote filers, with a per-disk
 //! *speed* used to emulate the arrival order speculative reads exploit
 //! and counters for the bytes a cancellation saves.
+//!
+//! The system runs every block operation on a per-disk [`DiskShard`]
+//! (see `crate::sharded`). The in-tree backends — in-memory, file and
+//! chaos — therefore implement each block operation once, on their
+//! shard type, and their [`StorageBackend`] impls only route by disk id
+//! (one shared `route_by_disk!` expansion).
 
 use std::collections::HashMap;
 
@@ -188,10 +194,11 @@ pub trait StorageBackend {
 
     /// Split this backend into independent per-disk shards, consuming its
     /// guts: each [`DiskShard`] owns one disk's state and can be locked
-    /// separately, so accesses touching different disks stop serialising
-    /// on one big lock. Returns `None` when the backend cannot shard (the
-    /// system then falls back to a single lock around the whole backend).
-    /// After a successful split the husk must not be used for I/O.
+    /// separately, so accesses touching different disks never serialise
+    /// on one big lock. Per-disk shards are the system's only block-I/O
+    /// path: a backend returning `None` (the default) is refused by
+    /// [`crate::System::try_with_backend`]. After a successful split the
+    /// husk must not be used for I/O.
     fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
         None
     }
@@ -260,30 +267,172 @@ pub trait StorageBackend {
     }
 }
 
+/// Implements [`StorageBackend`] for a backend made of per-disk shards:
+/// `$backend` has `shards: Vec<S>` (`S: DiskShard`, indexed by disk id)
+/// and `reads: u64`. Every call routes to its disk's shard, where the
+/// block operation is implemented; an unknown disk refuses like a missing
+/// block. `reads` counts only the disk-less [`StorageBackend::count_read`].
+macro_rules! route_by_disk {
+    ($backend:ty) => {
+        const _: () = {
+            use robustore_simkit::SeedSequence;
+            use $crate::backend::{DiskShard, RefusedWrite, StorageBackend};
+            use $crate::error::StoreError;
+
+            impl StorageBackend for $backend {
+                fn num_disks(&self) -> usize {
+                    self.shards.len()
+                }
+
+                fn write_block(
+                    &mut self,
+                    disk: usize,
+                    block: u64,
+                    data: Vec<u8>,
+                ) -> Result<(), RefusedWrite> {
+                    match self.shards.get_mut(disk) {
+                        Some(shard) => shard.write_block(block, data),
+                        None => Err(RefusedWrite::new(
+                            StoreError::MissingBlock { disk, block },
+                            data,
+                        )),
+                    }
+                }
+
+                fn commit_batch(
+                    &mut self,
+                    disk: usize,
+                    batch: Vec<(u64, Vec<u8>)>,
+                ) -> Vec<Result<(), RefusedWrite>> {
+                    match self.shards.get_mut(disk) {
+                        Some(shard) => shard.commit_batch(batch),
+                        None => batch
+                            .into_iter()
+                            .map(|(block, data)| {
+                                let error = StoreError::MissingBlock { disk, block };
+                                Err(RefusedWrite::new(error, data))
+                            })
+                            .collect(),
+                    }
+                }
+
+                fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
+                    let mut buf = Vec::new();
+                    self.read_block_into(disk, block, &mut buf)?;
+                    Ok(buf)
+                }
+
+                fn read_block_into(
+                    &self,
+                    disk: usize,
+                    block: u64,
+                    buf: &mut Vec<u8>,
+                ) -> Result<(), StoreError> {
+                    let shard = self.shards.get(disk);
+                    shard
+                        .ok_or(StoreError::MissingBlock { disk, block })?
+                        .read_block_into(block, buf)
+                }
+
+                fn has_block(&self, disk: usize, block: u64) -> bool {
+                    self.shards.get(disk).is_some_and(|s| s.has_block(block))
+                }
+
+                fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
+                    let shard = self.shards.get_mut(disk);
+                    shard
+                        .ok_or(StoreError::MissingBlock { disk, block })?
+                        .delete_block(block)
+                }
+
+                fn disk_speed(&self, disk: usize) -> f64 {
+                    self.shards[disk].speed()
+                }
+
+                fn disk_used(&self, disk: usize) -> u64 {
+                    self.shards.get(disk).map_or(0, |s| s.used())
+                }
+
+                fn count_read(&mut self) {
+                    self.reads += 1;
+                }
+
+                fn reads(&self) -> u64 {
+                    self.reads
+                }
+
+                fn writes(&self) -> u64 {
+                    self.shards.iter().map(|s| s.writes()).sum()
+                }
+
+                fn set_offline(&mut self, disk: usize, offline: bool) {
+                    if let Some(shard) = self.shards.get_mut(disk) {
+                        shard.set_offline(offline);
+                    }
+                }
+
+                fn drop_random_blocks(
+                    &mut self,
+                    disk: usize,
+                    fraction: f64,
+                    seq: &SeedSequence,
+                ) -> Vec<u64> {
+                    let shard = self.shards.get_mut(disk);
+                    shard.map_or_else(Vec::new, |s| s.drop_random_blocks(fraction, seq))
+                }
+
+                fn corrupt_random_blocks(
+                    &mut self,
+                    disk: usize,
+                    fraction: f64,
+                    seq: &SeedSequence,
+                ) -> Vec<u64> {
+                    let shard = self.shards.get_mut(disk);
+                    shard.map_or_else(Vec::new, |s| s.corrupt_random_blocks(fraction, seq))
+                }
+
+                fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
+                    let shards = self.shards.drain(..);
+                    Some(shards.map(|s| Box::new(s) as Box<dyn DiskShard>).collect())
+                }
+            }
+        };
+    };
+}
+pub(crate) use route_by_disk;
+
 /// In-memory backend: one block map per disk plus a nominal speed.
 #[derive(Debug, Default)]
 pub struct InMemoryBackend {
-    disks: Vec<DiskStore>,
+    shards: Vec<MemDisk>,
     /// Blocks read (speculative access may read more than needed).
     reads: u64,
-    /// Blocks written.
-    writes: u64,
 }
 
-#[derive(Debug, Default)]
-struct DiskStore {
+route_by_disk!(InMemoryBackend);
+
+/// One in-memory disk: the shard [`InMemoryBackend`] is made of.
+#[derive(Debug)]
+struct MemDisk {
+    /// Global disk id — for error values and the seeded fault streams.
+    disk: usize,
     blocks: HashMap<u64, Vec<u8>>,
     speed: f64,
     used: u64,
+    /// Stored blocks survive an outage; only I/O is refused.
     offline: bool,
+    reads: u64,
+    writes: u64,
 }
 
-impl DiskStore {
-    /// `disk` is the store's global id — used only for error values and
-    /// the seeded fault streams, so shard and whole-backend behaviour
-    /// stay bit-identical.
-    fn write(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
+impl DiskShard for MemDisk {
+    fn disk_id(&self) -> usize {
+        self.disk
+    }
+
+    fn write_block(&mut self, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
         if self.offline {
+            let disk = self.disk;
             return Err(RefusedWrite::new(
                 StoreError::MissingBlock { disk, block },
                 data,
@@ -293,38 +442,76 @@ impl DiskStore {
         if let Some(old) = self.blocks.insert(block, data) {
             self.used -= old.len() as u64;
         }
+        self.writes += 1;
         Ok(())
     }
 
-    fn has(&self, block: u64) -> bool {
-        !self.offline && self.blocks.contains_key(&block)
-    }
-
-    fn read_into(&self, disk: usize, block: u64, buf: &mut Vec<u8>) -> Result<(), StoreError> {
+    /// Copies into `buf` in place — no allocation when its capacity
+    /// already covers the block (the pooled-buffer fast path).
+    fn read_block_into(&self, block: u64, buf: &mut Vec<u8>) -> Result<(), StoreError> {
         let data = if self.offline {
             None
         } else {
             self.blocks.get(&block)
         }
-        .ok_or(StoreError::MissingBlock { disk, block })?;
+        .ok_or(StoreError::MissingBlock {
+            disk: self.disk,
+            block,
+        })?;
         buf.clear();
         buf.extend_from_slice(data);
         Ok(())
     }
 
-    fn delete(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
+    fn has_block(&self, block: u64) -> bool {
+        !self.offline && self.blocks.contains_key(&block)
+    }
+
+    fn delete_block(&mut self, block: u64) -> Result<(), StoreError> {
         match self.blocks.remove(&block) {
             Some(old) => {
                 self.used -= old.len() as u64;
                 Ok(())
             }
-            None => Err(StoreError::MissingBlock { disk, block }),
+            None => Err(StoreError::MissingBlock {
+                disk: self.disk,
+                block,
+            }),
         }
     }
 
-    fn drop_random(&mut self, disk: usize, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
+    fn speed(&self) -> f64 {
+        self.speed
+    }
+
+    fn used(&self) -> u64 {
+        self.used
+    }
+
+    fn count_read(&mut self) {
+        self.reads += 1;
+    }
+
+    fn reads(&self) -> u64 {
+        self.reads
+    }
+
+    fn writes(&self) -> u64 {
+        self.writes
+    }
+
+    fn set_offline(&mut self, offline: bool) {
+        self.offline = offline;
+    }
+
+    /// Reads of a lost block report [`StoreError::MissingBlock`], which
+    /// the client's degraded-read path skips over. The victims depend
+    /// only on the disk's contents, `fraction`, and `seq` (drawn from
+    /// the dedicated `"block-loss"` stream); lost keys come back in
+    /// ascending order.
+    fn drop_random_blocks(&mut self, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
         assert!((0.0..=1.0).contains(&fraction), "fraction in 0..=1");
-        let mut rng = seq.fork("block-loss", disk as u64);
+        let mut rng = seq.fork("block-loss", self.disk as u64);
         let mut keys: Vec<u64> = self.blocks.keys().copied().collect();
         keys.sort_unstable(); // HashMap order is not deterministic; draws must be
         let mut lost = Vec::new();
@@ -338,9 +525,13 @@ impl DiskStore {
         lost
     }
 
-    fn corrupt_random(&mut self, disk: usize, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
+    /// Bit rot: victims keep their length and keep reading successfully,
+    /// but one byte is flipped — indistinguishable from a good block
+    /// without the stored checksum. Victims depend only on the disk's
+    /// contents, `fraction`, and `seq` (dedicated `"bit-rot"` stream).
+    fn corrupt_random_blocks(&mut self, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
         assert!((0.0..=1.0).contains(&fraction), "fraction in 0..=1");
-        let mut rng = seq.fork("bit-rot", disk as u64);
+        let mut rng = seq.fork("bit-rot", self.disk as u64);
         let mut keys: Vec<u64> = self.blocks.keys().copied().collect();
         keys.sort_unstable();
         let mut rotted = Vec::new();
@@ -359,213 +550,32 @@ impl DiskStore {
     }
 }
 
-/// One in-memory disk split out of an [`InMemoryBackend`] by
-/// [`StorageBackend::try_shard`].
-#[derive(Debug)]
-struct InMemoryShard {
-    disk: usize,
-    store: DiskStore,
-    reads: u64,
-    writes: u64,
-}
-
-impl DiskShard for InMemoryShard {
-    fn disk_id(&self) -> usize {
-        self.disk
-    }
-
-    fn write_block(&mut self, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        self.store.write(self.disk, block, data)?;
-        self.writes += 1;
-        Ok(())
-    }
-
-    fn read_block_into(&self, block: u64, buf: &mut Vec<u8>) -> Result<(), StoreError> {
-        self.store.read_into(self.disk, block, buf)
-    }
-
-    fn has_block(&self, block: u64) -> bool {
-        self.store.has(block)
-    }
-
-    fn delete_block(&mut self, block: u64) -> Result<(), StoreError> {
-        self.store.delete(self.disk, block)
-    }
-
-    fn speed(&self) -> f64 {
-        self.store.speed
-    }
-
-    fn used(&self) -> u64 {
-        self.store.used
-    }
-
-    fn count_read(&mut self) {
-        self.reads += 1;
-    }
-
-    fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    fn set_offline(&mut self, offline: bool) {
-        self.store.offline = offline;
-    }
-
-    fn drop_random_blocks(&mut self, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
-        self.store.drop_random(self.disk, fraction, seq)
-    }
-
-    fn corrupt_random_blocks(&mut self, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
-        self.store.corrupt_random(self.disk, fraction, seq)
-    }
-}
-
 impl InMemoryBackend {
     /// A backend with the given per-disk nominal speeds (bytes/second).
     pub fn new(speeds: Vec<f64>) -> Self {
         assert!(!speeds.is_empty(), "need at least one disk");
         assert!(speeds.iter().all(|&s| s > 0.0), "speeds must be positive");
         InMemoryBackend {
-            disks: speeds
+            shards: speeds
                 .into_iter()
-                .map(|speed| DiskStore {
+                .enumerate()
+                .map(|(disk, speed)| MemDisk {
+                    disk,
                     blocks: HashMap::new(),
                     speed,
                     used: 0,
                     offline: false,
+                    reads: 0,
+                    writes: 0,
                 })
                 .collect(),
             reads: 0,
-            writes: 0,
         }
     }
 
     /// A uniform backend of `n` disks at `speed` bytes/second.
     pub fn uniform(n: usize, speed: f64) -> Self {
         InMemoryBackend::new(vec![speed; n])
-    }
-
-    /// Whether a disk is currently offline.
-    pub fn is_offline(&self, disk: usize) -> bool {
-        self.disks.get(disk).is_some_and(|d| d.offline)
-    }
-}
-
-impl StorageBackend for InMemoryBackend {
-    fn num_disks(&self) -> usize {
-        self.disks.len()
-    }
-
-    fn write_block(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        let Some(d) = self.disks.get_mut(disk) else {
-            return Err(RefusedWrite::new(
-                StoreError::MissingBlock { disk, block },
-                data,
-            ));
-        };
-        d.write(disk, block, data)?;
-        self.writes += 1;
-        Ok(())
-    }
-
-    fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
-        let mut buf = Vec::new();
-        self.read_block_into(disk, block, &mut buf)?;
-        Ok(buf)
-    }
-
-    /// Copies into `buf` in place — no allocation when its capacity
-    /// already covers the block (the pooled-buffer fast path).
-    fn read_block_into(
-        &self,
-        disk: usize,
-        block: u64,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        self.disks
-            .get(disk)
-            .ok_or(StoreError::MissingBlock { disk, block })?
-            .read_into(disk, block, buf)
-    }
-
-    fn has_block(&self, disk: usize, block: u64) -> bool {
-        self.disks.get(disk).is_some_and(|d| d.has(block))
-    }
-
-    fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
-        self.disks
-            .get_mut(disk)
-            .ok_or(StoreError::MissingBlock { disk, block })?
-            .delete(disk, block)
-    }
-
-    fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
-        Some(
-            self.disks
-                .drain(..)
-                .enumerate()
-                .map(|(disk, store)| {
-                    Box::new(InMemoryShard {
-                        disk,
-                        store,
-                        reads: 0,
-                        writes: 0,
-                    }) as Box<dyn DiskShard>
-                })
-                .collect(),
-        )
-    }
-
-    fn disk_speed(&self, disk: usize) -> f64 {
-        self.disks[disk].speed
-    }
-
-    fn disk_used(&self, disk: usize) -> u64 {
-        self.disks[disk].used
-    }
-
-    fn count_read(&mut self) {
-        self.reads += 1;
-    }
-
-    fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    fn writes(&self) -> u64 {
-        self.writes
-    }
-
-    /// Stored blocks survive an outage; only I/O is refused.
-    fn set_offline(&mut self, disk: usize, offline: bool) {
-        self.disks[disk].offline = offline;
-    }
-
-    /// Reads of a lost block report [`StoreError::MissingBlock`], which
-    /// the client's degraded-read path skips over. The victims depend
-    /// only on the disk's contents, `fraction`, and `seq` (drawn from
-    /// the dedicated `"block-loss"` stream); lost keys come back in
-    /// ascending order.
-    fn drop_random_blocks(&mut self, disk: usize, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
-        self.disks[disk].drop_random(disk, fraction, seq)
-    }
-
-    /// Bit rot: victims keep their length and keep reading successfully,
-    /// but one byte is flipped — indistinguishable from a good block
-    /// without the stored checksum. Victims depend only on the disk's
-    /// contents, `fraction`, and `seq` (dedicated `"bit-rot"` stream).
-    fn corrupt_random_blocks(
-        &mut self,
-        disk: usize,
-        fraction: f64,
-        seq: &SeedSequence,
-    ) -> Vec<u64> {
-        self.disks[disk].corrupt_random(disk, fraction, seq)
     }
 }
 

@@ -1,9 +1,12 @@
-//! Fault injection over any [`StorageBackend`].
+//! Fault injection over any [`StorageBackend`] that shards.
 //!
-//! [`ChaosBackend`] wraps a real backend and interposes on `write_block`
-//! and `read_block_into` according to a [`FaultSwitch`] the test arms
-//! from outside — including *mid-access*, because the switch is a shared
-//! handle while the wrapped backend is owned by the [`crate::System`].
+//! [`ChaosBackend`] splits a real backend into its per-disk shards and
+//! interposes on each shard's `write_block` and `read_block_into`
+//! according to a [`FaultSwitch`] the test arms from outside — including
+//! *mid-access*, because the switch is a shared handle while the wrapped
+//! backend is owned by the [`crate::System`]. Interception lives once, on
+//! the shard; the backend's own [`StorageBackend`] ops route to its
+//! shards by disk id, exactly as the system's per-disk dispatch does.
 //!
 //! Write-path fault shapes:
 //!
@@ -40,7 +43,7 @@ use robustore_simkit::{
     ReadFaultKind, ReadFaultPlan, SeedSequence, WriteFaultKind, WriteFaultPlan,
 };
 
-use crate::backend::{DiskShard, RefusedWrite, StorageBackend};
+use crate::backend::{route_by_disk, DiskShard, RefusedWrite, StorageBackend};
 use crate::error::StoreError;
 
 #[derive(Debug, Default)]
@@ -240,141 +243,43 @@ impl FaultSwitch {
 /// A [`StorageBackend`] that injects write and read faults per its
 /// [`FaultSwitch`].
 ///
-/// Deletes and accounting delegate untouched to the inner backend;
+/// Deletes and accounting delegate untouched to the wrapped shards;
 /// `write_block` and the block-read methods are interposed.
-#[derive(Debug)]
-pub struct ChaosBackend<B> {
-    inner: B,
-    switch: FaultSwitch,
+pub struct ChaosBackend {
+    shards: Vec<ChaosShard>,
+    reads: u64,
 }
 
-impl<B: StorageBackend> ChaosBackend<B> {
-    /// Wrap `inner`, returning the backend and its control handle.
-    pub fn new(inner: B) -> (Self, FaultSwitch) {
+route_by_disk!(ChaosBackend);
+
+impl ChaosBackend {
+    /// Shard `inner` and wrap every shard, returning the backend and its
+    /// control handle. Panics if `inner` cannot shard.
+    pub fn new(mut inner: impl StorageBackend) -> (Self, FaultSwitch) {
+        // Every shard interposes with a clone of the *same* switch: fault
+        // budgets live in the shared switch state, so arming, clearing,
+        // and fault accounting keep working mid-access no matter which
+        // shard the access touches — and a per-disk budget drains
+        // identically whether the writes arrive one at a time or through
+        // a group-commit batch (the default [`DiskShard::commit_batch`]
+        // funnels every entry through the intercepting `write_block` and
+        // stops at the first hard fault).
         let switch = FaultSwitch::new();
-        let backend = ChaosBackend {
-            inner,
-            switch: switch.clone(),
-        };
-        (backend, switch)
+        let shards = inner
+            .try_shard()
+            .expect("chaos injection wraps a backend that shards");
+        let shards = shards
+            .into_iter()
+            .map(|inner| ChaosShard {
+                inner,
+                switch: switch.clone(),
+            })
+            .collect();
+        (ChaosBackend { shards, reads: 0 }, switch)
     }
 }
 
-impl<B: StorageBackend> StorageBackend for ChaosBackend<B> {
-    fn num_disks(&self) -> usize {
-        self.inner.num_disks()
-    }
-
-    fn write_block(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        if let Some(error) = self.switch.intercept(disk, block) {
-            return Err(RefusedWrite::new(error, data));
-        }
-        self.inner.write_block(disk, block, data)
-    }
-
-    fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
-        let mut buf = Vec::new();
-        self.read_block_into(disk, block, &mut buf)?;
-        Ok(buf)
-    }
-
-    fn read_block_into(
-        &self,
-        disk: usize,
-        block: u64,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        let fate = self.switch.intercept_read(disk);
-        if let Some(ReadFate::Error(e)) = fate {
-            return Err(e);
-        }
-        self.inner.read_block_into(disk, block, buf)?;
-        match fate {
-            Some(ReadFate::Corrupt) => {
-                if let Some(byte) = buf.first_mut() {
-                    *byte ^= 0xFF;
-                }
-            }
-            Some(ReadFate::Tear) => buf.truncate(buf.len() / 2),
-            _ => {}
-        }
-        Ok(())
-    }
-
-    fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
-        self.inner.delete_block(disk, block)
-    }
-
-    /// Presence probes are not reads: they bypass the switch so risk
-    /// assessment never drains armed fault budgets.
-    fn has_block(&self, disk: usize, block: u64) -> bool {
-        self.inner.has_block(disk, block)
-    }
-
-    fn disk_speed(&self, disk: usize) -> f64 {
-        self.inner.disk_speed(disk)
-    }
-
-    fn disk_used(&self, disk: usize) -> u64 {
-        self.inner.disk_used(disk)
-    }
-
-    fn count_read(&mut self) {
-        self.inner.count_read();
-    }
-
-    fn reads(&self) -> u64 {
-        self.inner.reads()
-    }
-
-    fn writes(&self) -> u64 {
-        self.inner.writes()
-    }
-
-    fn set_offline(&mut self, disk: usize, offline: bool) {
-        self.inner.set_offline(disk, offline);
-    }
-
-    fn drop_random_blocks(&mut self, disk: usize, fraction: f64, seq: &SeedSequence) -> Vec<u64> {
-        self.inner.drop_random_blocks(disk, fraction, seq)
-    }
-
-    fn corrupt_random_blocks(
-        &mut self,
-        disk: usize,
-        fraction: f64,
-        seq: &SeedSequence,
-    ) -> Vec<u64> {
-        self.inner.corrupt_random_blocks(disk, fraction, seq)
-    }
-
-    fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
-        // Shard the inner backend and interpose on each shard with a
-        // clone of the *same* switch: fault budgets live in the shared
-        // switch state, so arming, clearing, and fault accounting keep
-        // working mid-access no matter which shard the access touches —
-        // and a per-disk budget drains identically whether the writes
-        // arrive one at a time or through a group-commit batch (the
-        // default [`DiskShard::commit_batch`] funnels every entry through
-        // the intercepting `write_block` and stops at the first hard
-        // fault, exactly like the unsharded wrapper).
-        let shards = self.inner.try_shard()?;
-        Some(
-            shards
-                .into_iter()
-                .map(|inner| {
-                    Box::new(ChaosShard {
-                        inner,
-                        switch: self.switch.clone(),
-                    }) as Box<dyn DiskShard>
-                })
-                .collect(),
-        )
-    }
-}
-
-/// One fault-injecting disk shard: the sharded counterpart of
-/// [`ChaosBackend`], sharing its [`FaultSwitch`].
+/// One fault-injecting disk shard, sharing its backend's [`FaultSwitch`].
 struct ChaosShard {
     inner: Box<dyn DiskShard>,
     switch: FaultSwitch,
@@ -414,7 +319,8 @@ impl DiskShard for ChaosShard {
         self.inner.delete_block(block)
     }
 
-    /// Presence probes bypass the switch (see the backend impl).
+    /// Presence probes are not reads: they bypass the switch so risk
+    /// assessment never drains armed fault budgets.
     fn has_block(&self, block: u64) -> bool {
         self.inner.has_block(block)
     }

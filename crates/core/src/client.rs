@@ -157,10 +157,9 @@ impl Default for SystemConfig {
 struct SystemInner {
     config: SystemConfig,
     meta: Mutex<Metastore>,
-    /// The sharded submission layer: locking is per disk (whole-backend
-    /// for a backend that cannot shard) and *internal*, so accesses
-    /// touching different disks never exclude each other here. Shared
-    /// with the ring workers, hence the `Arc`.
+    /// The sharded submission layer: locking is per disk and *internal*,
+    /// so accesses touching different disks never exclude each other
+    /// here. Shared with the ring workers, hence the `Arc`.
     backend: Arc<ShardedBackend>,
     /// The async submission/completion ring over `backend`: the one data
     /// path every access's block I/O takes.
@@ -192,20 +191,25 @@ impl System {
     }
 
     /// Stand up a system over any [`StorageBackend`]. Panics if the
-    /// metadata replicas cannot be opened; [`System::try_with_backend`]
-    /// is the fallible form.
+    /// backend cannot shard or the metadata replicas cannot be opened;
+    /// [`System::try_with_backend`] is the fallible form.
     pub fn with_backend(backend: Box<dyn StorageBackend + Send>, config: SystemConfig) -> Self {
-        Self::try_with_backend(backend, config).expect("metastore replicas must be openable")
+        Self::try_with_backend(backend, config)
+            .expect("backend must shard and metastore replicas must be openable")
     }
 
     /// Stand up a system over any [`StorageBackend`] (e.g. the durable
     /// [`crate::file_backend::FileBackend`]), recovering the metadata
-    /// plane from its replicas. Fails when file-backed replicas under
-    /// [`MetastoreConfig::dir`] cannot be opened or recovered.
+    /// plane from its replicas. Fails with [`StoreError::Io`] when the
+    /// backend cannot split into per-disk shards
+    /// ([`StorageBackend::try_shard`] — block I/O runs only on shards), and
+    /// when file-backed replicas under [`MetastoreConfig::dir`] cannot be
+    /// opened or recovered.
     pub fn try_with_backend(
         backend: Box<dyn StorageBackend + Send>,
         config: SystemConfig,
     ) -> Result<Self, StoreError> {
+        let backend = Arc::new(ShardedBackend::try_new(backend)?);
         let mut meta = Metastore::new(config.metastore.clone())?;
         let admission = (0..backend.num_disks())
             .map(|_| AdmissionController::new(config.admission_capacity))
@@ -222,7 +226,6 @@ impl System {
                 availability: if id % 2 == 0 { 0.999 } else { 0.95 },
             });
         }
-        let backend = Arc::new(ShardedBackend::new(backend, true));
         let ring = IoRing::start(
             backend.clone(),
             RingConfig {
@@ -305,13 +308,6 @@ impl System {
     pub fn backend_stats(&self) -> (u64, u64) {
         let b = &self.inner.backend;
         (b.reads(), b.writes())
-    }
-
-    /// Whether backend dispatch is sharded per disk (see
-    /// [`crate::sharded`]); `false` means the backend cannot shard and
-    /// sits behind the single-lock fallback.
-    pub fn is_sharded(&self) -> bool {
-        self.inner.backend.is_sharded()
     }
 
     /// Bytes stored on one disk (backend accounting; orphan detection in

@@ -9,15 +9,16 @@
 //! Layout: `<root>/disk-<id>/<block-key-hex>.blk`, plus a `speeds` file
 //! recording the per-disk nominal bandwidths so a reopened store plans the
 //! same way. Each block operation is implemented once, on the per-disk
-//! `FileShard`; the [`StorageBackend`] impl routes by disk id. A write
-//! counts only once its block file is synced, and each group commit ends
-//! with one fsync of the disk directory, so the metadata commit that
-//! follows never names a block the device does not hold.
+//! `FileShard`; the [`StorageBackend`](crate::backend::StorageBackend)
+//! impl routes by disk id. A write counts only once its block file is
+//! synced, and each group commit ends with one fsync of the disk
+//! directory, so the metadata commit that follows never names a block the
+//! device does not hold.
 
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
 
-use crate::backend::{DiskShard, RefusedWrite, StorageBackend};
+use crate::backend::{route_by_disk, DiskShard, RefusedWrite};
 use crate::error::StoreError;
 
 /// Block storage rooted in a directory.
@@ -101,97 +102,9 @@ impl FileBackend {
     }
 }
 
-impl StorageBackend for FileBackend {
-    fn num_disks(&self) -> usize {
-        self.shards.len()
-    }
-
-    fn write_block(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        self.commit_batch(disk, vec![(block, data)]).remove(0)
-    }
-
-    fn commit_batch(
-        &mut self,
-        disk: usize,
-        batch: Vec<(u64, Vec<u8>)>,
-    ) -> Vec<Result<(), RefusedWrite>> {
-        match self.shards.get_mut(disk) {
-            Some(shard) => shard.commit_batch(batch),
-            None => batch
-                .into_iter()
-                .map(|(block, data)| Err(RefusedWrite::new(io_err(disk, block), data)))
-                .collect(),
-        }
-    }
-
-    fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
-        let mut buf = Vec::new();
-        self.read_block_into(disk, block, &mut buf)?;
-        Ok(buf)
-    }
-
-    fn read_block_into(
-        &self,
-        disk: usize,
-        block: u64,
-        buf: &mut Vec<u8>,
-    ) -> Result<(), StoreError> {
-        let shard = self.shards.get(disk).ok_or(io_err(disk, block))?;
-        shard.read_block_into(block, buf)
-    }
-
-    fn has_block(&self, disk: usize, block: u64) -> bool {
-        self.shards.get(disk).is_some_and(|s| s.has_block(block))
-    }
-
-    fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
-        let shard = self.shards.get_mut(disk).ok_or(io_err(disk, block))?;
-        shard.delete_block(block)
-    }
-
-    fn disk_speed(&self, disk: usize) -> f64 {
-        self.shards[disk].speed
-    }
-
-    fn disk_used(&self, disk: usize) -> u64 {
-        self.shards.get(disk).map_or(0, |s| s.used())
-    }
-
-    fn count_read(&mut self) {
-        self.reads += 1;
-    }
-
-    fn reads(&self) -> u64 {
-        self.reads
-    }
-
-    fn writes(&self) -> u64 {
-        self.shards.iter().map(|s| s.writes).sum()
-    }
-
-    fn set_offline(&mut self, disk: usize, offline: bool) {
-        if let Some(shard) = self.shards.get_mut(disk) {
-            shard.offline = offline;
-        }
-    }
-
-    fn corrupt_random_blocks(
-        &mut self,
-        disk: usize,
-        fraction: f64,
-        seq: &robustore_simkit::SeedSequence,
-    ) -> Vec<u64> {
-        let shard = self.shards.get_mut(disk);
-        shard.map_or_else(Vec::new, |s| s.corrupt_random_blocks(fraction, seq))
-    }
-
-    /// Shards never touch each other's directories, so per-disk locking
-    /// is safe on a shared root; the `speeds` file is read-only after open.
-    fn try_shard(&mut self) -> Option<Vec<Box<dyn DiskShard>>> {
-        let shards = self.shards.drain(..);
-        Some(shards.map(|s| Box::new(s) as Box<dyn DiskShard>).collect())
-    }
-}
+// Shards never touch each other's directories, so per-disk locking is
+// safe on a shared root; the `speeds` file is read-only after open.
+route_by_disk!(FileBackend);
 
 /// One disk directory of a [`FileBackend`].
 #[derive(Debug)]
@@ -349,6 +262,7 @@ impl DiskShard for FileShard {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::StorageBackend;
 
     fn temp_root(tag: &str) -> PathBuf {
         let unique = format!(

@@ -107,7 +107,7 @@ pub mod ring;
 pub mod scrub;
 pub mod sharded;
 
-pub use admission::{AdmissionController, PriorityAdmissionController, PriorityDecision};
+pub use admission::AdmissionController;
 pub use backend::{DiskShard, InMemoryBackend, RefusedWrite, StorageBackend};
 pub use chaos::{ChaosBackend, FaultSwitch};
 pub use client::{
@@ -119,7 +119,7 @@ pub use error::StoreError;
 pub use file_backend::FileBackend;
 pub use integrity::crc32c;
 pub use locks::LockTable;
-pub use metadata::{gen_key, AccessMode, CodingSpec, DiskInfo, FileMeta, MetadataServer};
+pub use metadata::{gen_key, AccessMode, CodingSpec, DiskInfo, FileMeta};
 pub use metastore::{MemReplica, MetaShard, Metastore, MetastoreConfig, RecoveryReport};
 pub use planner::{LayoutPlanner, ReadPolicy};
 // The wave-policy vocabulary lives in `robustore-schemes` (pure

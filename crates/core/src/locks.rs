@@ -1,10 +1,11 @@
 //! Reader/writer file locks with epoch-based stale-lock reclaim.
 //!
-//! Both metadata planes — the in-memory [`crate::MetadataServer`] and the
-//! durable [`crate::metastore::Metastore`] — hand out per-file locks on
-//! `open` and expect a balanced `close`. A client that crashes between
-//! the two used to leave its `LockState` held forever, wedging the file
-//! for every later writer. The fix is lease-style: every acquisition (and
+//! The metadata plane — the durable [`crate::metastore::Metastore`], and
+//! the in-memory reference server its chaos suite compares it against —
+//! hands out per-file locks on `open` and expects a balanced `close`. A
+//! client that crashes between the two used to leave its `LockState`
+//! held forever, wedging the file for every later writer. The fix is
+//! lease-style: every acquisition (and
 //! every reader joining an existing read lock) stamps the lock with the
 //! table's current *epoch*. A supervising layer calls
 //! [`LockTable::begin_epoch`] on its own schedule (a heartbeat round, a

@@ -14,11 +14,11 @@
 //! the quorum and recovery rules, [`wal`] for framing and replica
 //! devices, [`record`] for the record codec.
 //!
-//! [`Metastore`] fronts the shards with the same open/commit/close
-//! surface as the in-memory [`MetadataServer`](crate::metadata::MetadataServer),
-//! which stays in [`crate::metadata`] as the reference implementation the
-//! differential test drives side by side with this plane. File locks are
-//! volatile by design — recovery reclaims them all conservatively (a pre-crash
+//! [`Metastore`] is the metadata server of §4.2: an open/commit/close
+//! surface over the shards. The metadata chaos suite drives it side by
+//! side with an in-memory reference server (test support, plain maps)
+//! and requires identical results call for call. File locks are volatile
+//! by design — recovery reclaims them all conservatively (a pre-crash
 //! handle's commits are refused anyway) — and the disk registry is
 //! volatile with logged usage hints.
 
@@ -88,6 +88,32 @@ fn name_hash(name: &str) -> u64 {
     h
 }
 
+/// Build every metadata shard over its replica set: opened under
+/// `config.dir` when file-backed, else fresh handles onto the in-memory
+/// devices `mems` (indexed `[shard][replica]`).
+fn open_shards(
+    config: &MetastoreConfig,
+    mems: &[Vec<MemReplica>],
+) -> Result<Vec<MetaShard>, StoreError> {
+    (0..config.shards.max(1))
+        .map(|s| {
+            let stores: Vec<Arc<dyn ReplicaStore>> = match &config.dir {
+                Some(dir) => (0..config.replicas.max(1))
+                    .map(|r| {
+                        let path = dir.join(format!("shard-{s}")).join(format!("replica-{r}"));
+                        Ok(Arc::new(FileReplica::open(path)?) as Arc<dyn ReplicaStore>)
+                    })
+                    .collect::<Result<_, StoreError>>()?,
+                None => mems[s]
+                    .iter()
+                    .map(|m| Arc::new(m.clone()) as Arc<dyn ReplicaStore>)
+                    .collect(),
+            };
+            Ok(MetaShard::new(s, stores, config.snapshot_every))
+        })
+        .collect()
+}
+
 /// The durable metadata plane: sharded, WAL-backed, quorum-replicated.
 pub struct Metastore {
     config: MetastoreConfig,
@@ -109,32 +135,17 @@ impl Metastore {
     /// existing durable replicas loads their state; fresh replicas
     /// recover to empty).
     pub fn new(config: MetastoreConfig) -> Result<Self, StoreError> {
-        let shards_n = config.shards.max(1);
-        let replicas_n = config.replicas.max(1);
-        let mut shards = Vec::with_capacity(shards_n);
-        let mut mem_replicas = Vec::new();
-        for s in 0..shards_n {
-            let mut stores: Vec<Arc<dyn ReplicaStore>> = Vec::with_capacity(replicas_n);
-            match &config.dir {
-                Some(dir) => {
-                    for r in 0..replicas_n {
-                        let path = dir.join(format!("shard-{s}")).join(format!("replica-{r}"));
-                        stores.push(Arc::new(FileReplica::open(path)?));
-                    }
-                }
-                None => {
-                    let mems: Vec<MemReplica> = (0..replicas_n)
+        let mem_replicas: Vec<Vec<MemReplica>> = match config.dir {
+            Some(_) => Vec::new(),
+            None => (0..config.shards.max(1))
+                .map(|s| {
+                    (0..config.replicas.max(1))
                         .map(|r| MemReplica::new(format!("shard-{s}/replica-{r}")))
-                        .collect();
-                    stores.extend(
-                        mems.iter()
-                            .map(|m| Arc::new(m.clone()) as Arc<dyn ReplicaStore>),
-                    );
-                    mem_replicas.push(mems);
-                }
-            }
-            shards.push(MetaShard::new(s, stores, config.snapshot_every));
-        }
+                        .collect()
+                })
+                .collect(),
+        };
+        let shards = open_shards(&config, &mem_replicas)?;
         let mut locks = LockTable::new();
         locks.set_lease_epochs(config.lock_lease_epochs);
         let mut store = Metastore {
@@ -377,35 +388,7 @@ impl Metastore {
     /// (images, locks, id cursor) and recover from the replicas alone.
     /// Returns the per-shard recovery reports.
     pub fn crash_and_recover(&mut self) -> Result<Vec<RecoveryReport>, StoreError> {
-        let snapshot_every = self.config.snapshot_every;
-        let replicas: Vec<Vec<Arc<dyn ReplicaStore>>> = match &self.config.dir {
-            Some(dir) => {
-                let mut all = Vec::with_capacity(self.shards.len());
-                for s in 0..self.shards.len() {
-                    let mut stores: Vec<Arc<dyn ReplicaStore>> = Vec::new();
-                    for r in 0..self.replica_count() {
-                        let path = dir.join(format!("shard-{s}")).join(format!("replica-{r}"));
-                        stores.push(Arc::new(FileReplica::open(path)?));
-                    }
-                    all.push(stores);
-                }
-                all
-            }
-            None => self
-                .mem_replicas
-                .iter()
-                .map(|mems| {
-                    mems.iter()
-                        .map(|m| Arc::new(m.clone()) as Arc<dyn ReplicaStore>)
-                        .collect()
-                })
-                .collect(),
-        };
-        self.shards = replicas
-            .into_iter()
-            .enumerate()
-            .map(|(s, stores)| MetaShard::new(s, stores, snapshot_every))
-            .collect();
+        self.shards = open_shards(&self.config, &self.mem_replicas)?;
         self.next_file_id = 0;
         self.id_floor = 0;
         self.recover()

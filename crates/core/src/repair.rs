@@ -209,8 +209,8 @@ pub struct RepairRunReport {
     pub repaired: usize,
     /// Coded blocks restored across all scrubs.
     pub blocks_restored: usize,
-    /// Files that vanished between survey and scrub (deleted mid-cycle
-    /// — skipped, not an error).
+    /// Files skipped, not failed: deleted between survey and scrub, or
+    /// lock-busy (another client holds the file open).
     pub skipped: usize,
     /// Files whose scrub failed (name, error text) — e.g. decode
     /// failure when damage exceeded the margin.
@@ -350,18 +350,38 @@ impl RepairService {
     /// most-at-risk-first, at most `max_files` of them (`usize::MAX`
     /// for all). A file counts as damaged when its presence probes find
     /// fewer than `n` blocks, or any of its disks is reported
-    /// non-healthy.
+    /// non-healthy. Deleted and lock-busy files are skipped, not failed.
     pub fn run_cycle(&self, max_files: usize) -> RepairRunReport {
-        let queue = self.risk_queue();
+        self.scrub_queue(self.risk_queue(), max_files, false)
+    }
+
+    /// Scrub the damaged files of a ranked `queue` in order, at most
+    /// `max_files` of them: the loop [`RepairService::run_cycle`] and
+    /// [`RepairService::run_enqueued`] share. A file deleted since the
+    /// survey, or lock-busy, is a skip. With `requeue` (the backlog pass)
+    /// every file left for later — beyond the cap, lock-busy, or restored
+    /// short of its target — goes back on the backlog.
+    fn scrub_queue(
+        &self,
+        queue: Vec<RiskEntry>,
+        max_files: usize,
+        requeue: bool,
+    ) -> RepairRunReport {
         let charged_before = self.bucket.as_ref().map_or(0, |b| b.consumed());
         let mut report = RepairRunReport {
             surveyed: queue.len(),
             ..RepairRunReport::default()
         };
+        let later = |name: String| {
+            if requeue {
+                self.pending.lock().insert(name);
+            }
+        };
         let opts = self.scrub_options();
         for entry in queue {
             if report.repaired + report.failed.len() >= max_files {
-                break;
+                later(entry.name);
+                continue;
             }
             let degraded = entry.margin < (entry.target - entry.k) as f64;
             if entry.present == entry.target && !degraded {
@@ -371,9 +391,15 @@ impl RepairService {
                 Ok(scrub) => {
                     report.blocks_restored += scrub.blocks_restored;
                     report.repaired += 1;
+                    if scrub.blocks_stored_after < scrub.blocks_target {
+                        later(entry.name); // still short
+                    }
                 }
-                // Deleted between survey and scrub: not an error.
                 Err(StoreError::NotFound(_)) => report.skipped += 1,
+                Err(StoreError::LockConflict(_)) => {
+                    report.skipped += 1;
+                    later(entry.name);
+                }
                 Err(e) => report.failed.push((entry.name, e.to_string())),
             }
         }
@@ -432,46 +458,12 @@ impl RepairService {
     /// outright (damage past the decode margin) also leaves the queue —
     /// it is re-enqueued only if a later sweep still sees it short.
     pub fn run_enqueued(&self, max_files: usize) -> RepairRunReport {
-        let names: Vec<String> = std::mem::take(&mut *self.pending.lock())
-            .into_iter()
-            .collect();
-        let queue = self.rank_names(names);
-        let charged_before = self.bucket.as_ref().map_or(0, |b| b.consumed());
-        let mut report = RepairRunReport {
-            surveyed: queue.len(),
-            ..RepairRunReport::default()
-        };
-        let opts = self.scrub_options();
-        for entry in queue {
-            if report.repaired + report.failed.len() >= max_files {
-                self.pending.lock().insert(entry.name); // next pass
-                continue;
-            }
-            let degraded = entry.margin < (entry.target - entry.k) as f64;
-            if entry.present == entry.target && !degraded {
-                continue; // healed since it was enqueued
-            }
-            match self.client.scrub_with(&entry.name, &opts) {
-                Ok(scrub) => {
-                    report.blocks_restored += scrub.blocks_restored;
-                    report.repaired += 1;
-                    if scrub.blocks_stored_after < scrub.blocks_target {
-                        self.pending.lock().insert(entry.name); // still short
-                    }
-                }
-                Err(StoreError::NotFound(_)) => report.skipped += 1,
-                Err(StoreError::LockConflict(_)) => {
-                    report.skipped += 1;
-                    self.pending.lock().insert(entry.name); // busy: retry
-                }
-                Err(e) => report.failed.push((entry.name, e.to_string())),
-            }
-        }
-        report.bytes_charged = self
-            .bucket
-            .as_ref()
-            .map_or(0, |b| b.consumed() - charged_before);
-        report
+        let names = std::mem::take(&mut *self.pending.lock());
+        self.scrub_queue(
+            self.rank_names(names.into_iter().collect()),
+            max_files,
+            true,
+        )
     }
 
     /// One tick of the continuous scrub schedule: retry the backlog

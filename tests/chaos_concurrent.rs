@@ -54,7 +54,6 @@ fn chaos_system(group_commit: usize) -> (System, FaultSwitch) {
             ..Default::default()
         },
     );
-    assert!(sys.is_sharded(), "chaos backend should shard");
     (sys, switch)
 }
 

@@ -4,8 +4,8 @@
 use std::sync::Arc;
 
 use robustore::core::{
-    AccessMode, Client, CredentialChain, FileBackend, InMemoryBackend, QosOptions, Rights,
-    StoreError, System, SystemConfig,
+    AccessMode, Client, CredentialChain, FileBackend, InMemoryBackend, QosOptions, RefusedWrite,
+    Rights, StorageBackend, StoreError, System, SystemConfig,
 };
 
 fn system(disks: usize) -> System {
@@ -422,4 +422,44 @@ fn paced_batch_with_mixed_block_sizes_and_a_stale_handle() {
         client.close(h).unwrap();
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An [`InMemoryBackend`] behind a forwarding-only wrapper that leaves
+/// `try_shard` at the trait default: it cannot split into per-disk
+/// shards.
+struct Unsharded(InMemoryBackend);
+
+impl StorageBackend for Unsharded {
+    fn num_disks(&self) -> usize {
+        self.0.num_disks()
+    }
+
+    fn write_block(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
+        self.0.write_block(disk, block, data)
+    }
+
+    fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
+        self.0.read_block(disk, block)
+    }
+
+    fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
+        self.0.delete_block(disk, block)
+    }
+
+    fn disk_speed(&self, disk: usize) -> f64 {
+        self.0.disk_speed(disk)
+    }
+
+    fn disk_used(&self, disk: usize) -> u64 {
+        self.0.disk_used(disk)
+    }
+}
+
+/// Block I/O runs only on per-disk shards: a backend that cannot shard is
+/// refused with an error, not a panic and not a single-lock fallback.
+#[test]
+fn system_refuses_a_backend_that_cannot_shard() {
+    let backend = Unsharded(InMemoryBackend::uniform(4, 10e6));
+    let refused = System::try_with_backend(Box::new(backend), SystemConfig::default());
+    assert!(matches!(refused, Err(StoreError::Io(_))));
 }

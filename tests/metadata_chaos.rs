@@ -15,19 +15,22 @@
 //!   quorum read-repair re-converges the replica — repeated recovery is
 //!   idempotent (second pass drops zero bytes);
 //! * the durable plane is **observationally identical** to the
-//!   in-memory reference server (`MetadataServer`), call for call, over
-//!   the same operation sequence — errors included;
+//!   in-memory reference server (`reference_server::MetadataServer`),
+//!   call for call, over the same operation sequence — errors included;
 //! * a **failed delete** (metadata quorum lost) leaves the file intact:
 //!   the namespace commit comes before the block GC;
 //! * a **file-backed** plane survives a full process restart with the
 //!   namespace and the file-id floor intact.
 
+mod reference_server;
+
 use std::collections::BTreeMap;
 
+use reference_server::MetadataServer;
 use robustore::core::metadata::CodingSpec;
 use robustore::core::{
-    AccessMode, Client, FileMeta, InMemoryBackend, MemReplica, MetadataServer, Metastore,
-    MetastoreConfig, QosOptions, StoreError, System, SystemConfig,
+    AccessMode, Client, FileMeta, InMemoryBackend, MemReplica, Metastore, MetastoreConfig,
+    QosOptions, StoreError, System, SystemConfig,
 };
 use robustore::erasure::LtParams;
 use robustore::simkit::{MetaFaultKind, MetaFaultPlan, MetaFaultScenario, SeedSequence};

@@ -12,7 +12,8 @@
 //!   riskier than an equally-present file on healthy ones;
 //! * **a file deleted mid-sweep is skipped, not failed** — the scrubber
 //!   must not retry a ghost forever (regression: `NotFound` used to land
-//!   in `failed`);
+//!   in `failed`); a lock-busy file is a skip too, for `run_cycle` as for
+//!   the sweep (regression: `LockConflict` used to land in `failed`);
 //! * **the budget holds under load** — repair racing foreground reads
 //!   never charges more than `rate · elapsed + burst` bytes, commits or
 //!   rolls back cleanly (no orphan blocks: stored bytes equal exactly
@@ -457,6 +458,34 @@ fn sweep_reports_feed_the_repair_backlog() {
     for e in service.risk_queue() {
         assert_eq!(e.present, e.target, "{} not at full strength", e.name);
     }
+}
+
+#[test]
+fn run_cycle_skips_a_lock_busy_file_instead_of_failing_it() {
+    let sys = system();
+    let client = Client::connect(&sys, sys.register_user());
+    put(&client, "held", &payload(60_000, 35));
+    let seq = SeedSequence::new(0xB05);
+    assert!(sys.lose_file_blocks("held", 0.3, &seq) > 0);
+
+    // A second client holds the damaged file open for reading; the
+    // scrub's writer lock conflicts with that read lock.
+    let reader = Client::connect(&sys, client.identity());
+    let held = reader
+        .open("held", AccessMode::Read, QosOptions::best_effort())
+        .unwrap();
+    let service = RepairService::new(Client::connect(&sys, client.identity()));
+    let r = service.run_cycle(usize::MAX);
+    assert_eq!(r.skipped, 1, "lock-busy file must be a skip");
+    assert!(r.failed.is_empty(), "failed: {:?}", r.failed);
+    assert_eq!(r.repaired, 0);
+
+    // Released: the next cycle repairs it.
+    reader.close(held).unwrap();
+    let r = service.run_cycle(usize::MAX);
+    assert_eq!((r.repaired, r.skipped), (1, 0));
+    assert!(r.blocks_restored > 0);
+    assert_eq!(read_back(&client, "held"), payload(60_000, 35));
 }
 
 #[test]

@@ -437,7 +437,6 @@ fn cross_access_batches_respect_submission_order_and_cancel_revokes_queued_write
         tap: tap.clone(),
     };
     let sharded = Arc::new(ShardedBackend::new(Box::new(backend), true));
-    assert!(sharded.is_sharded());
     let ring = IoRing::start(
         sharded.clone(),
         RingConfig {

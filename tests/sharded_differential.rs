@@ -1,11 +1,10 @@
 //! Differential and model-based checks of the committed state.
 //!
-//! Dispatch mode (per-disk shards vs one lock around a backend that
-//! cannot shard), group-commit batch size, and completion timing on the
-//! I/O ring may move wall-clock only: for any schedule of operations the
-//! committed state is the same. These properties run random serial
-//! schedules — create, overwrite, in-place update, delete, read — and
-//! require the final states to match in every observable dimension: file
+//! Group-commit batch size and completion timing on the I/O ring may move
+//! wall-clock only: for any schedule of operations the committed state is
+//! the same. These properties run random serial schedules — create,
+//! overwrite, in-place update, delete, read — and require the final
+//! states to match in every observable dimension: file
 //! listing, per-file layout and generation parity, read-back bytes (also
 //! checked against an in-test model of the expected contents), and
 //! per-disk byte counts. Every schedule ends in
@@ -23,8 +22,7 @@ use std::collections::BTreeMap;
 use common::check_committed_state;
 use proptest::prelude::*;
 use robustore::core::{
-    AccessMode, Client, InMemoryBackend, QosOptions, RefusedWrite, StorageBackend, StoreError,
-    System, SystemConfig,
+    AccessMode, Client, InMemoryBackend, QosOptions, StoreError, System, SystemConfig,
 };
 
 const DISKS: usize = 8;
@@ -64,54 +62,16 @@ fn fname(file: usize) -> String {
     format!("diff-{file}")
 }
 
-/// An [`InMemoryBackend`] that declines to shard: forwarding only, with
-/// `try_shard` left at the trait default, so the system runs it behind
-/// the single-lock `Whole` fallback.
-struct Unsharded(InMemoryBackend);
-
-impl StorageBackend for Unsharded {
-    fn num_disks(&self) -> usize {
-        self.0.num_disks()
-    }
-
-    fn write_block(&mut self, disk: usize, block: u64, data: Vec<u8>) -> Result<(), RefusedWrite> {
-        self.0.write_block(disk, block, data)
-    }
-
-    fn read_block(&self, disk: usize, block: u64) -> Result<Vec<u8>, StoreError> {
-        self.0.read_block(disk, block)
-    }
-
-    fn delete_block(&mut self, disk: usize, block: u64) -> Result<(), StoreError> {
-        self.0.delete_block(disk, block)
-    }
-
-    fn disk_speed(&self, disk: usize) -> f64 {
-        self.0.disk_speed(disk)
-    }
-
-    fn disk_used(&self, disk: usize) -> u64 {
-        self.0.disk_used(disk)
-    }
-}
-
-fn make_system(sharded: bool, group_commit: usize) -> System {
+fn make_system(group_commit: usize) -> System {
     let speeds: Vec<f64> = (0..DISKS).map(|i| 12e6 + i as f64 * 7e6).collect();
-    let backend: Box<dyn StorageBackend + Send> = if sharded {
-        Box::new(InMemoryBackend::new(speeds))
-    } else {
-        Box::new(Unsharded(InMemoryBackend::new(speeds)))
-    };
-    let sys = System::with_backend(
-        backend,
+    System::new(
+        InMemoryBackend::new(speeds),
         SystemConfig {
             block_bytes: 4 << 10,
             group_commit,
             ..Default::default()
         },
-    );
-    assert_eq!(sys.is_sharded(), sharded);
-    sys
+    )
 }
 
 /// Run `ops` serially, mirroring every mutation into `model` (the
@@ -206,35 +166,6 @@ fn check_against_model(sys: &System, got: &Observed, model: &BTreeMap<String, Ve
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sharded and whole-backend systems commit identical state for any
-    /// serial schedule, and that state matches the plain-bytes model.
-    #[test]
-    fn sharded_matches_single_lock_backend(
-        raw in proptest::collection::vec(
-            ((0usize..4, 0usize..4), (1usize..24_000, any::<u8>(), any::<u16>())),
-            1..10,
-        ),
-    ) {
-        let ops = decode_ops(&raw);
-        let sharded = make_system(true, 8);
-        let whole = make_system(false, 8);
-        let client_a = Client::connect(&sharded, sharded.register_user());
-        let client_b = Client::connect(&whole, whole.register_user());
-        let mut model_a = BTreeMap::new();
-        let mut model_b = BTreeMap::new();
-        run_schedule(&sharded, &client_a, &ops, &mut model_a);
-        run_schedule(&whole, &client_b, &ops, &mut model_b);
-        prop_assert_eq!(&model_a, &model_b);
-
-        let got_sharded = observe(&sharded, &client_a);
-        let got_whole = observe(&whole, &client_b);
-        prop_assert_eq!(&got_sharded, &got_whole, "sharded backend diverged");
-
-        // And both agree with the model's view of the world.
-        check_against_model(&sharded, &got_sharded, &model_a);
-        check_against_model(&whole, &got_whole, &model_b);
-    }
-
     /// Group commit batch size is invisible in the committed state: any
     /// schedule lands identically with batching off, default, and large.
     #[test]
@@ -248,7 +179,7 @@ proptest! {
         let ops = decode_ops(&raw);
         let mut states = Vec::new();
         for gc in [1usize, 8, batch] {
-            let sys = make_system(true, gc);
+            let sys = make_system(gc);
             let client = Client::connect(&sys, sys.register_user());
             let mut model = BTreeMap::new();
             run_schedule(&sys, &client, &ops, &mut model);
@@ -274,8 +205,8 @@ proptest! {
         ),
     ) {
         let ops = decode_ops(&raw);
-        let first = make_system(true, 8);
-        let second = make_system(true, 8);
+        let first = make_system(8);
+        let second = make_system(8);
         let client_a = Client::connect(&first, first.register_user());
         let client_b = Client::connect(&second, second.register_user());
         let mut model_a = BTreeMap::new();

@@ -57,11 +57,6 @@ impl AdmissionController {
         self.active.len()
     }
 
-    /// Configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Lifetime admissions.
     pub fn admitted_total(&self) -> u64 {
         self.admitted_total

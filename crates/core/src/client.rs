@@ -47,7 +47,8 @@ use crate::planner::{LayoutPlanner, ReadPolicy};
 use crate::qos::QosOptions;
 use crate::repair::ScrubOptions;
 use crate::ring::{
-    Completion, CompletionKind, IoRing, OrderedWindow, Priority, RingConfig, SubmitOp, WriteOutcome,
+    Completion, CompletionKind, IoRing, OrderedWindow, Priority, Reorder, RingConfig, SubmitOp,
+    WriteOutcome,
 };
 use crate::scrub::ScrubReport;
 use crate::sharded::ShardedBackend;
@@ -361,16 +362,6 @@ impl System {
             .map_or(0, |p| p.outstanding_bytes())
     }
 
-    /// Admission occupancy per disk (diagnostics / examples).
-    pub fn admission_loads(&self) -> Vec<f64> {
-        self.inner
-            .admission
-            .lock()
-            .iter()
-            .map(|a| a.load())
-            .collect()
-    }
-
     /// Hold an admission slot on `disk` out-of-band (used by examples and
     /// tests to emulate competing tenants).
     pub fn occupy_admission(&self, disk: usize, token: u64) -> bool {
@@ -552,7 +543,10 @@ pub struct ReadReport {
     /// Blocks actually fetched (delivered to the decoder) before it
     /// completed.
     pub blocks_fetched: usize,
-    /// Blocks whose requests were cancelled unfetched.
+    /// Stored blocks the decoder did not take: stored − fetched. Besides
+    /// requests revoked by the cancel, this counts blocks found missing or
+    /// corrupt, blocks never requested (`blocks_deferred`), and reads
+    /// that completed after the decode point and were discarded.
     pub blocks_cancelled: usize,
     /// Reception overhead: fetched/K − 1.
     pub reception_overhead: f64,
@@ -618,12 +612,6 @@ impl Client {
     /// The client's identity.
     pub fn identity(&self) -> PublicKey {
         self.identity
-    }
-
-    /// Override the planner (tests / tuning).
-    pub fn with_planner(mut self, planner: LayoutPlanner) -> Self {
-        self.planner = planner;
-        self
     }
 
     /// The system this client is connected to.
@@ -895,7 +883,7 @@ impl Client {
                     &mut written,
                 );
                 if unplaced > 0 {
-                    delete_written(backend, &written);
+                    delete_blocks(backend, &written);
                     return Err(StoreError::InsufficientDisks { got: 0, need: 1 });
                 }
             }
@@ -905,18 +893,14 @@ impl Client {
             // from here the new one is.
             let mut meta_srv = self.system.inner.meta.lock();
             if let Err(e) = meta_srv.commit(meta.clone()) {
-                delete_written(backend, &written);
+                delete_blocks(backend, &written);
                 return Err(e);
             }
             // Garbage-collect the superseded generation (its keys differ
             // from every new one by the parity bit, so nothing just
             // written is touched).
             if let Some(old) = &old {
-                for (disk, ids) in &old.layout {
-                    for &id in ids {
-                        let _ = backend.delete_block(*disk, old.block_key(id));
-                    }
-                }
+                delete_blocks(backend, &stored_keys(old));
             }
             // Feed fresh usage back to the registry (§4.2: dynamic storage
             // information comes from client accesses).
@@ -1005,7 +989,7 @@ impl Client {
                     written.push(target(tag as usize));
                 }
             }
-            delete_written(&inner.backend, written);
+            delete_blocks(&inner.backend, written);
         }
         result.map(|()| checksums)
     }
@@ -1146,10 +1130,8 @@ impl Client {
             /// (empty until the access activates at its arrival time).
             order: Vec<(usize, usize)>,
             access: u64,
-            /// Max requests in flight; small enough that an access never
-            /// submits far past its decode point (cancellation savings),
-            /// large enough to keep every disk of the layout busy.
-            window: usize,
+            /// Submission and reorder state of the reads `order` names.
+            tags: Reorder,
             /// Submission bound: entries of `order` released so far (the
             /// first wave, plus one top-up per extension).
             limit: usize,
@@ -1163,11 +1145,6 @@ impl Client {
             arrival_at: Instant,
             started: bool,
             waves: usize,
-            submitted: usize,
-            /// Tags processed in order so far.
-            next: usize,
-            received: usize,
-            parked: BTreeMap<u64, CompletionKind>,
             fetched: usize,
             retries: u64,
             missing: usize,
@@ -1187,9 +1164,8 @@ impl Client {
                 self.started
                     && self.fatal.is_none()
                     && !self.done_decoding
-                    && self.received == self.submitted
-                    && self.next == self.submitted
-                    && self.submitted == self.limit
+                    && !self.tags.outstanding()
+                    && self.tags.submitted() == self.limit
                     && self.limit < self.order.len()
             }
 
@@ -1197,8 +1173,10 @@ impl Client {
             /// decided — ready to finalize and emit.
             fn resolved(&self) -> bool {
                 self.started
-                    && self.received == self.submitted
-                    && (self.done_decoding || self.fatal.is_some() || self.next == self.order.len())
+                    && !self.tags.outstanding()
+                    && (self.done_decoding
+                        || self.fatal.is_some()
+                        || self.tags.submitted() == self.order.len())
             }
 
             /// Release the next top-up wave and re-arm the deadline.
@@ -1222,23 +1200,15 @@ impl Client {
         ) {
             while st.fatal.is_none()
                 && !st.done_decoding
-                && st.submitted < st.limit
-                && st.submitted - st.next < st.window
+                && st.tags.submitted() < st.limit
+                && st.tags.has_room()
             {
-                let (slot, idx) = st.order[st.submitted];
+                let (slot, idx) = st.order[st.tags.submitted()];
                 let (disk, ids) = &st.meta.layout[slot];
-                let coded = ids[idx];
-                ring.submit(
-                    *disk,
-                    st.access,
-                    st.submitted as u64,
-                    SubmitOp::Read {
-                        key: st.meta.block_key(coded),
-                        buf: pool.get_scratch(),
-                    },
-                    tx,
-                );
-                st.submitted += 1;
+                let key = st.meta.block_key(ids[idx]);
+                let tag = st.tags.push(*disk);
+                let buf = pool.get_scratch();
+                ring.submit(*disk, st.access, tag, SubmitOp::Read { key, buf }, tx);
             }
         }
 
@@ -1256,9 +1226,9 @@ impl Client {
                 // for ops the cancel couldn't revoke (or parked behind the
                 // resolution point) just hand their buffers back.
                 match kind {
-                    CompletionKind::Read { buf, .. } => recycle(pool, buf, block_len),
-                    CompletionKind::Cancelled { buf: Some(buf) } => recycle(pool, buf, block_len),
-                    CompletionKind::Cancelled { buf: None } => {}
+                    CompletionKind::Read { buf, .. } | CompletionKind::Cancelled { buf } => {
+                        recycle(pool, buf, block_len)
+                    }
                     other => unreachable!("read access got {other:?}"),
                 }
                 return;
@@ -1322,14 +1292,10 @@ impl Client {
                         }
                     }
                 }
-                CompletionKind::Cancelled { buf } => {
-                    // Cancels are only issued after done/fatal, so a tag
-                    // below the resolution point always carries a real
-                    // completion; recycle defensively all the same.
-                    if let Some(buf) = buf {
-                        recycle(pool, buf, block_len);
-                    }
-                }
+                // Cancels are only issued after done/fatal, so a tag below
+                // the resolution point always carries a real completion;
+                // recycle defensively all the same.
+                CompletionKind::Cancelled { buf } => recycle(pool, buf, block_len),
                 other => unreachable!("read access got {other:?}"),
             }
         }
@@ -1363,7 +1329,10 @@ impl Client {
                 decoder: LtDecoder::new(code, block_len),
                 order: Vec::new(),
                 access,
-                window: (2 * meta.layout.len()).max(8),
+                // Small enough that an access never submits far past its
+                // decode point (cancellation savings), large enough to
+                // keep every disk of the layout busy.
+                tags: Reorder::new((2 * meta.layout.len()).max(8)),
                 limit: 0,
                 topup: 0,
                 deadline: None,
@@ -1371,10 +1340,6 @@ impl Client {
                 arrival_at: t0 + Duration::from_micros(arrival_micros),
                 started: false,
                 waves: 0,
-                submitted: 0,
-                next: 0,
-                received: 0,
-                parked: BTreeMap::new(),
                 fetched: 0,
                 retries: 0,
                 missing: 0,
@@ -1444,7 +1409,7 @@ impl Client {
                         meta,
                         mut decoder,
                         order,
-                        submitted,
+                        tags,
                         waves,
                         fetched,
                         retries,
@@ -1456,31 +1421,24 @@ impl Client {
                         fatal,
                         ..
                     } = st;
-                    let r = if let Some(e) = fatal {
-                        pool.put_all(decoder.drain_all());
-                        Err(e)
-                    } else {
-                        // Every fetchable block is in. If the peel
-                        // stalled, fall back to Gaussian elimination —
-                        // the survivors may still span the data (see
-                        // `LtDecoder::solve`); only rank deficiency fails
-                        // the read.
-                        let complete = decoder.is_complete() || decoder.solve();
-                        pool.put_all(decoder.drain_spares());
-                        if !complete {
+                    let r = match fatal {
+                        Some(e) => {
                             pool.put_all(decoder.drain_all());
-                            Err(StoreError::Coding(
-                                robustore_erasure::CodingError::DecodeFailed,
-                            ))
-                        } else {
-                            let blocks = decoder.into_data().expect("complete decoder yields data");
+                            Err(e)
+                        }
+                        None => decode(decoder, pool).map(|blocks| {
                             // Read-repair: the decode just reconstructed
                             // everything the bad blocks encoded, so put
-                            // them back while the data is in hand.
+                            // them back while the data is in hand — unless
+                            // an unverified block reached the decoder: a
+                            // legacy file's rot would be re-encoded over
+                            // good blocks. Such a file heals through
+                            // `scrub`, which audits its decoder's inputs.
                             // Strictly best-effort — a successful read
                             // never fails here.
                             let repaired = if self.system.inner.config.read_repair
                                 && !bad.is_empty()
+                                && unverified == 0
                             {
                                 let code = codes[si].as_ref().expect("state implies planned code");
                                 self.try_read_repair(meta, code, &blocks, bad, &good, pool)
@@ -1493,22 +1451,20 @@ impl Client {
                                 pool.put(b);
                             }
                             out.truncate(meta.size_bytes as usize);
-                            Ok((
-                                out,
-                                ReadReport {
-                                    blocks_fetched: fetched,
-                                    blocks_cancelled: meta.stored_blocks().saturating_sub(fetched),
-                                    reception_overhead: fetched as f64 / meta.coding.k as f64 - 1.0,
-                                    transient_retries: retries,
-                                    blocks_missing: missing,
-                                    blocks_corrupt: corrupt,
-                                    blocks_unverified: unverified,
-                                    blocks_repaired: repaired,
-                                    blocks_deferred: order.len() - submitted,
-                                    waves: waves.max(1),
-                                },
-                            ))
-                        }
+                            let report = ReadReport {
+                                blocks_fetched: fetched,
+                                blocks_cancelled: meta.stored_blocks().saturating_sub(fetched),
+                                reception_overhead: fetched as f64 / meta.coding.k as f64 - 1.0,
+                                transient_retries: retries,
+                                blocks_missing: missing,
+                                blocks_corrupt: corrupt,
+                                blocks_unverified: unverified,
+                                blocks_repaired: repaired,
+                                blocks_deferred: order.len() - tags.submitted(),
+                                waves: waves.max(1),
+                            };
+                            (out, report)
+                        }),
                     };
                     sink(i, r);
                 }
@@ -1518,7 +1474,7 @@ impl Client {
             }
             // Wait for the next event: a completion, the next arrival, or
             // the earliest deadline.
-            let outstanding = states.iter().flatten().any(|st| st.received < st.submitted);
+            let outstanding = states.iter().flatten().any(|st| st.tags.outstanding());
             let timer: Option<Instant> = states
                 .iter()
                 .flatten()
@@ -1552,12 +1508,9 @@ impl Client {
                 let st = states[si]
                     .as_mut()
                     .expect("resolved accesses have no completions left");
-                st.received += 1;
-                st.parked.insert(c.tag, c.kind);
-                while let Some(kind) = st.parked.remove(&(st.next as u64)) {
-                    let tag = st.next;
-                    st.next += 1;
-                    process(st, tag, kind, block_len, pool, ring);
+                st.tags.receive(c);
+                while let Some((tag, kind)) = st.tags.pop() {
+                    process(st, tag as usize, kind, block_len, pool, ring);
                 }
                 top_up(st, ring, &tx, pool);
             }
@@ -1605,10 +1558,10 @@ impl Client {
         drop(meta_srv);
         let backend = &self.system.inner.backend;
         if committed {
-            delete_written(backend, &r.stale);
+            delete_blocks(backend, &r.stale);
             r.in_place + r.relocated.len()
         } else {
-            delete_written(backend, &r.relocated);
+            delete_blocks(backend, &r.relocated);
             r.in_place
         }
     }
@@ -1852,9 +1805,7 @@ impl Client {
             .and_then(|()| fetch.finish(&mut on_read));
         if fetched.is_err() {
             for (_, kind) in fetch.abort() {
-                if let CompletionKind::Read { buf, .. }
-                | CompletionKind::Cancelled { buf: Some(buf) } = kind
-                {
+                if let CompletionKind::Read { buf, .. } | CompletionKind::Cancelled { buf } = kind {
                     recycle(&mut pool.borrow_mut(), buf, block_len);
                 }
             }
@@ -1944,12 +1895,14 @@ impl Client {
             new_meta.checksums.extend(fresh);
             // Commit point, then garbage-collect the superseded blocks.
             if let Err(e) = self.system.inner.meta.lock().commit(new_meta.clone()) {
-                delete_written(backend, &written);
+                delete_blocks(backend, &written);
                 return Err(e);
             }
-            for &(disk, coded) in &jobs {
-                let _ = backend.delete_block(disk, meta.block_key(coded));
-            }
+            let superseded: Vec<(usize, u64)> = jobs
+                .iter()
+                .map(|&(disk, id)| (disk, meta.block_key(id)))
+                .collect();
+            delete_blocks(backend, &superseded);
         }
         handle.meta = Some(new_meta);
 
@@ -1975,23 +1928,8 @@ impl Client {
             // (metadata quorum lost) leaves every block in place and the
             // file readable.
             self.system.inner.meta.lock().remove(name)?;
-            // Then garbage-collect the blocks, fanned out across the
-            // per-disk queues all at once. Failures are ignored: the block
-            // never landed or is already gone.
-            let mut gc = OrderedWindow::new(
-                &self.system.inner.ring,
-                self.system.next_access_id(),
-                Priority::Foreground,
-                meta.stored_blocks(),
-            );
-            let mut ignore = |_, _| Ok(());
-            for (disk, ids) in &meta.layout {
-                for &id in ids {
-                    let key = meta.block_key(id);
-                    let _ = gc.submit(*disk, SubmitOp::Delete { key }, &mut ignore);
-                }
-            }
-            let _ = gc.finish(&mut ignore);
+            // Then garbage-collect the blocks.
+            delete_blocks(&self.system.inner.backend, &stored_keys(meta));
             Ok(())
         })();
         self.close(handle)?;
@@ -2102,17 +2040,7 @@ impl Client {
             pool.put_all(decoder.drain_all());
             return Err(e);
         }
-        // Same completion ladder as the read path: peel, then the GE
-        // fallback; only genuine rank deficiency fails the scrub.
-        let complete = decoder.is_complete() || decoder.solve();
-        pool.put_all(decoder.drain_spares());
-        if !complete {
-            pool.put_all(decoder.drain_all());
-            return Err(StoreError::Coding(
-                robustore_erasure::CodingError::DecodeFailed,
-            ));
-        }
-        let blocks = decoder.into_data().expect("complete decoder yields data");
+        let blocks = decode(decoder, pool)?;
         // Audit the optimistically-accepted legacy blocks now that the
         // decoded data is in hand: their bytes must equal the re-encode.
         for (&id, &crc_read) in &legacy {
@@ -2172,13 +2100,13 @@ impl Client {
         new_meta.checksums = checksums;
         let backend = &self.system.inner.backend;
         if let Err(e) = self.system.inner.meta.lock().commit(new_meta) {
-            delete_written(backend, &relocated);
+            delete_blocks(backend, &relocated);
             return Err(e);
         }
         // Copies left at a home their id no longer lives on are garbage
         // now — including a block that was only unreadable, not gone,
         // when the scrub looked.
-        delete_written(backend, &stale);
+        delete_blocks(backend, &stale);
         Ok(report)
     }
 
@@ -2317,13 +2245,37 @@ fn recycle(pool: &mut BlockPool, mut buf: Vec<u8>, block_len: usize) {
     pool.put(buf);
 }
 
-/// Roll back a partially written generation: delete every block the
-/// aborted access put down, so no orphans survive an error return. Delete
+/// Finish a decode once every fetchable block is in: the peel, then the
+/// Gaussian-elimination fallback — the survivors may still span the data
+/// (see `LtDecoder::solve`), so only rank deficiency fails. Every buffer
+/// the decoder holds beyond the data goes back to `pool`.
+fn decode(mut decoder: LtDecoder<'_>, pool: &mut BlockPool) -> Result<Vec<Block>, StoreError> {
+    let spent = if decoder.solve() {
+        decoder.drain_spares()
+    } else {
+        decoder.drain_all()
+    };
+    pool.put_all(spent);
+    decoder.into_data().ok_or(StoreError::Coding(
+        robustore_erasure::CodingError::DecodeFailed,
+    ))
+}
+
+/// Garbage-collect blocks directly on their shards: a superseded
+/// generation, a deleted file, or what an aborted access put down. Delete
 /// failures are ignored — the block either never landed or is gone.
-fn delete_written(backend: &ShardedBackend, written: &[(usize, u64)]) {
-    for &(disk, key) in written {
+fn delete_blocks(backend: &ShardedBackend, blocks: &[(usize, u64)]) {
+    for &(disk, key) in blocks {
         let _ = backend.delete_block(disk, key);
     }
+}
+
+/// The `(disk, key)` of every block `meta`'s layout stores.
+fn stored_keys(meta: &FileMeta) -> Vec<(usize, u64)> {
+    meta.layout
+        .iter()
+        .flat_map(|(disk, ids)| ids.iter().map(move |&id| (*disk, meta.block_key(id))))
+        .collect()
 }
 
 /// Encode the coded blocks named by `ids` on up to `threads` workers and

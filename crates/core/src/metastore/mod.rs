@@ -394,14 +394,6 @@ impl Metastore {
         self.recover()
     }
 
-    /// Force snapshot+compaction on every shard (tests and maintenance
-    /// windows).
-    pub fn compact_all(&mut self) {
-        for shard in &mut self.shards {
-            shard.compact();
-        }
-    }
-
     /// Total files across all shard images.
     pub fn file_count(&self) -> usize {
         self.shards.iter().map(|s| s.image().len()).sum()

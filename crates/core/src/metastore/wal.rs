@@ -126,11 +126,6 @@ impl MemReplica {
         self.inner.lock().down = down;
     }
 
-    /// Whether the replica is currently down.
-    pub fn is_down(&self) -> bool {
-        self.inner.lock().down
-    }
-
     /// Arm a torn append: the next `append_log` persists only `keep`
     /// bytes of the frame (then reports failure, as a crashed writer
     /// would have).

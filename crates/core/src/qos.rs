@@ -1,8 +1,7 @@
 //! QoS options for `open` (Appendix B).
 //!
-//! The open call carries a traffic profile and performance requirements;
-//! the layout planner turns them into a disk count and a redundancy
-//! degree. Unset fields fall back to planner defaults derived from the
+//! The open call carries performance requirements; the layout planner
+//! turns them into a disk count and a redundancy degree. Unset fields fall back to planner defaults derived from the
 //! cluster's measured characteristics.
 
 /// Quality-of-service options attached to an `open`.
@@ -11,19 +10,11 @@ pub struct QosOptions {
     /// Target aggregate access bandwidth, bytes/second. Drives the disk
     /// count: H ≥ target / average-disk-bandwidth (§5.3.1).
     pub target_bandwidth: Option<f64>,
-    /// Maximum acceptable access latency, seconds (informational; admission
-    /// controllers may use it for scheduling).
-    pub latency_target: Option<f64>,
     /// Explicit degree of data redundancy D; otherwise the planner sizes it
     /// from disk-performance spread (§5.3.2).
     pub redundancy: Option<f64>,
     /// Explicit disk count; overrides the bandwidth-derived count.
     pub num_disks: Option<usize>,
-    /// Storage capacity to reserve, bytes (traffic profile).
-    pub reserve_bytes: Option<u64>,
-    /// Relative priority for priority-based admission (unused by the
-    /// capacity-based controller; carried for completeness).
-    pub priority: u8,
     /// Pin the layout to exactly these disks, bypassing dynamic
     /// load/space/availability selection. Dynamic selection reads live
     /// usage, so under concurrent accesses the chosen disks depend on

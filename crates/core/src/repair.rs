@@ -93,13 +93,6 @@ impl TokenBucket {
         }
     }
 
-    /// Convenience constructor: `mb_per_sec` megabytes/second with one
-    /// second of burst slack.
-    pub fn per_mb(mb_per_sec: f64) -> Self {
-        let rate = mb_per_sec * 1e6;
-        TokenBucket::new(rate, rate.max(1.0) as u64)
-    }
-
     /// Block until `bytes` tokens are available, then take them.
     pub fn acquire(&self, bytes: u64) {
         self.consumed.fetch_add(bytes, Ordering::Relaxed);
@@ -134,11 +127,6 @@ impl TokenBucket {
     /// Refill rate in bytes/second (non-positive = unlimited).
     pub fn rate(&self) -> f64 {
         self.rate
-    }
-
-    /// Burst slack in bytes.
-    pub fn burst(&self) -> u64 {
-        self.burst as u64
     }
 
     /// Seconds since the bucket was created (for checking the consumed

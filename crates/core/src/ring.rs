@@ -8,7 +8,7 @@
 //! in flight at once — the per-disk-FIFO-queue regime of the MDS-queue
 //! model — instead of burning a thread per access on blocking calls.
 //!
-//! Three properties define the ring's semantics:
+//! Four properties define the ring's semantics:
 //!
 //! * **Cross-access group commit.** A worker popping a write from its
 //!   queue also pops the contiguous run of queued writes behind it — from
@@ -38,10 +38,13 @@
 //! consumed in each disk's service (= submission) order and a successful
 //! read is counted exactly once.
 //!
-//! Accesses that need their completions *in submission order* with a
-//! bounded number in flight — writes, updates, scrub fetches, the restore
-//! path's audits and in-place rewrites, deletes —
-//! go through [`OrderedWindow`], the one reorder buffer over the ring.
+//! Every access that consumes its completions *in submission order* with
+//! a bounded number in flight runs on one state machine, [`Reorder`]: the
+//! speculative read reactor keeps one per access over a channel its
+//! accesses share, and [`OrderedWindow`] — writes, updates, scrub
+//! fetches, the restore path's audits and in-place rewrites — wraps one
+//! with a channel of its own. Block deletes do not use the ring: they
+//! are garbage collection, called on the shards directly.
 //!
 //! Each worker also exports live load telemetry — queue depth, in-flight
 //! count, and an EWMA of per-op service time — behind the lock-free
@@ -90,11 +93,6 @@ pub enum SubmitOp {
         /// Encoded block payload.
         data: Vec<u8>,
     },
-    /// Remove block `key`.
-    Delete {
-        /// Backend block key.
-        key: u64,
-    },
 }
 
 /// Outcome of one write within a (possibly batched) commit dispatch.
@@ -134,13 +132,11 @@ pub enum CompletionKind {
     },
     /// A write was serviced (possibly as part of a cross-access batch).
     Write(WriteOutcome),
-    /// A delete was serviced.
-    Delete(Result<(), StoreError>),
     /// The op was revoked by [`IoRing::cancel`] before the disk serviced
-    /// it; the buffer/payload is handed back when the op carried one.
+    /// it; its buffer or payload is handed back.
     Cancelled {
-        /// Scratch or payload to recycle (`None` for deletes).
-        buf: Option<Vec<u8>>,
+        /// A read's scratch or a write's payload, to recycle.
+        buf: Vec<u8>,
     },
 }
 
@@ -410,11 +406,7 @@ impl IoRing {
                 removed
             };
             for entry in removed {
-                let buf = match entry.op {
-                    SubmitOp::Read { buf, .. } => Some(buf),
-                    SubmitOp::Write { data, .. } => Some(data),
-                    SubmitOp::Delete { .. } => None,
-                };
+                let (SubmitOp::Read { buf, .. } | SubmitOp::Write { data: buf, .. }) = entry.op;
                 let _ = entry.done.send(Completion {
                     access: entry.access,
                     tag: entry.tag,
@@ -430,11 +422,79 @@ impl IoRing {
 /// strict tag (= submission) order. An error stops the access.
 pub(crate) type OnCompletion<'h> = dyn FnMut(u64, CompletionKind) -> Result<(), StoreError> + 'h;
 
-/// Bounded in-order submission window over an [`IoRing`]: ops are tagged
-/// in submission order, at most `window` are in flight, and completions
-/// are handed to the caller's handler strictly in tag order through a
-/// reorder buffer — so the caller's bookkeeping sees a deterministic
-/// sequence whatever order the disks finish in. One access, one window.
+/// One access's reorder state over the ring: ops are tagged in
+/// submission order, at most `window` are in flight, and completions are
+/// handed back strictly in tag order — so the caller's bookkeeping sees a
+/// deterministic sequence whatever order the disks finish in. It owns no
+/// channel, so accesses that share one can each keep their own.
+pub(crate) struct Reorder {
+    window: usize,
+    /// Target disk per tag; `disks.len()` ops have been submitted.
+    disks: Vec<usize>,
+    /// Tags `0..next` have been handed back, in order.
+    next: usize,
+    /// Completions received so far (handed back or parked).
+    received: usize,
+    /// Out-of-order completions parked until `next` reaches their tag.
+    parked: BTreeMap<u64, CompletionKind>,
+}
+
+impl Reorder {
+    pub(crate) fn new(window: usize) -> Self {
+        Reorder {
+            window: window.max(1),
+            disks: Vec::new(),
+            next: 0,
+            received: 0,
+            parked: BTreeMap::new(),
+        }
+    }
+
+    /// Ops submitted so far, which is also the next op's tag.
+    pub(crate) fn submitted(&self) -> usize {
+        self.disks.len()
+    }
+
+    /// Fewer than `window` submitted ops are not yet handed back.
+    pub(crate) fn has_room(&self) -> bool {
+        self.submitted() - self.next < self.window
+    }
+
+    /// Some submitted op has not completed yet.
+    pub(crate) fn outstanding(&self) -> bool {
+        self.received < self.submitted()
+    }
+
+    /// Record an op submitted to `disk`; returns its tag.
+    pub(crate) fn push(&mut self, disk: usize) -> u64 {
+        self.disks.push(disk);
+        self.submitted() as u64 - 1
+    }
+
+    /// Take in one of this access's completions.
+    pub(crate) fn receive(&mut self, c: Completion) {
+        self.received += 1;
+        self.parked.insert(c.tag, c.kind);
+    }
+
+    /// The next completion in tag order, once it has arrived.
+    pub(crate) fn pop(&mut self) -> Option<(u64, CompletionKind)> {
+        let kind = self.parked.remove(&(self.next as u64))?;
+        self.next += 1;
+        Some((self.next as u64 - 1, kind))
+    }
+
+    /// The error for an op that will never complete: its disk's worker
+    /// dropped it, which is a storage server failing mid-I/O.
+    fn lost(&self) -> StoreError {
+        StoreError::DiskFault {
+            disk: self.disks.get(self.next).copied().unwrap_or(0),
+        }
+    }
+}
+
+/// A [`Reorder`] over a channel of its own, with blocking submission:
+/// one access, one window.
 ///
 /// A completion channel that closes with ops still outstanding (the
 /// worker servicing them died) surfaces as [`StoreError::DiskFault`] on
@@ -444,20 +504,12 @@ pub(crate) struct OrderedWindow<'a> {
     ring: &'a IoRing,
     access: u64,
     priority: Priority,
-    window: u64,
     /// `None` once submission is over ([`OrderedWindow::finish`] /
     /// [`OrderedWindow::abort`]): with the window's own sender gone, a
     /// lost op closes the channel instead of blocking the drain forever.
     tx: Option<Sender<Completion>>,
     rx: Receiver<Completion>,
-    /// Target disk per tag; `disks.len()` ops have been submitted.
-    disks: Vec<usize>,
-    /// Tags `0..next` have been handed to the handler, in order.
-    next: u64,
-    /// Completions received so far (handled or parked).
-    received: u64,
-    /// Out-of-order completions parked until `next` reaches their tag.
-    parked: BTreeMap<u64, CompletionKind>,
+    order: Reorder,
 }
 
 impl<'a> OrderedWindow<'a> {
@@ -467,25 +519,9 @@ impl<'a> OrderedWindow<'a> {
             ring,
             access,
             priority,
-            window: window.max(1) as u64,
             tx: Some(tx),
             rx,
-            disks: Vec::new(),
-            next: 0,
-            received: 0,
-            parked: BTreeMap::new(),
-        }
-    }
-
-    fn submitted(&self) -> u64 {
-        self.disks.len() as u64
-    }
-
-    /// The error for an op that will never complete: its disk's worker
-    /// dropped it, which is a storage server failing mid-I/O.
-    fn lost(&self) -> StoreError {
-        StoreError::DiskFault {
-            disk: self.disks.get(self.next as usize).copied().unwrap_or(0),
+            order: Reorder::new(window),
         }
     }
 
@@ -497,28 +533,26 @@ impl<'a> OrderedWindow<'a> {
         op: SubmitOp,
         handle: &mut OnCompletion<'_>,
     ) -> Result<(), StoreError> {
-        while self.submitted() - self.next >= self.window {
+        while !self.order.has_room() {
             self.pump(handle)?;
         }
         // `None` only after `finish`: refuse rather than queue an op whose
         // completion nobody will harvest.
         let Some(tx) = self.tx.as_ref() else {
-            return Err(self.lost());
+            return Err(self.order.lost());
         };
+        let tag = self.order.push(disk);
         self.ring
-            .submit_with(disk, self.access, self.submitted(), op, self.priority, tx);
-        self.disks.push(disk);
+            .submit_with(disk, self.access, tag, op, self.priority, tx);
         Ok(())
     }
 
     /// Receive one completion, then hand every in-order one to `handle`.
     fn pump(&mut self, handle: &mut OnCompletion<'_>) -> Result<(), StoreError> {
-        let c = self.rx.recv().map_err(|_| self.lost())?;
-        self.received += 1;
-        self.parked.insert(c.tag, c.kind);
-        while let Some(kind) = self.parked.remove(&self.next) {
-            self.next += 1;
-            handle(self.next - 1, kind)?;
+        let c = self.rx.recv().map_err(|_| self.order.lost())?;
+        self.order.receive(c);
+        while let Some((tag, kind)) = self.order.pop() {
+            handle(tag, kind)?;
         }
         Ok(())
     }
@@ -526,7 +560,7 @@ impl<'a> OrderedWindow<'a> {
     /// Submission is over: hand every outstanding completion to `handle`.
     pub(crate) fn finish(&mut self, handle: &mut OnCompletion<'_>) -> Result<(), StoreError> {
         self.tx = None;
-        while self.next < self.submitted() {
+        while self.order.outstanding() {
             self.pump(handle)?;
         }
         Ok(())
@@ -539,12 +573,11 @@ impl<'a> OrderedWindow<'a> {
     pub(crate) fn abort(mut self) -> Vec<(u64, CompletionKind)> {
         self.tx = None;
         self.ring.cancel(self.access);
-        while self.received < self.submitted() {
+        while self.order.outstanding() {
             let Ok(c) = self.rx.recv() else { break };
-            self.received += 1;
-            self.parked.insert(c.tag, c.kind);
+            self.order.receive(c);
         }
-        self.parked.into_iter().collect()
+        self.order.parked.into_iter().collect()
     }
 }
 
@@ -723,7 +756,6 @@ fn service_op(
             };
             CompletionKind::Write(outcome)
         }
-        SubmitOp::Delete { key } => CompletionKind::Delete(backend.delete_block(disk, key)),
     }
 }
 
@@ -802,9 +834,8 @@ mod tests {
             other => panic!("unexpected completion {other:?}"),
         }
 
-        r.submit(1, 7, 2, SubmitOp::Delete { key: 42 }, &tx);
-        let c = rx.recv().unwrap();
-        assert!(matches!(c.kind, CompletionKind::Delete(Ok(()))));
+        // Deletes are garbage collection, called on the shard directly.
+        r.backend.delete_block(1, 42).unwrap();
 
         r.submit(
             1,
@@ -888,10 +919,7 @@ mod tests {
         let mut serviced = 0;
         for _ in 0..64 {
             match rx.recv().unwrap().kind {
-                CompletionKind::Cancelled { buf } => {
-                    assert!(buf.is_some(), "read cancels return the scratch buffer");
-                    cancelled += 1;
-                }
+                CompletionKind::Cancelled { .. } => cancelled += 1,
                 CompletionKind::Read { .. } => serviced += 1,
                 other => panic!("unexpected completion {other:?}"),
             }
@@ -907,7 +935,11 @@ mod tests {
         let (tx, rx) = mpsc::channel();
         for tag in 0..8u64 {
             let access = if tag % 2 == 0 { 1 } else { 2 };
-            r.submit(0, access, tag, SubmitOp::Delete { key: 1000 + tag }, &tx);
+            let op = SubmitOp::Read {
+                key: 1000 + tag,
+                buf: Vec::new(),
+            };
+            r.submit(0, access, tag, op, &tx);
         }
         r.cancel(1);
         let mut outcomes = Vec::new();
@@ -987,9 +1019,9 @@ mod tests {
         // fails transiently twice, so the worker really sleeps its retry
         // backoff — a plain missing-key read is not retried and returns
         // at once, letting the worker reach the background queue early),
-        // queue background deletes and *then* foreground deletes behind
-        // it, and check that strict priority services every foreground op
-        // first anyway.
+        // queue background reads of absent keys and *then* foreground
+        // ones behind it (each serviced at once as missing), and check
+        // that strict priority services every foreground op first anyway.
         let (chaos, switch) = crate::chaos::ChaosBackend::new(InMemoryBackend::uniform(1, 10e6));
         switch.transient_reads(0, 2);
         let backend = Arc::new(ShardedBackend::new(Box::new(chaos), true));
@@ -1017,19 +1049,26 @@ mod tests {
                 0,
                 2,
                 tag,
-                SubmitOp::Delete { key: 100 + tag },
+                SubmitOp::Read {
+                    key: 100 + tag,
+                    buf: Vec::new(),
+                },
                 Priority::Background,
                 &tx,
             );
         }
         assert_eq!(r.background_backlog(), vec![4]);
         for tag in 0..4u64 {
-            r.submit(0, 1, tag, SubmitOp::Delete { key: 200 + tag }, &tx);
+            let op = SubmitOp::Read {
+                key: 200 + tag,
+                buf: Vec::new(),
+            };
+            r.submit(0, 1, tag, op, &tx);
         }
         let mut order = Vec::new();
         for _ in 0..9 {
             let c = rx.recv().unwrap();
-            if matches!(c.kind, CompletionKind::Delete(_)) {
+            if c.access != 9 {
                 order.push(c.access);
             }
         }
@@ -1058,10 +1097,7 @@ mod tests {
         let (mut cancelled, mut serviced) = (0, 0);
         for _ in 0..32 {
             match rx.recv().unwrap().kind {
-                CompletionKind::Cancelled { buf } => {
-                    assert!(buf.is_some());
-                    cancelled += 1;
-                }
+                CompletionKind::Cancelled { .. } => cancelled += 1,
                 CompletionKind::Read { .. } => serviced += 1,
                 other => panic!("unexpected completion {other:?}"),
             }
@@ -1088,7 +1124,7 @@ mod tests {
                 data: vec![tag as u8; 8],
             };
             w.submit((tag % 4) as usize, op, &mut on).unwrap();
-            max_in_flight = max_in_flight.max(w.submitted() - w.next);
+            max_in_flight = max_in_flight.max(w.order.submitted() - w.order.next);
         }
         w.finish(&mut |t, _| {
             seen.push(t);
@@ -1106,13 +1142,67 @@ mod tests {
         let mut w = OrderedWindow::new(&r, 4, Priority::Foreground, 4);
         // An op whose worker died holding it: submitted to disk 1, its
         // sender dropped without a completion.
-        w.disks.push(1);
+        w.order.push(1);
         // `finish` releases the window's own sender — the last one — so
         // the wait sees a closed channel instead of blocking forever.
         let err = w.finish(&mut |_, _| Ok(())).unwrap_err();
         assert_eq!(err, StoreError::DiskFault { disk: 1 });
         // The rollback drain terminates too, with nothing to hand back.
         assert!(w.abort().is_empty());
+    }
+
+    #[test]
+    fn reorder_states_sharing_a_channel_each_hand_back_their_own_in_order() {
+        // Two accesses over one channel, their completions interleaved and
+        // out of tag order, as the read reactor sees them.
+        let (tx, rx) = mpsc::channel();
+        let mut states = [Reorder::new(8), Reorder::new(8)];
+        for (disk, st) in states.iter_mut().enumerate() {
+            for _ in 0..4 {
+                st.push(disk);
+            }
+        }
+        let arrivals = [
+            (1, 2),
+            (0, 3),
+            (1, 0),
+            (0, 1),
+            (0, 0),
+            (1, 3),
+            (0, 2),
+            (1, 1),
+        ];
+        for (access, tag) in arrivals {
+            let buf = vec![access as u8, tag as u8];
+            let kind = CompletionKind::Cancelled { buf };
+            let disk = access as usize;
+            tx.send(Completion {
+                access,
+                tag,
+                disk,
+                kind,
+            })
+            .unwrap();
+        }
+        drop(tx);
+        let mut left = [4, 4];
+        let mut seen: [Vec<u64>; 2] = Default::default();
+        for c in rx {
+            let a = c.access as usize;
+            assert!(states[a].outstanding());
+            states[a].receive(c);
+            left[a] -= 1;
+            assert_eq!(states[a].outstanding(), left[a] > 0);
+            while let Some((tag, kind)) = states[a].pop() {
+                let CompletionKind::Cancelled { buf } = kind else {
+                    unreachable!("only cancellations were sent");
+                };
+                assert_eq!(buf, vec![a as u8, tag as u8], "another access's completion");
+                seen[a].push(tag);
+            }
+        }
+        assert_eq!(seen, [vec![0, 1, 2, 3], vec![0, 1, 2, 3]]);
+        assert!(states.iter().all(|st| st.parked.is_empty()));
     }
 
     #[test]

@@ -420,3 +420,43 @@ fn legacy_metadata_without_checksums_reads_unverified() {
     assert_eq!(got2, data);
     assert_eq!(rr2.blocks_unverified, 0, "scrub left blocks unverifiable");
 }
+
+#[test]
+fn legacy_read_repair_never_rewrites_from_an_unverified_decode() {
+    // A legacy file has no digests, so its read feeds rotten blocks to
+    // the decoder unrecognised. Read-repair must not re-encode from that
+    // decode: it would overwrite good blocks with garbage. Such a file
+    // heals through `scrub`, which audits its decoder's inputs first.
+    let (sys, _switch) = chaos_system();
+    let client = Client::connect(&sys, sys.register_user());
+    put(&client, "vintage", &payload(120_000, 8));
+    let mut meta = sys.export_meta("vintage").unwrap();
+    let digests = std::mem::take(&mut meta.checksums);
+    sys.import_meta(meta).unwrap();
+
+    let seq = SeedSequence::new(5);
+    let rotted = sys.corrupt_blocks(7, 0.5, &seq).len();
+    let lost = sys.lose_blocks(6, 0.5, &seq).len();
+    assert!(rotted > 0 && lost > 0);
+    let h = client
+        .open("vintage", AccessMode::Read, QosOptions::best_effort())
+        .unwrap();
+    // The bytes are not checked: without digests the read cannot tell
+    // rot from data.
+    let (_, rr) = client.read_with_report(&h).unwrap();
+    client.close(h).unwrap();
+    assert!(rr.blocks_unverified > 0);
+    assert_eq!(rr.blocks_repaired, 0, "repaired from an unverified decode");
+
+    // Put the digests back: the scrub then counts every block that is
+    // not what was written.
+    let mut meta = sys.export_meta("vintage").unwrap();
+    meta.checksums = digests;
+    sys.import_meta(meta).unwrap();
+    let report = client.scrub("vintage").unwrap();
+    assert!(
+        report.blocks_corrupt <= rotted,
+        "{} corrupt blocks after {rotted} were rotted",
+        report.blocks_corrupt
+    );
+}

@@ -471,7 +471,7 @@ fn cross_access_batches_respect_submission_order_and_cancel_revokes_queued_write
         let c = rx_gone.recv().unwrap();
         assert_eq!(c.access, 2);
         assert!(
-            matches!(c.kind, CompletionKind::Cancelled { buf: Some(ref b) } if b.len() == 64),
+            matches!(c.kind, CompletionKind::Cancelled { ref buf } if buf.len() == 64),
             "cancelled write lost its payload"
         );
     }

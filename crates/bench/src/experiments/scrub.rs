@@ -6,7 +6,7 @@
 //! buys a *margin*, and under continuous low-grade loss (latent sector
 //! errors) plus silent bit rot, that margin only survives if something
 //! restores it. Two identical stores absorb the same deterministic
-//! per-round damage; one runs [`Scrubber::sweep`] every round (with
+//! per-round damage; one runs [`RepairService::sweep`] every round (with
 //! read-repair on), the other has self-healing fully off. The table tracks each store's stored-block count,
 //! decodability margin, and read outcome per round: the scrubbed store
 //! returns to its full target of N blocks every round and never drops a
@@ -18,7 +18,7 @@
 //! missing_found}` — so EXPERIMENTS.md claims are backed by data.
 
 use robustore_core::{
-    AccessMode, Client, InMemoryBackend, QosOptions, Scrubber, System, SystemConfig,
+    AccessMode, Client, InMemoryBackend, QosOptions, RepairService, System, SystemConfig,
 };
 use robustore_simkit::report::Table;
 use robustore_simkit::SeedSequence;
@@ -76,6 +76,7 @@ pub fn scrub(trials: u64) -> String {
         client.write(&mut h, &data).expect("seed write");
         client.close(h).expect("close");
         let k = sys.export_meta("victim").expect("meta").coding.k;
+        let repair = RepairService::new(Client::connect(&sys, client.identity())).eager();
 
         let mut reads_ok = 0u64;
         let mut reads_failed = 0u64;
@@ -89,7 +90,7 @@ pub fn scrub(trials: u64) -> String {
             }
             let (mut restored, mut corrupt_found, mut missing_found) = (0, 0, 0);
             if scrubbed {
-                let sweep = Scrubber::new(&client).sweep();
+                let sweep = repair.sweep();
                 for r in &sweep.scrubbed {
                     restored += r.blocks_restored;
                     corrupt_found += r.blocks_corrupt;

@@ -45,12 +45,11 @@ use crate::metadata::{gen_key, AccessMode, CodingSpec, DiskInfo, FileMeta};
 use crate::metastore::{Metastore, MetastoreConfig, RecoveryReport};
 use crate::planner::{LayoutPlanner, ReadPolicy};
 use crate::qos::QosOptions;
-use crate::repair::ScrubOptions;
+use crate::repair::{ScrubOptions, ScrubReport};
 use crate::ring::{
     Completion, CompletionKind, IoRing, OrderedWindow, Priority, Reorder, RingConfig, SubmitOp,
     WriteOutcome,
 };
-use crate::scrub::ScrubReport;
 use crate::sharded::ShardedBackend;
 
 /// System-wide configuration.
@@ -442,18 +441,6 @@ impl System {
     /// List the files the metadata server knows about.
     pub fn list_files(&self) -> Vec<String> {
         self.inner.meta.lock().list()
-    }
-
-    /// Advance the metadata plane's stale-lock reclaim epoch (a
-    /// supervising heartbeat round; see [`crate::locks`]). Locks whose
-    /// holders stay silent for the lease length become reclaimable.
-    pub fn begin_lock_epoch(&self) -> u64 {
-        self.inner.meta.lock().begin_lock_epoch()
-    }
-
-    /// File locks reclaimed from presumed-crashed holders so far.
-    pub fn locks_reclaimed(&self) -> u64 {
-        self.inner.meta.lock().locks_reclaimed()
     }
 
     /// Run `f` against the metadata plane ([`Metastore`]) — chaos hooks,
@@ -1936,9 +1923,9 @@ impl Client {
         result
     }
 
-    /// Verify and restore one file to full strength — the scrubber's
-    /// per-file pass (see [`crate::scrub::Scrubber`] for the sweep over a
-    /// whole store).
+    /// Verify and restore one file to full strength — the per-file pass
+    /// of store-wide repair (see [`crate::repair::RepairService`] for the
+    /// sweep over a whole store).
     ///
     /// Unlike a read, a scrub visits *every* stored block (no early
     /// cancel): it verifies checksums disk by disk, decodes the file, and
@@ -1964,7 +1951,7 @@ impl Client {
     /// background scheduling class on its ring submissions (so repair
     /// traffic waits behind every queued foreground op). The default
     /// options reproduce [`Client::scrub`] exactly.
-    pub fn scrub_with(
+    pub(crate) fn scrub_with(
         &self,
         name: &str,
         opts: &ScrubOptions<'_>,

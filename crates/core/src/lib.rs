@@ -39,22 +39,21 @@
 //!   digested at write time and verified on every read, demoting silent
 //!   corruption to a missing block the redundancy absorbs. The digest
 //!   runs on the erasure crate's kernel ladder.
-//! * [`scrub`] — background scrubbing: sweep files, verify every stored
-//!   block, and restore each file to its full redundancy target through
-//!   the restore path read-repair shares — rewrite in place at the home
-//!   disk, relocate only what the home refuses.
 //! * [`metastore`] — the durable metadata plane: the namespace
 //!   hash-sharded across WAL-backed shards, each replicated with
 //!   majority-quorum commits, crash recovery with torn-tail truncation
 //!   and read-repair, and snapshot+compaction to bound replay
 //!   (`SystemConfig::metastore`). The in-memory [`metadata`] server is
 //!   the reference implementation its differential test compares against.
-//! * [`locks`] — reader/writer file locks with epoch-based stale-lock
-//!   reclaim, shared by the metastore and the reference server.
-//! * [`repair`] — the prioritised, rate-limited repair service over the
-//!   scrubber: a risk queue ordering files most-at-risk-first (weighted
-//!   by disk health), a token-bucket MB/s budget on repair I/O, and a
-//!   background scheduling class on ring submissions.
+//! * [`locks`] — reader/writer file locks, shared by the metastore and
+//!   the reference server.
+//! * [`repair`] — store-wide repair: one loop that sweeps every file, or
+//!   works a risk queue ordering damaged files most-at-risk-first
+//!   (weighted by disk health), or a backlog of files earlier passes left
+//!   short — verifying every stored block and restoring each file to its
+//!   full redundancy target through the restore path read-repair shares,
+//!   under a token-bucket MB/s budget and a background scheduling class
+//!   on ring submissions.
 //!
 //! Everything is deterministic and synchronous: the crate models the
 //! *control* architecture with real coding and real data movement, while
@@ -104,7 +103,6 @@ pub mod planner;
 pub mod qos;
 pub mod repair;
 pub mod ring;
-pub mod scrub;
 pub mod sharded;
 
 pub use admission::AdmissionController;
@@ -127,10 +125,8 @@ pub use planner::{LayoutPlanner, ReadPolicy};
 // `SystemConfig::read_policy` and `IoRing::load_map` speak it.
 pub use qos::QosOptions;
 pub use repair::{
-    health_weight, RepairRunReport, RepairService, RiskEntry, ScrubOptions, ScrubTickReport,
-    TokenBucket,
+    health_weight, RepairRunReport, RepairService, RiskEntry, ScrubReport, TokenBucket,
 };
 pub use ring::{Completion, CompletionKind, IoRing, Priority, RingConfig, SubmitOp, WriteOutcome};
 pub use robustore_schemes::{AdaptiveReadPolicy, DiskLoad, DiskLoadMap, WaveSchedule, WaveSlot};
-pub use scrub::{ScrubReport, Scrubber, SweepReport};
 pub use sharded::ShardedBackend;

@@ -61,8 +61,6 @@ pub struct MetastoreConfig {
     /// memory — still quorum-replicated and chaos-injectable, the
     /// default for tests and simulation.
     pub dir: Option<PathBuf>,
-    /// Stale-lock lease length in epochs (see [`crate::locks`]).
-    pub lock_lease_epochs: u64,
 }
 
 impl Default for MetastoreConfig {
@@ -72,7 +70,6 @@ impl Default for MetastoreConfig {
             replicas: 3,
             snapshot_every: 1024,
             dir: None,
-            lock_lease_epochs: crate::locks::DEFAULT_LOCK_LEASE_EPOCHS,
         }
     }
 }
@@ -146,14 +143,12 @@ impl Metastore {
                 .collect(),
         };
         let shards = open_shards(&config, &mem_replicas)?;
-        let mut locks = LockTable::new();
-        locks.set_lease_epochs(config.lock_lease_epochs);
         let mut store = Metastore {
             config,
             shards,
             mem_replicas,
             disks: Vec::new(),
-            locks,
+            locks: LockTable::new(),
             next_file_id: 0,
             id_floor: 0,
         };
@@ -225,8 +220,7 @@ impl Metastore {
     }
 
     /// Acquire the lock for `mode` and return the file's metadata
-    /// (`None` for a write to a new file). Stale locks from crashed
-    /// holders are reclaimed (see [`crate::locks`]).
+    /// (`None` for a write to a new file).
     pub fn open(&mut self, name: &str, mode: AccessMode) -> Result<Option<FileMeta>, StoreError> {
         let s = self.shard_of(name);
         if mode == AccessMode::Read && !self.shards[s].image().contains_key(name) {
@@ -239,11 +233,6 @@ impl Metastore {
     /// Release the lock taken by [`Metastore::open`].
     pub fn close(&mut self, name: &str, mode: AccessMode) {
         self.locks.release(name, mode);
-    }
-
-    /// Advance the stale-lock reclaim epoch.
-    pub fn begin_lock_epoch(&mut self) -> u64 {
-        self.locks.begin_epoch()
     }
 
     /// Locks reclaimed from presumed-crashed holders so far (recovery's
@@ -575,7 +564,6 @@ mod tests {
             replicas: 3,
             snapshot_every: 8,
             dir: Some(dir.clone()),
-            ..Default::default()
         };
         {
             let mut m = Metastore::new(config.clone()).unwrap();

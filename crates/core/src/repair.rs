@@ -1,6 +1,17 @@
-//! Prioritised, rate-limited repair: the control loop that turns the
-//! per-file scrub ([`crate::client::Client::scrub_with`]) into a
-//! store-wide service.
+//! Store-wide repair: the one loop that turns the per-file scrub
+//! ([`Client::scrub`]) into a prioritised, rate-limited service.
+//!
+//! A read only heals the damage it happens to trip over; repair hunts.
+//! Every per-file pass reads *all* stored blocks (no early cancel),
+//! verifies checksums, decodes, re-encodes whatever is missing or
+//! corrupt, and puts it back through the restore path read-repair also
+//! takes — in place on its home disk, so the file keeps its
+//! speed-proportional layout, and on the least-loaded disk that takes it
+//! only when the home refuses. Each file returns to its full target of N
+//! coded blocks before latent faults accumulate past the code's
+//! decodability margin. A scrub is also the upgrade path for legacy
+//! metadata: a file written before checksums existed comes out with a
+//! complete digest map.
 //!
 //! Three pieces compose here:
 //!
@@ -8,26 +19,21 @@
 //!   repair I/O. Tokens are charged *before* an op may be submitted, so
 //!   repair traffic can never burst past `rate · elapsed + burst` bytes
 //!   no matter how deep the submission window is.
-//! * [`ScrubOptions`] — the knobs the repair service threads into the
-//!   scrub path: the throttle, and background scheduling class on ring
-//!   submissions (repair ops wait behind every queued foreground op —
-//!   see [`crate::ring::Priority`]). Where restored blocks land is not a
-//!   knob: every restore rewrites in place at the home disk and moves
-//!   only what the home refuses, to the least-loaded disk by
-//!   [`crate::ring::IoRing::load_map`] — the one restore path read-repair
-//!   also takes.
-//! * [`RepairService`] — the risk queue: every file is surveyed with
-//!   presence probes (no disk traffic), scored by its surviving
-//!   redundancy margin weighted by per-disk health, and repaired
-//!   most-at-risk-first under the budget.
-//!
-//! The service also keeps a **backlog** fed by the scrubber
-//! ([`RepairService::enqueue_sweep`]): files a sweep left short of full
-//! strength — lock-busy skips, refused restores, damage past the decode
-//! margin — queue up and are retried by [`RepairService::run_enqueued`],
-//! which probes only the suspects instead of re-surveying the namespace.
-//! [`RepairService::scrub_tick`] chains the two into a continuous
-//! schedule: retry the backlog, sweep, enqueue the residue for next tick.
+//! * `ScrubOptions` — what the service threads into the scrub path: the
+//!   throttle, and the ring class of its submissions (background repair
+//!   waits behind every queued foreground op — see
+//!   [`crate::ring::Priority`]).
+//! * [`RepairService`] — one loop, fed three ways. A full
+//!   [`sweep`](RepairService::sweep) scrubs every listed file (bit rot is
+//!   invisible to presence probes); a [`run_cycle`](RepairService::run_cycle)
+//!   surveys the store with presence probes, ranks files by surviving
+//!   redundancy margin weighted by per-disk health, and scrubs the damaged
+//!   ones most-at-risk-first; a [`run_enqueued`](RepairService::run_enqueued)
+//!   pass does the same for the backlog only. Every pass applies one cap
+//!   and one requeue rule: a file goes back on the backlog when it was
+//!   lock-busy, beyond the cap, or restored short of N; a ghost, a failed
+//!   decode and a healthy file leave (the next sweep or survey revisits a
+//!   failure anyway).
 //!
 //! The risk score follows the liquid-repair observation that not all
 //! missing blocks are equally urgent: a file with `k + 10` survivors on
@@ -46,20 +52,22 @@ use robustore_diskmodel::DiskHealth;
 
 use crate::client::Client;
 use crate::error::StoreError;
-use crate::scrub::{ScrubReport, Scrubber, SweepReport};
 
 /// A wall-clock token bucket metering repair I/O in bytes.
 ///
 /// `acquire` blocks the caller until the requested bytes fit under the
 /// budget; tokens refill continuously at `rate` bytes/second up to
-/// `burst` bytes of slack. A request larger than the burst is admitted
-/// once the bucket is full and drives the balance negative, so the
-/// long-run rate still holds. The hard invariant (asserted by the chaos
-/// suite) is:
+/// `burst` bytes of slack. Bytes count as consumed when they are
+/// admitted, so for requests no larger than `burst` the invariant
+/// (asserted by the chaos suite) holds at every instant:
 ///
 /// ```text
 /// consumed() ≤ rate · elapsed + burst
 /// ```
+///
+/// A request larger than the burst is admitted once the bucket is full
+/// and drives the balance negative, by design: it cannot deadlock, and
+/// the long-run rate still holds, but it may overshoot the ceiling.
 #[derive(Debug)]
 pub struct TokenBucket {
     rate: f64,
@@ -95,10 +103,14 @@ impl TokenBucket {
 
     /// Block until `bytes` tokens are available, then take them.
     pub fn acquire(&self, bytes: u64) {
-        self.consumed.fetch_add(bytes, Ordering::Relaxed);
-        if self.rate <= 0.0 {
-            return;
+        if self.rate > 0.0 {
+            self.admit(bytes);
         }
+        self.consumed.fetch_add(bytes, Ordering::Relaxed);
+    }
+
+    /// Wait until the bucket admits `bytes`, then debit them.
+    fn admit(&self, bytes: u64) {
         // A request larger than the bucket is admitted at full-bucket
         // (balance goes negative), so oversize blocks don't deadlock.
         let need = (bytes as f64).min(self.burst);
@@ -119,7 +131,7 @@ impl TokenBucket {
         }
     }
 
-    /// Total bytes acquired since construction.
+    /// Total bytes admitted since construction.
     pub fn consumed(&self) -> u64 {
         self.consumed.load(Ordering::Relaxed)
     }
@@ -149,13 +161,41 @@ impl TokenBucket {
 /// ([`Client::scrub_with`]). The default reproduces a plain
 /// [`Client::scrub`]: no throttle, foreground class.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct ScrubOptions<'a> {
+pub(crate) struct ScrubOptions<'a> {
     /// Charge each block of repair I/O against this budget before
     /// submission (blocking until tokens are available).
     pub throttle: Option<&'a TokenBucket>,
     /// Submit repair I/O at background priority on the ring: every
     /// queued foreground op is serviced first.
     pub background: bool,
+}
+
+/// What one per-file scrub pass found and fixed.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScrubReport {
+    /// File name.
+    pub file: String,
+    /// N — the coded-block count the file is restored towards.
+    pub blocks_target: usize,
+    /// Stored blocks that read back and passed their recorded checksum.
+    pub blocks_verified: usize,
+    /// Stored blocks that read back but had no recorded checksum (legacy
+    /// metadata); audited against a re-encode and given digests.
+    pub blocks_unverified: usize,
+    /// Stored blocks whose bytes failed verification (silent corruption).
+    pub blocks_corrupt: usize,
+    /// Stored blocks that would not read back at all (lost sectors,
+    /// offline disks, spent retry budgets).
+    pub blocks_missing: usize,
+    /// Blocks re-encoded from the decoded data and put back on disk — in
+    /// place, or relocated where the home disk refused.
+    pub blocks_restored: usize,
+    /// Blocks the committed layout stores after the pass (≤ target; less
+    /// only when disks refused restore writes).
+    pub blocks_stored_after: usize,
+    /// Checksum entries the pass added to the file's metadata (legacy
+    /// upgrade plus restored blocks).
+    pub checksums_added: usize,
 }
 
 /// Health weight a present block contributes to its file's survival
@@ -188,26 +228,49 @@ pub struct RiskEntry {
     pub k: usize,
 }
 
-/// What one [`RepairService::run_cycle`] did.
+impl RiskEntry {
+    /// Whether the file needs a scrub: its presence probes found fewer
+    /// than `n` blocks, or any of its blocks sits on a non-healthy disk.
+    fn is_damaged(&self) -> bool {
+        self.present != self.target || self.margin < (self.target - self.k) as f64
+    }
+}
+
+/// What one pass of the repair loop did — a [`RepairService::sweep`],
+/// [`RepairService::run_cycle`] or [`RepairService::run_enqueued`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepairRunReport {
-    /// Files surveyed for the risk queue.
+    /// Files the pass considered: listed for a sweep, surveyed for a
+    /// risk cycle or backlog pass.
     pub surveyed: usize,
-    /// Files scrubbed this cycle (damaged, most-at-risk-first).
-    pub repaired: usize,
-    /// Coded blocks restored across all scrubs.
-    pub blocks_restored: usize,
-    /// Files skipped, not failed: deleted between survey and scrub, or
-    /// lock-busy (another client holds the file open).
-    pub skipped: usize,
-    /// Files whose scrub failed (name, error text) — e.g. decode
-    /// failure when damage exceeded the margin.
-    pub failed: Vec<(String, String)>,
-    /// Bytes charged against the throttle this cycle (0 without one).
+    /// Per-file outcomes for files that scrubbed cleanly, in pass order.
+    pub scrubbed: Vec<ScrubReport>,
+    /// Files skipped, not failed: deleted since they were listed, or
+    /// lock-busy (another client holds the file open). Transient
+    /// conditions, not damage — retrying a ghost forever would wedge the
+    /// loop, and a busy file goes back on the backlog.
+    pub skipped: Vec<String>,
+    /// Files whose scrub failed (typically: damage already past the
+    /// code's decodability margin), with the error.
+    pub failed: Vec<(String, StoreError)>,
+    /// Bytes charged against the throttle this pass (0 without one).
     pub bytes_charged: u64,
 }
 
-/// The store-wide repair loop: survey → rank → scrub under budget.
+impl RepairRunReport {
+    /// Files scrubbed this pass.
+    pub fn repaired(&self) -> usize {
+        self.scrubbed.len()
+    }
+
+    /// Coded blocks restored across the pass.
+    pub fn blocks_restored(&self) -> usize {
+        self.scrubbed.iter().map(|r| r.blocks_restored).sum()
+    }
+}
+
+/// The store-wide repair loop: sweep or survey → rank → scrub under
+/// budget, with a backlog of files earlier passes left short.
 ///
 /// Disk health defaults to [`DiskHealth::Healthy`]; a monitoring layer
 /// (or a test) feeds observations in via [`RepairService::set_disk_health`].
@@ -216,26 +279,15 @@ pub struct RepairService {
     bucket: Option<TokenBucket>,
     health: Mutex<BTreeMap<usize, DiskHealth>>,
     background: bool,
-    /// Files earlier sweeps could not fully restore, awaiting the next
+    /// Files earlier passes could not fully restore, awaiting the next
     /// [`RepairService::run_enqueued`] pass (deduplicated, name-ordered).
     pending: Mutex<BTreeSet<String>>,
 }
 
-/// What one [`RepairService::scrub_tick`] of the continuous schedule did.
-#[derive(Debug, Clone, Default)]
-pub struct ScrubTickReport {
-    /// The backlog pass: files enqueued by earlier ticks, retried first.
-    pub backlog: RepairRunReport,
-    /// The store-wide sweep that followed.
-    pub sweep: SweepReport,
-    /// Files this tick's sweep left short of full strength, enqueued for
-    /// the next tick.
-    pub enqueued_for_next: usize,
-}
-
 impl RepairService {
-    /// A repair service over `client`'s store: background class, no
-    /// rate limit.
+    /// A repair service acting with `client`'s identity (it can only
+    /// scrub files that identity may open for writing): background
+    /// class, no rate limit.
     pub fn new(client: Client) -> Self {
         RepairService {
             client,
@@ -253,7 +305,8 @@ impl RepairService {
     }
 
     /// Submit repair I/O at foreground priority (eager repair — the
-    /// behaviour the `xp repair` experiment measures against).
+    /// behaviour of a plain [`Client::scrub`], and what the `xp repair`
+    /// experiment measures against).
     pub fn eager(mut self) -> Self {
         self.background = false;
         self
@@ -296,7 +349,7 @@ impl RepairService {
         self.rank_names(self.client.system().list_files())
     }
 
-    /// Survey and rank only `names` — the enqueued-backlog variant of
+    /// Survey and rank only `names` — the backlog variant of
     /// [`RepairService::risk_queue`]: probing a handful of known-suspect
     /// files instead of the whole namespace.
     fn rank_names(&self, names: Vec<String>) -> Vec<RiskEntry> {
@@ -334,61 +387,79 @@ impl RepairService {
         entries
     }
 
+    /// Scrub every file in the store, in listing order, continuing past
+    /// per-file failures — one undecodable file must not stop the sweep
+    /// from saving the rest. Unfiltered: bit rot is invisible to presence
+    /// probes, so only reading every block finds it.
+    pub fn sweep(&self) -> RepairRunReport {
+        let names = self.client.system().list_files();
+        self.scrub_names(names.len(), names, usize::MAX)
+    }
+
     /// One repair cycle: survey, then scrub the damaged files
     /// most-at-risk-first, at most `max_files` of them (`usize::MAX`
     /// for all). A file counts as damaged when its presence probes find
     /// fewer than `n` blocks, or any of its disks is reported
-    /// non-healthy. Deleted and lock-busy files are skipped, not failed.
+    /// non-healthy.
     pub fn run_cycle(&self, max_files: usize) -> RepairRunReport {
-        self.scrub_queue(self.risk_queue(), max_files, false)
+        self.scrub_ranked(self.risk_queue(), max_files)
     }
 
-    /// Scrub the damaged files of a ranked `queue` in order, at most
-    /// `max_files` of them: the loop [`RepairService::run_cycle`] and
-    /// [`RepairService::run_enqueued`] share. A file deleted since the
-    /// survey, or lock-busy, is a skip. With `requeue` (the backlog pass)
-    /// every file left for later — beyond the cap, lock-busy, or restored
-    /// short of its target — goes back on the backlog.
-    fn scrub_queue(
+    /// Drain the backlog: survey *only* the enqueued files, rank them
+    /// most-at-risk-first, and scrub the damaged ones — at most
+    /// `max_files` of them. Files found healthy or deleted leave the
+    /// queue; the rest follow the loop's requeue rule.
+    pub fn run_enqueued(&self, max_files: usize) -> RepairRunReport {
+        let names = std::mem::take(&mut *self.pending.lock());
+        self.scrub_ranked(self.rank_names(names.into_iter().collect()), max_files)
+    }
+
+    /// Scrub the damaged files of a ranked `queue`, in order.
+    fn scrub_ranked(&self, queue: Vec<RiskEntry>, max_files: usize) -> RepairRunReport {
+        let surveyed = queue.len();
+        let damaged = queue.into_iter().filter(RiskEntry::is_damaged);
+        self.scrub_names(surveyed, damaged.map(|e| e.name), max_files)
+    }
+
+    /// The one repair loop every pass runs: scrub `names` in order under
+    /// this service's options, at most `max_files` of them (skips do not
+    /// count). A file deleted since it was listed, or lock-busy, is a
+    /// skip. A file goes back on the backlog when it was lock-busy,
+    /// beyond the cap, or restored short of its target; a ghost, a failed
+    /// decode and a healthy file leave.
+    fn scrub_names(
         &self,
-        queue: Vec<RiskEntry>,
+        surveyed: usize,
+        names: impl IntoIterator<Item = String>,
         max_files: usize,
-        requeue: bool,
     ) -> RepairRunReport {
         let charged_before = self.bucket.as_ref().map_or(0, |b| b.consumed());
         let mut report = RepairRunReport {
-            surveyed: queue.len(),
+            surveyed,
             ..RepairRunReport::default()
         };
         let later = |name: String| {
-            if requeue {
-                self.pending.lock().insert(name);
-            }
+            self.pending.lock().insert(name);
         };
         let opts = self.scrub_options();
-        for entry in queue {
-            if report.repaired + report.failed.len() >= max_files {
-                later(entry.name);
+        for name in names {
+            if report.scrubbed.len() + report.failed.len() >= max_files {
+                later(name);
                 continue;
             }
-            let degraded = entry.margin < (entry.target - entry.k) as f64;
-            if entry.present == entry.target && !degraded {
-                continue; // fully redundant on healthy disks
-            }
-            match self.client.scrub_with(&entry.name, &opts) {
+            match self.client.scrub_with(&name, &opts) {
                 Ok(scrub) => {
-                    report.blocks_restored += scrub.blocks_restored;
-                    report.repaired += 1;
                     if scrub.blocks_stored_after < scrub.blocks_target {
-                        later(entry.name); // still short
+                        later(name); // still short
                     }
+                    report.scrubbed.push(scrub);
                 }
-                Err(StoreError::NotFound(_)) => report.skipped += 1,
+                Err(StoreError::NotFound(_)) => report.skipped.push(name),
                 Err(StoreError::LockConflict(_)) => {
-                    report.skipped += 1;
-                    later(entry.name);
+                    report.skipped.push(name.clone());
+                    later(name);
                 }
-                Err(e) => report.failed.push((entry.name, e.to_string())),
+                Err(e) => report.failed.push((name, e)),
             }
         }
         report.bytes_charged = self
@@ -410,72 +481,19 @@ impl RepairService {
         self.pending.lock().insert(name.into());
     }
 
-    /// Feed the backlog from a sweep: every file the sweep left short of
-    /// full strength is enqueued — failures (damage past the margin may
-    /// heal when a disk returns), skips (lock-busy or ghost; a ghost is
-    /// dropped by the next pass's survey), and files restored to fewer
-    /// than their target blocks (disks refused writes). Returns how many
-    /// files the backlog gained.
-    pub fn enqueue_sweep(&self, sweep: &SweepReport) -> usize {
-        let mut pending = self.pending.lock();
-        let before = pending.len();
-        for (name, _) in &sweep.failed {
-            pending.insert(name.clone());
-        }
-        for name in &sweep.skipped {
-            pending.insert(name.clone());
-        }
-        for r in &sweep.scrubbed {
-            if r.blocks_stored_after < r.blocks_target {
-                pending.insert(r.file.clone());
-            }
-        }
-        pending.len() - before
-    }
-
     /// The current backlog, name-ordered (for observability and tests).
     pub fn pending(&self) -> Vec<String> {
         self.pending.lock().iter().cloned().collect()
-    }
-
-    /// Drain the backlog: survey *only* the enqueued files, rank them
-    /// most-at-risk-first, and scrub the damaged ones under the budget —
-    /// at most `max_files` of them. Files beyond `max_files` and files
-    /// still lock-busy stay queued for the next pass; files found fully
-    /// healthy, deleted, or repaired leave the queue; a scrub that fails
-    /// outright (damage past the decode margin) also leaves the queue —
-    /// it is re-enqueued only if a later sweep still sees it short.
-    pub fn run_enqueued(&self, max_files: usize) -> RepairRunReport {
-        let names = std::mem::take(&mut *self.pending.lock());
-        self.scrub_queue(
-            self.rank_names(names.into_iter().collect()),
-            max_files,
-            true,
-        )
-    }
-
-    /// One tick of the continuous scrub schedule: retry the backlog
-    /// first (files earlier ticks left short — at most `max_backlog` of
-    /// them), then sweep the whole store under this service's options
-    /// and enqueue whatever the sweep could not fully restore for the
-    /// next tick. Run on a timer, this replaces on-demand surveys with a
-    /// standing scrub-feeds-repair loop.
-    pub fn scrub_tick(&self, max_backlog: usize) -> ScrubTickReport {
-        let backlog = self.run_enqueued(max_backlog);
-        let opts = self.scrub_options();
-        let sweep = Scrubber::new(&self.client).sweep_with(&opts);
-        let enqueued_for_next = self.enqueue_sweep(&sweep);
-        ScrubTickReport {
-            backlog,
-            sweep,
-            enqueued_for_next,
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::backend::InMemoryBackend;
+    use crate::client::{System, SystemConfig};
+    use crate::metadata::AccessMode;
+    use crate::qos::QosOptions;
 
     #[test]
     fn token_bucket_enforces_long_run_rate() {
@@ -493,6 +511,27 @@ mod tests {
         );
         assert_eq!(bucket.consumed(), 60_000);
         assert!(bucket.consumed() as f64 <= bucket.budget_ceiling() + 1.0);
+    }
+
+    #[test]
+    fn token_bucket_counts_bytes_only_once_admitted() {
+        // 10 KB/s with a 10 KB burst: the first acquire drains the
+        // bucket, the second waits about a second for a refill. While it
+        // waits, its bytes are not consumed yet, so the ceiling holds.
+        let bucket = TokenBucket::new(10_000.0, 10_000);
+        bucket.acquire(10_000);
+        std::thread::scope(|scope| {
+            let waiter = scope.spawn(|| bucket.acquire(10_000));
+            std::thread::sleep(Duration::from_millis(150));
+            let consumed = bucket.consumed();
+            assert!(
+                consumed as f64 <= bucket.budget_ceiling(),
+                "a blocked acquire was counted early: {consumed} > {:.0}",
+                bucket.budget_ceiling()
+            );
+            waiter.join().unwrap();
+        });
+        assert_eq!(bucket.consumed(), 20_000);
     }
 
     #[test]
@@ -523,5 +562,46 @@ mod tests {
         assert!(health_weight(DiskHealth::Degraded) > health_weight(DiskHealth::Flaky));
         assert!(health_weight(DiskHealth::Flaky) > health_weight(DiskHealth::Failed));
         assert_eq!(health_weight(DiskHealth::Failed), 0.0);
+    }
+
+    #[test]
+    fn stale_listing_skips_a_deleted_file() {
+        // The loop fed the listing from *before* a delete — the mid-sweep
+        // race, made deterministic: by the time the loop reaches
+        // "condemned", the file is gone.
+        let sys = System::new(
+            InMemoryBackend::new((0..8).map(|i| 10e6 + i as f64 * 6e6).collect()),
+            SystemConfig {
+                block_bytes: 4 << 10,
+                read_repair: false,
+                ..Default::default()
+            },
+        );
+        let client = Client::connect(&sys, sys.register_user());
+        for (tag, name) in ["keep-a", "condemned", "keep-b"].into_iter().enumerate() {
+            let mut h = client
+                .open(name, AccessMode::Write, QosOptions::best_effort())
+                .unwrap();
+            client.write(&mut h, &vec![tag as u8 + 1; 40_000]).unwrap();
+            client.close(h).unwrap();
+        }
+        let plan = sys.list_files();
+        assert!(plan.contains(&"condemned".to_string()));
+        client.delete("condemned").unwrap();
+
+        let service = RepairService::new(client).eager();
+        let report = service.scrub_names(plan.len(), plan, usize::MAX);
+        assert_eq!(
+            report.skipped,
+            vec!["condemned".to_string()],
+            "a deleted file is a skip, not damage"
+        );
+        assert!(
+            report.failed.is_empty(),
+            "regression: NotFound must not be recorded as a failure (would retry forever): {:?}",
+            report.failed
+        );
+        assert_eq!(report.repaired(), 2);
+        assert!(service.pending().is_empty(), "a ghost leaves the backlog");
     }
 }

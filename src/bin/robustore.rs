@@ -34,8 +34,8 @@ use std::process::exit;
 
 use robustore::core::metadata::CodingSpec;
 use robustore::core::{
-    AccessMode, Client, FileBackend, FileMeta, MetastoreConfig, QosOptions, ScrubReport, Scrubber,
-    System, SystemConfig,
+    AccessMode, Client, FileBackend, FileMeta, MetastoreConfig, QosOptions, RepairService,
+    ScrubReport, System, SystemConfig,
 };
 use robustore::erasure::LtParams;
 
@@ -367,7 +367,7 @@ fn main() {
                     print_report(&r);
                 }
                 None => {
-                    let sweep = Scrubber::new(&client).sweep();
+                    let sweep = RepairService::new(client).eager().sweep();
                     for r in &sweep.scrubbed {
                         print_report(r);
                     }

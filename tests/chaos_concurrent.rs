@@ -29,7 +29,7 @@ mod common;
 use common::check_committed_state;
 use robustore::core::{
     AccessMode, ChaosBackend, Client, FaultSwitch, InMemoryBackend, PublicKey, QosOptions,
-    Scrubber, StoreError, System, SystemConfig,
+    RepairService, StoreError, System, SystemConfig,
 };
 use robustore::simkit::{
     ReadFaultPlan, ReadFaultScenario, SeedSequence, WriteFaultPlan, WriteFaultScenario,
@@ -358,10 +358,9 @@ fn concurrent_read_write_scrub_stress() {
         {
             let sys = sys.clone();
             scope.spawn(move || {
-                let c = Client::connect(&sys, owner);
-                let scrubber = Scrubber::new(&c);
+                let repair = RepairService::new(Client::connect(&sys, owner)).eager();
                 for _ in 0..ROUNDS {
-                    let report = scrubber.sweep();
+                    let report = repair.sweep();
                     for (file, err) in &report.failed {
                         assert!(
                             matches!(err, StoreError::LockConflict(_)),

@@ -32,7 +32,7 @@ mod common;
 use common::check_committed_state;
 use robustore::core::{
     AccessMode, ChaosBackend, Client, FaultSwitch, InMemoryBackend, QosOptions, ReadPolicy,
-    ReadReport, Scrubber, StoreError, System, SystemConfig,
+    ReadReport, RepairService, StoreError, System, SystemConfig,
 };
 use robustore::simkit::{ReadFaultPlan, ReadFaultScenario, SeedSequence};
 
@@ -268,7 +268,9 @@ fn scrubber_restores_full_redundancy_unscrubbed_store_decays() {
                 sys.corrupt_blocks(disk, 0.10, &sub);
             }
             if scrubbed {
-                let sweep = Scrubber::new(&client).sweep();
+                let sweep = RepairService::new(Client::connect(&sys, client.identity()))
+                    .eager()
+                    .sweep();
                 assert!(sweep.failed.is_empty(), "scrub failed: {:?}", sweep.failed);
             }
             let h = client

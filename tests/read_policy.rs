@@ -20,7 +20,9 @@
 //!   policies.
 
 use proptest::prelude::*;
-use robustore::core::{AccessMode, Client, QosOptions, ReadPolicy, Scrubber, System, SystemConfig};
+use robustore::core::{
+    AccessMode, Client, QosOptions, ReadPolicy, RepairService, System, SystemConfig,
+};
 use robustore::schemes::{AdaptiveReadPolicy, DiskLoad, DiskLoadMap, WaveSlot};
 use robustore::simkit::SeedSequence;
 
@@ -217,7 +219,9 @@ fn faulted_decodes(policy: ReadPolicy, fault_seed: u64) -> Vec<Vec<u8>> {
         client.close(h).unwrap();
     }
     sys.set_disk_offline(1, false);
-    let sweep = Scrubber::new(&client).sweep();
+    let sweep = RepairService::new(Client::connect(&sys, client.identity()))
+        .eager()
+        .sweep();
     assert!(sweep.failed.is_empty(), "scrub failed: {:?}", sweep.failed);
 
     // Post-repair reads as one open-loop paced batch through the wave

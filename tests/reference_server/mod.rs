@@ -49,9 +49,7 @@ impl MetadataServer {
     }
 
     /// Acquire the lock for `mode` and return the file's metadata
-    /// (`None` metadata for a write to a new file). A stale lock left by
-    /// a crashed holder (see [`LockTable`]) is reclaimed
-    /// instead of conflicting.
+    /// (`None` metadata for a write to a new file).
     pub fn open(&mut self, name: &str, mode: AccessMode) -> Result<Option<FileMeta>, StoreError> {
         if mode == AccessMode::Read && !self.files.contains_key(name) {
             return Err(StoreError::NotFound(name.to_string()));
@@ -63,18 +61,6 @@ impl MetadataServer {
     /// Release the lock taken by `open`.
     pub fn close(&mut self, name: &str, mode: AccessMode) {
         self.locks.release(name, mode);
-    }
-
-    /// Advance the stale-lock reclaim epoch (a supervising heartbeat
-    /// round). Locks whose holders have not touched them for the lease
-    /// length become reclaimable by the next conflicting `open`.
-    pub fn begin_lock_epoch(&mut self) -> u64 {
-        self.locks.begin_epoch()
-    }
-
-    /// Locks reclaimed from presumed-crashed holders so far.
-    pub fn locks_reclaimed(&self) -> u64 {
-        self.locks.reclaimed()
     }
 
     /// Try to upgrade a sole-reader lock on `name` to the writer lock
@@ -274,37 +260,6 @@ mod tests {
         m.open("f", AccessMode::Write).unwrap();
         assert!(!m.try_upgrade("f"));
         m.close("f", AccessMode::Write);
-    }
-
-    #[test]
-    fn crashed_writer_lock_is_reclaimed_after_lease() {
-        // Regression: a caller that opened for Write and then crashed
-        // (never closed) used to wedge the file forever. With the epoch
-        // lease the orphaned lock is reclaimed once it lags the lease.
-        let mut m = MetadataServer::new();
-        m.open("f", AccessMode::Write).unwrap();
-        m.commit(meta("f", 1)).unwrap();
-        // Caller crashes here: no close("f", Write).
-
-        // Fresh writer in the same epoch: still blocked (lock is live).
-        assert!(matches!(
-            m.open("f", AccessMode::Write),
-            Err(StoreError::LockConflict(_))
-        ));
-        m.begin_lock_epoch();
-        assert!(matches!(
-            m.open("f", AccessMode::Write),
-            Err(StoreError::LockConflict(_))
-        ));
-        m.begin_lock_epoch();
-        // Two epochs of silence: presumed crashed, reclaimed.
-        m.open("f", AccessMode::Write).unwrap();
-        assert_eq!(m.locks_reclaimed(), 1);
-        let mut upd = meta("f", 1);
-        upd.version = 2;
-        m.commit(upd).unwrap();
-        m.close("f", AccessMode::Write);
-        assert_eq!(m.stat("f").unwrap().version, 2);
     }
 
     #[test]

@@ -1,18 +1,18 @@
 //! Chaos suite for the prioritised, rate-limited repair service.
 //!
-//! The repair service turns the per-file scrub into a store-wide control
-//! loop: a risk queue ordered by health-weighted surviving margin, a
-//! token-bucket byte budget charged before every repair submission, and
-//! background ring priority so repair I/O yields to foreground queues.
-//! These tests pin the semantics under seeded damage and real
-//! concurrency:
+//! The repair service turns the per-file scrub into one store-wide
+//! loop, fed by a full sweep, a risk queue ordered by health-weighted
+//! surviving margin, or the backlog, with a token-bucket byte budget
+//! charged before every repair submission and background ring priority
+//! so repair I/O yields to foreground queues. These tests pin the
+//! semantics under seeded damage and real concurrency:
 //!
 //! * **the risk queue ranks damage and disk health** — fewest surviving
 //!   blocks first, and a file whose survivors sit on flaky disks ranks
 //!   riskier than an equally-present file on healthy ones;
-//! * **a file deleted mid-sweep is skipped, not failed** — the scrubber
-//!   must not retry a ghost forever (regression: `NotFound` used to land
-//!   in `failed`); a lock-busy file is a skip too, for `run_cycle` as for
+//! * **a file deleted mid-sweep is skipped, not failed** — the loop must
+//!   not retry a ghost forever (regression: `NotFound` used to land in
+//!   `failed`); a lock-busy file is a skip too, for `run_cycle` as for
 //!   the sweep (regression: `LockConflict` used to land in `failed`);
 //! * **the budget holds under load** — repair racing foreground reads
 //!   never charges more than `rate · elapsed + burst` bytes, commits or
@@ -24,11 +24,11 @@
 //! * **restored blocks go home** — a scrub rewrites at-rest loss on the
 //!   disks it was lost from, so the layout and every disk's byte count
 //!   come back exactly as written;
-//! * **sweep reports feed the repair backlog** — a file the sweep could
-//!   not finish (lock-busy, refused restores) is enqueued and healed by
-//!   a later backlog pass that probes only the suspects, and the
-//!   continuous `scrub_tick` schedule converges without any on-demand
-//!   store-wide survey.
+//! * **every pass feeds the repair backlog by one rule** — a file a sweep
+//!   or risk cycle could not finish (lock-busy, refused restores) is
+//!   enqueued and healed by a later backlog pass that probes only the
+//!   suspects, while a failed decode leaves; a continuous backlog-then-
+//!   sweep schedule converges without any on-demand store-wide survey.
 
 mod common;
 
@@ -36,8 +36,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use common::check_committed_state;
 use robustore::core::{
-    AccessMode, Client, InMemoryBackend, QosOptions, RepairService, ScrubOptions, Scrubber, System,
-    SystemConfig, TokenBucket,
+    AccessMode, Client, InMemoryBackend, QosOptions, RepairService, System, SystemConfig,
 };
 use robustore::diskmodel::DiskHealth;
 use robustore::simkit::SeedSequence;
@@ -156,39 +155,16 @@ fn risk_queue_orders_by_damage_and_disk_health() {
 
 #[test]
 fn sweep_skips_files_deleted_mid_sweep() {
+    // The deterministic half (a stale listing fed to the loop) lives in
+    // the repair module's unit tests; this is the race under real
+    // concurrency: a deleter thread racing the sweep must only ever
+    // produce scrubbed or skipped outcomes.
     let sys = system();
     let client = Client::connect(&sys, sys.register_user());
     put(&client, "keep-a", &payload(40_000, 4));
     put(&client, "condemned", &payload(40_000, 5));
     put(&client, "keep-b", &payload(40_000, 6));
-
-    // The sweep plan is the listing *before* the delete — exactly the
-    // mid-sweep race: by the time the scrubber reaches "condemned", the
-    // file is gone.
-    let plan = {
-        let mut names = sys.list_files();
-        names.sort();
-        names
-    };
-    assert!(plan.contains(&"condemned".to_string()));
-    client.delete("condemned").unwrap();
-
-    let report = Scrubber::new(&client).sweep_names(&plan, &ScrubOptions::default());
-    assert_eq!(
-        report.skipped,
-        vec!["condemned".to_string()],
-        "a deleted file is a skip, not damage"
-    );
-    assert!(
-        report.failed.is_empty(),
-        "regression: NotFound must not be recorded as a failure (would retry forever): {:?}",
-        report.failed
-    );
-    assert_eq!(report.scrubbed.len(), 2);
-
-    // And the race under real concurrency: a deleter thread racing the
-    // sweep must only ever produce scrubbed or skipped outcomes.
-    put(&client, "condemned", &payload(40_000, 5));
+    let service = RepairService::new(Client::connect(&sys, client.identity())).eager();
     let deleter_sys = sys.clone();
     let identity = client.identity();
     std::thread::scope(|scope| {
@@ -203,7 +179,7 @@ fn sweep_skips_files_deleted_mid_sweep() {
             }
         });
         for _ in 0..20 {
-            let r = Scrubber::new(&client).sweep_with(&ScrubOptions::default());
+            let r = service.sweep();
             for (name, err) in &r.failed {
                 assert!(
                     name != "condemned",
@@ -213,8 +189,9 @@ fn sweep_skips_files_deleted_mid_sweep() {
         }
         deleter.join().unwrap();
     });
-    let report = Scrubber::new(&client).sweep();
+    let report = service.sweep();
     assert!(report.failed.is_empty());
+    assert_eq!(report.repaired(), 2);
     assert!(!report.scrubbed.iter().any(|r| r.file == "condemned"));
 }
 
@@ -265,7 +242,7 @@ fn rate_limited_repair_under_foreground_load_holds_budget_and_state() {
             bucket.consumed(),
             bucket.budget_ceiling()
         );
-        let restored: usize = reports.iter().map(|r| r.blocks_restored).sum();
+        let restored: usize = reports.iter().map(|r| r.blocks_restored()).sum();
         assert!(restored > 0, "seeded damage must force restores");
         assert!(
             reports.iter().all(|r| r.failed.is_empty()),
@@ -326,7 +303,10 @@ fn repair_service_survives_repeated_decay_rounds() {
             "round {round} failed: {:?}",
             report.failed
         );
-        assert!(report.blocks_restored > 0, "round {round} restored nothing");
+        assert!(
+            report.blocks_restored() > 0,
+            "round {round} restored nothing"
+        );
         // Zero decodability loss, every round, hard-asserted.
         for f in 0..3 {
             assert_eq!(
@@ -360,13 +340,10 @@ fn unthrottled_bucket_charges_are_exact() {
     let lost = sys.lose_file_blocks("f", 0.25, &seq.subsequence("loss", 0));
     assert!(lost > 0);
 
-    let bucket = TokenBucket::new(0.0, 0);
-    let opts = ScrubOptions {
-        throttle: Some(&bucket),
-        background: true,
-    };
-    let report = client.scrub_with("f", &opts).unwrap();
+    let service = RepairService::new(Client::connect(&sys, client.identity())).with_rate(0.0, 0);
+    let report = service.repair_file("f").unwrap();
     assert_eq!(report.blocks_restored, lost);
+    let bucket = service.bucket().expect("an unlimited bucket still counts");
     // Fetch charges one block per *stored* id (missing reads still paid
     // for the attempt), restores one per absent id.
     assert_eq!(
@@ -417,7 +394,8 @@ fn sweep_reports_feed_the_repair_backlog() {
 
     // Both "busy" and "hurt" are damaged, but "busy" is also
     // write-locked: the sweep heals "hurt" in place and must hand
-    // "busy" to the repair backlog instead of failing it.
+    // "busy" to the repair backlog instead of failing it. Only the skip
+    // rides into the backlog.
     let seq = SeedSequence::new(0xFEED);
     assert!(sys.lose_file_blocks("busy", 0.3, &seq.subsequence("loss", 0)) > 0);
     assert!(sys.lose_file_blocks("hurt", 0.3, &seq.subsequence("loss", 1)) > 0);
@@ -426,23 +404,18 @@ fn sweep_reports_feed_the_repair_backlog() {
         .unwrap();
 
     let service = RepairService::new(Client::connect(&sys, client.identity()));
-    let sweep = Scrubber::new(&client).sweep();
+    let sweep = service.sweep();
     assert_eq!(
         sweep.skipped,
         vec!["busy".to_string()],
         "lock-busy file must be a skip, not a failure"
     );
     assert!(sweep.failed.is_empty(), "failed: {:?}", sweep.failed);
-    assert_eq!(
-        service.enqueue_sweep(&sweep),
-        1,
-        "only the skip rides into the backlog"
-    );
     assert_eq!(service.pending(), vec!["busy".to_string()]);
 
     // Still locked: the backlog pass re-queues it instead of failing.
     let r = service.run_enqueued(usize::MAX);
-    assert_eq!((r.repaired, r.skipped), (0, 1));
+    assert_eq!((r.repaired(), r.skipped.len()), (0, 1));
     assert!(r.failed.is_empty());
     assert_eq!(service.pending(), vec!["busy".to_string()]);
 
@@ -451,8 +424,8 @@ fn sweep_reports_feed_the_repair_backlog() {
     client.close(held).unwrap();
     let r = service.run_enqueued(usize::MAX);
     assert_eq!(r.surveyed, 1, "backlog pass surveys only enqueued files");
-    assert_eq!(r.repaired, 1);
-    assert!(r.blocks_restored > 0);
+    assert_eq!(r.repaired(), 1);
+    assert!(r.blocks_restored() > 0);
     assert!(service.pending().is_empty());
     assert_eq!(read_back(&client, "busy"), payload(60_000, 30));
     for e in service.risk_queue() {
@@ -476,16 +449,59 @@ fn run_cycle_skips_a_lock_busy_file_instead_of_failing_it() {
         .unwrap();
     let service = RepairService::new(Client::connect(&sys, client.identity()));
     let r = service.run_cycle(usize::MAX);
-    assert_eq!(r.skipped, 1, "lock-busy file must be a skip");
+    assert_eq!(
+        r.skipped,
+        vec!["held".to_string()],
+        "lock-busy file must be a skip"
+    );
     assert!(r.failed.is_empty(), "failed: {:?}", r.failed);
-    assert_eq!(r.repaired, 0);
+    assert_eq!(r.repaired(), 0);
 
     // Released: the next cycle repairs it.
     reader.close(held).unwrap();
     let r = service.run_cycle(usize::MAX);
-    assert_eq!((r.repaired, r.skipped), (1, 0));
-    assert!(r.blocks_restored > 0);
+    assert_eq!((r.repaired(), r.skipped.len()), (1, 0));
+    assert!(r.blocks_restored() > 0);
     assert_eq!(read_back(&client, "held"), payload(60_000, 35));
+}
+
+#[test]
+fn run_cycle_backlogs_a_lock_busy_file_by_the_one_requeue_rule() {
+    // A risk cycle re-queues by the same rule as every other pass: a
+    // damaged, lock-busy file goes on the backlog (regression: a risk
+    // cycle used to drop it), while a file past its decode margin fails
+    // and leaves — the next survey revisits it anyway.
+    let sys = system();
+    let client = Client::connect(&sys, sys.register_user());
+    put(&client, "held", &payload(60_000, 36));
+    put(&client, "ruined", &payload(60_000, 37));
+    let seq = SeedSequence::new(0xB06);
+    assert!(sys.lose_file_blocks("held", 0.3, &seq.subsequence("loss", 0)) > 0);
+    sys.lose_file_blocks("ruined", 0.95, &seq.subsequence("loss", 1));
+
+    let held = client
+        .open("held", AccessMode::Read, QosOptions::best_effort())
+        .unwrap();
+    let service = RepairService::new(Client::connect(&sys, client.identity()));
+    let r = service.run_cycle(usize::MAX);
+    assert_eq!(r.skipped, vec!["held".to_string()]);
+    assert_eq!(
+        r.failed.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
+        ["ruined"],
+        "damage past the margin must fail the scrub"
+    );
+    assert_eq!(
+        service.pending(),
+        vec!["held".to_string()],
+        "the lock-busy file must wait on the backlog; the failure must not"
+    );
+
+    // Released: the backlog pass heals it and the backlog drains.
+    client.close(held).unwrap();
+    let r = service.run_enqueued(usize::MAX);
+    assert_eq!((r.surveyed, r.repaired()), (1, 1));
+    assert!(service.pending().is_empty());
+    assert_eq!(read_back(&client, "held"), payload(60_000, 36));
 }
 
 #[test]
@@ -501,27 +517,28 @@ fn continuous_scrub_ticks_converge_without_on_demand_surveys() {
         sys.lose_file_blocks(&format!("tick-{f}"), 0.35, &seq.subsequence("decay", f));
     }
 
-    // Tick 1: a writer holds tick-1, so the sweep skips it and the tick
-    // enqueues it for later instead of dropping it on the floor.
+    // One tick of the continuous schedule: retry the backlog, then
+    // sweep the whole store.
+    let tick = || (service.run_enqueued(usize::MAX), service.sweep());
+
+    // Tick 1: a writer holds tick-1, so the sweep skips it and enqueues
+    // it for later instead of dropping it on the floor.
     let held = client
         .open("tick-1", AccessMode::Write, QosOptions::best_effort())
         .unwrap();
-    let t1 = service.scrub_tick(usize::MAX);
-    assert_eq!(
-        t1.backlog.surveyed, 0,
-        "nothing queued before the first tick"
-    );
-    assert_eq!(t1.sweep.skipped, vec!["tick-1".to_string()]);
-    assert!(t1.sweep.failed.is_empty());
-    assert_eq!(t1.enqueued_for_next, 1);
+    let (backlog, sweep) = tick();
+    assert_eq!(backlog.surveyed, 0, "nothing queued before the first tick");
+    assert_eq!(sweep.skipped, vec!["tick-1".to_string()]);
+    assert!(sweep.failed.is_empty());
+    assert_eq!(service.pending(), vec!["tick-1".to_string()]);
     client.close(held).unwrap();
 
     // Tick 2: the backlog pass heals tick-1 before the sweep even runs,
     // and the schedule quiesces — nothing left for tick 3.
-    let t2 = service.scrub_tick(usize::MAX);
-    assert_eq!(t2.backlog.repaired, 1);
-    assert!(t2.backlog.blocks_restored > 0);
-    assert_eq!(t2.enqueued_for_next, 0);
+    let (backlog, sweep) = tick();
+    assert_eq!(backlog.repaired(), 1);
+    assert!(backlog.blocks_restored() > 0);
+    assert_eq!(sweep.blocks_restored(), 0);
     assert!(service.pending().is_empty());
     for f in 0..3 {
         assert_eq!(

@@ -47,8 +47,8 @@ use std::time::{Duration, Instant};
 use common::check_committed_state;
 use robustore::core::{
     AccessMode, ChaosBackend, Client, CompletionKind, DiskShard, FileMeta, InMemoryBackend, IoRing,
-    QosOptions, ReadPolicy, RefusedWrite, RingConfig, Scrubber, ShardedBackend, StorageBackend,
-    StoreError, SubmitOp, System, SystemConfig, WriteOutcome,
+    QosOptions, ReadPolicy, RefusedWrite, RepairService, RingConfig, ShardedBackend,
+    StorageBackend, StoreError, SubmitOp, System, SystemConfig, WriteOutcome,
 };
 use robustore::simkit::SeedSequence;
 
@@ -808,7 +808,9 @@ fn seeded_persistent_faults_replay_identically_under_either_policy() {
             client.close(h).unwrap();
         }
         sys.set_disk_offline(1, false);
-        let sweep = Scrubber::new(&client).sweep();
+        let sweep = RepairService::new(Client::connect(&sys, client.identity()))
+            .eager()
+            .sweep();
         assert!(sweep.failed.is_empty(), "scrub failed: {:?}", sweep.failed);
         let healed = check_committed_state(&sys);
         decoded.push(healed["alpha"].clone());

@@ -66,11 +66,12 @@ pub struct SystemConfig {
     pub app_domain: String,
     /// Bounded retry policy for transiently failing block reads.
     pub read_retry: ReadRetry,
-    /// Repair damage discovered by a read: when a read completes with
-    /// missing or corrupt blocks, re-encode them from the decoded data
-    /// and re-place them on healthy disks (in place when the original
-    /// disk accepts the write; redirected — with a metadata commit —
-    /// otherwise). Best-effort: repair never fails a successful read.
+    /// Queue damage discovered by a read: when a read decodes despite
+    /// missing or corrupt blocks, it returns at once and puts the file on
+    /// the system's repair backlog, which the next
+    /// [`crate::repair::RepairService::run_enqueued`] pass scrubs. The
+    /// read itself does no repair I/O and takes no file lock for it.
+    /// `false`: reads heal nothing.
     pub read_repair: bool,
     /// Group commit: how many consecutive same-disk writes a ring worker
     /// may coalesce — across accesses — into one shard-lock acquisition
@@ -175,6 +176,11 @@ struct SystemInner {
     pool: Mutex<Option<BlockPool>>,
     clock: AtomicU64,
     next_access: AtomicU64,
+    /// The store-wide repair backlog: files a read found damaged, or a
+    /// repair pass left unfinished, awaiting the next
+    /// [`crate::repair::RepairService::run_enqueued`] pass (deduplicated,
+    /// name-ordered). Bounded by live files: a delete takes its name out.
+    repair_backlog: Mutex<BTreeSet<String>>,
 }
 
 /// A shared RobuSTore deployment: metadata, storage, admission, keys.
@@ -246,6 +252,7 @@ impl System {
                 pool: Mutex::new(None),
                 clock: AtomicU64::new(0),
                 next_access: AtomicU64::new(0),
+                repair_backlog: Mutex::new(BTreeSet::new()),
             }),
         })
     }
@@ -484,6 +491,12 @@ impl System {
     fn next_access_id(&self) -> u64 {
         self.inner.next_access.fetch_add(1, Ordering::Relaxed) + 1
     }
+
+    /// The store-wide repair backlog every
+    /// [`crate::repair::RepairService`] on this system shares.
+    pub(crate) fn repair_backlog(&self) -> &Mutex<BTreeSet<String>> {
+        &self.inner.repair_backlog
+    }
 }
 
 /// An open file.
@@ -549,8 +562,10 @@ pub struct ReadReport {
     /// Blocks delivered without verification because the file's metadata
     /// carries no checksum for them (legacy, pre-integrity files).
     pub blocks_unverified: usize,
-    /// Damaged blocks re-encoded from the decoded data and re-placed on
-    /// disks by read-repair during this access.
+    /// Always 0: a read repairs nothing itself. A read that finds damage
+    /// queues its file on the repair backlog instead (see
+    /// [`SystemConfig::read_repair`]); the scrub that drains it reports
+    /// what it restored. Kept for source compatibility.
     pub blocks_repaired: usize,
     /// Blocks never requested: the decoder finished before their wave
     /// came up, or before the bounded submission window reached them.
@@ -1137,10 +1152,6 @@ impl Client {
             missing: usize,
             corrupt: usize,
             unverified: usize,
-            bad: BTreeSet<u32>,
-            /// Ids fetched and verified good — exempt from the repair
-            /// audit (re-reading them would double-count disk traffic).
-            good: BTreeSet<u32>,
             done_decoding: bool,
             fatal: Option<StoreError>,
         }
@@ -1246,7 +1257,6 @@ impl Client {
                             };
                             if accepted {
                                 st.fetched += 1;
-                                st.good.insert(coded);
                                 if st.decoder.receive(coded as usize, buf) {
                                     // Decode complete: revoke everything
                                     // still queued before a disk gets to
@@ -1257,7 +1267,6 @@ impl Client {
                                     ring.cancel(st.access);
                                 }
                             } else {
-                                st.bad.insert(coded);
                                 recycle(pool, buf, block_len);
                             }
                         }
@@ -1269,7 +1278,6 @@ impl Client {
                         Err(StoreError::TransientIo { .. })
                         | Err(StoreError::MissingBlock { .. }) => {
                             st.missing += 1;
-                            st.bad.insert(coded);
                             recycle(pool, buf, block_len);
                         }
                         Err(e) => {
@@ -1332,8 +1340,6 @@ impl Client {
                 missing: 0,
                 corrupt: 0,
                 unverified: 0,
-                bad: BTreeSet::new(),
-                good: BTreeSet::new(),
                 done_decoding: false,
                 fatal: None,
             }));
@@ -1403,8 +1409,6 @@ impl Client {
                         missing,
                         corrupt,
                         unverified,
-                        bad,
-                        good,
                         fatal,
                         ..
                     } = st;
@@ -1414,24 +1418,16 @@ impl Client {
                             Err(e)
                         }
                         None => decode(decoder, pool).map(|blocks| {
-                            // Read-repair: the decode just reconstructed
-                            // everything the bad blocks encoded, so put
-                            // them back while the data is in hand — unless
-                            // an unverified block reached the decoder: a
-                            // legacy file's rot would be re-encoded over
-                            // good blocks. Such a file heals through
-                            // `scrub`, which audits its decoder's inputs.
-                            // Strictly best-effort — a successful read
-                            // never fails here.
-                            let repaired = if self.system.inner.config.read_repair
-                                && !bad.is_empty()
-                                && unverified == 0
-                            {
-                                let code = codes[si].as_ref().expect("state implies planned code");
-                                self.try_read_repair(meta, code, &blocks, bad, &good, pool)
-                            } else {
-                                0
-                            };
+                            // Read-repair: queue the damage, do not fix it
+                            // here — the repair is a scrub, which reads and
+                            // rewrites on disks this access never waited
+                            // for. The read returns at its decode point.
+                            if self.system.inner.config.read_repair && missing + corrupt > 0 {
+                                self.system
+                                    .repair_backlog()
+                                    .lock()
+                                    .insert(meta.name.clone());
+                            }
                             let mut out = Vec::with_capacity(meta.size_bytes as usize);
                             for b in blocks {
                                 out.extend_from_slice(&b);
@@ -1446,7 +1442,7 @@ impl Client {
                                 blocks_missing: missing,
                                 blocks_corrupt: corrupt,
                                 blocks_unverified: unverified,
-                                blocks_repaired: repaired,
+                                blocks_repaired: 0,
                                 blocks_deferred: order.len() - tags.submitted(),
                                 waves: waves.max(1),
                             };
@@ -1504,107 +1500,34 @@ impl Client {
         }
     }
 
-    /// Best-effort read-repair: [`Client::restore`] the damage a read
-    /// found. Ids rewritten in place need no metadata change; a layout
-    /// that moved is committed only if this reader can upgrade its reader
-    /// lock (it is the sole reader; `update` holds the writer lock so it
-    /// can never race this commit). Otherwise the relocations roll back.
+    /// Put a scrubbed file's damaged blocks back; its last step,
+    /// [`Client::relocate`], is also a write's re-homing. An id in
+    /// `damaged` has the disk of its layout slot as its home, or no home
+    /// if the layout does not store it.
     ///
-    /// The repair set is **canonical**: which damaged blocks a read
-    /// *encounters* before its decoder completes depends on the wave
-    /// schedule's prefix, so `restore` audits every stored id the read did
-    /// not itself verify — the committed state is byte-identical whatever
-    /// prefix the read fetched.
-    ///
-    /// Returns the number of blocks restored. Never fails the read.
-    fn try_read_repair(
-        &self,
-        meta: &FileMeta,
-        code: &LtCode,
-        blocks: &[Block],
-        bad: BTreeSet<u32>,
-        good: &BTreeSet<u32>,
-        pool: &mut BlockPool,
-    ) -> usize {
-        let opts = ScrubOptions::default();
-        let Ok(r) = self.restore(meta, code, blocks, good, bad, pool, &opts) else {
-            return 0; // a lost worker cut the audit short
-        };
-        if r.layout == meta.layout {
-            return r.in_place;
-        }
-        let mut meta_srv = self.system.inner.meta.lock();
-        let mut committed = false;
-        if meta_srv.try_upgrade(&meta.name) {
-            let mut new_meta = meta.clone();
-            new_meta.version += 1;
-            new_meta.layout = r.layout;
-            committed = meta_srv.commit(new_meta).is_ok();
-            meta_srv.downgrade(&meta.name);
-        }
-        drop(meta_srv);
-        let backend = &self.system.inner.backend;
-        if committed {
-            delete_blocks(backend, &r.stale);
-            r.in_place + r.relocated.len()
-        } else {
-            delete_blocks(backend, &r.relocated);
-            r.in_place
-        }
-    }
-
-    /// Put a file's damaged blocks back — the one restore path behind
-    /// read-repair and scrub; its last step, [`Client::relocate`], is also
-    /// a write's re-homing. An id in `damaged` has the disk of its layout
-    /// slot as its home, or no home if the layout does not store it.
-    ///
-    /// 1. **Audit** every stored id neither `good` nor `damaged` (a scrub
-    ///    has classified them all); a failure joins the damage.
-    /// 2. **Rewrite in place**: re-encode each damaged id from `blocks` and
+    /// 1. **Rewrite in place**: re-encode each damaged id from `blocks` and
     ///    rewrite it at its home under its committed key. Coded bytes are
     ///    a deterministic function of content, so this needs no metadata
     ///    change.
-    /// 3. **Relocate** what the home refused, and the homeless ids.
+    /// 2. **Relocate** what the home refused, and the homeless ids.
     ///
-    /// The audit and the rewrites each run through one bounded in-order
-    /// window on the ring, fanned out across the layout's disks
-    /// (`disk_interleaved`), in the class `opts` asks for, the throttle
-    /// charged per block before submission. A hard fault gives up on that
-    /// id, which leaves the layout. Fails only if a lost ring worker cuts
-    /// the audit short: the damage set would be incomplete.
-    #[allow(clippy::too_many_arguments)]
+    /// The rewrites run through one bounded in-order window on the ring,
+    /// fanned out across the layout's disks (`disk_interleaved`), in the
+    /// class `opts` asks for, the throttle charged per block before
+    /// submission. A hard fault gives up on that id, which leaves the
+    /// layout.
     fn restore(
         &self,
         meta: &FileMeta,
         code: &LtCode,
         blocks: &[Block],
-        good: &BTreeSet<u32>,
-        mut damaged: BTreeSet<u32>,
-        pool: &mut BlockPool,
+        damaged: BTreeSet<u32>,
         opts: &ScrubOptions<'_>,
-    ) -> Result<Restored, StoreError> {
+    ) -> Restored {
         let block_len = meta.coding.block_bytes as usize;
         let priority = repair_priority(opts);
         let window = (2 * meta.layout.len()).max(8);
         let rot = meta.file_id as usize;
-        let audit: Vec<(usize, u32)> = disk_interleaved(&meta.layout, rot)
-            .into_iter()
-            .filter(|(_, id)| !good.contains(id) && !damaged.contains(id))
-            .collect();
-        self.fetch_blocks(meta, &audit, window, pool, opts, &mut |id, read_ok, buf| {
-            let intact = read_ok
-                && match check_block(meta, id, &buf, block_len) {
-                    BlockCheck::Verified => true,
-                    // The decoded data is ground truth for a legacy block.
-                    BlockCheck::Unverified => buf == code.encode_block(blocks, id as usize),
-                    BlockCheck::Corrupt => false,
-                };
-            if !intact {
-                damaged.insert(id);
-            }
-            Some(buf)
-        })?;
-
         let rewrites = disk_interleaved(&layout_subset(&meta.layout, &damaged), rot);
         let mut in_place: BTreeSet<u32> = BTreeSet::new();
         // id → (the home that refused it or none, its bytes).
@@ -1670,12 +1593,12 @@ impl Client {
             .filter(|(_, id)| !in_place.contains(id))
             .map(|&(disk, id)| (disk, meta.block_key(id)))
             .collect();
-        Ok(Restored {
+        Restored {
             layout,
             in_place: in_place.len(),
             relocated,
             stale,
-        })
+        }
     }
 
     /// Relocation, serially in id order, one block at a time through the
@@ -1915,6 +1838,9 @@ impl Client {
             // (metadata quorum lost) leaves every block in place and the
             // file readable.
             self.system.inner.meta.lock().remove(name)?;
+            // A deleted file needs no repair: the backlog stays bounded by
+            // live files.
+            self.system.repair_backlog().lock().remove(name);
             // Then garbage-collect the blocks.
             delete_blocks(&self.system.inner.backend, &stored_keys(meta));
             Ok(())
@@ -1930,7 +1856,7 @@ impl Client {
     /// Unlike a read, a scrub visits *every* stored block (no early
     /// cancel): it verifies checksums disk by disk, decodes the file, and
     /// hands everything the code can generate but the disks do not
-    /// demonstrably hold to the restore path read-repair also takes —
+    /// demonstrably hold to the restore path (`Client::restore`) —
     /// damaged blocks are rewritten in place at their home disks, which
     /// keeps the speed-proportional layout; ids a home refuses, or that
     /// no disk stores, go to the least-loaded disk that takes them. It
@@ -2042,21 +1968,15 @@ impl Client {
         // Everything the code can generate, minus what is demonstrably
         // good on disk, is restored — back to the full target of N coded
         // blocks (this also heals blocks a write-time refusal dropped).
-        let good: BTreeSet<u32> = verified.iter().chain(legacy.keys()).copied().collect();
-        let damaged = (0..spec.n as u32).filter(|id| !good.contains(id)).collect();
-        let restored = self.restore(meta, code, &blocks, &good, damaged, pool, opts);
+        let damaged = (0..spec.n as u32)
+            .filter(|id| !verified.contains(id) && !legacy.contains_key(id))
+            .collect();
         let Restored {
             layout,
             in_place,
             relocated,
             stale,
-        } = match restored {
-            Ok(r) => r,
-            Err(e) => {
-                pool.put_all(blocks);
-                return Err(e);
-            }
-        };
+        } = self.restore(meta, code, &blocks, damaged, opts);
         // A complete digest map: the recorded digests, the audited legacy
         // ones, and fresh ones for restored ids that had neither.
         let checksums: BTreeMap<u32, u32> = layout
@@ -2181,8 +2101,8 @@ enum BlockCheck {
     Corrupt,
 }
 
-/// The one integrity check of a fetched block — the read's gate,
-/// read-repair's audit and the scrub's fetch all take its verdict.
+/// The one integrity check of a fetched block — the read's gate and the
+/// scrub's fetch both take its verdict.
 fn check_block(meta: &FileMeta, id: u32, buf: &[u8], block_len: usize) -> BlockCheck {
     if buf.len() != block_len {
         return BlockCheck::Corrupt;
@@ -2194,17 +2114,17 @@ fn check_block(meta: &FileMeta, id: u32, buf: &[u8], block_len: usize) -> BlockC
     }
 }
 
-/// What [`Client::restore`] put back, for its caller's commit rule.
+/// What [`Client::restore`] put back, for the scrub's commit.
 struct Restored {
     /// The file's layout with every damaged id where it now lives — in
     /// place, relocated, or (given up on) gone.
     layout: Vec<(usize, Vec<u32>)>,
     /// Ids rewritten in place at their home disks.
     in_place: usize,
-    /// Writes to a new location — undone if the caller does not commit.
+    /// Writes to a new location — undone if the commit fails.
     relocated: Vec<(usize, u64)>,
     /// Copies at homes their ids no longer live on — garbage once the
-    /// caller commits.
+    /// scrub commits.
     stale: Vec<(usize, u64)>,
 }
 

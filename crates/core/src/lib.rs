@@ -51,8 +51,7 @@
 //!   works a risk queue ordering damaged files most-at-risk-first
 //!   (weighted by disk health), or a backlog of files earlier passes left
 //!   short — verifying every stored block and restoring each file to its
-//!   full redundancy target through the restore path read-repair shares,
-//!   under a token-bucket MB/s budget and a background scheduling class
+//!   full redundancy target, under a token-bucket MB/s budget and a background scheduling class
 //!   on ring submissions.
 //!
 //! Everything is deterministic and synchronous: the crate models the

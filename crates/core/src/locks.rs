@@ -75,28 +75,6 @@ impl LockTable {
         self.locks.get(name) == Some(&LockKind::Writer)
     }
 
-    /// Upgrade a sole-reader lock to the writer lock (read-repair's
-    /// commit window). `false` (lock untouched) with other readers, a
-    /// writer, or no lock.
-    pub fn try_upgrade(&mut self, name: &str) -> bool {
-        match self.locks.get_mut(name) {
-            Some(kind @ LockKind::Readers(1)) => {
-                *kind = LockKind::Writer;
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Downgrade the writer lock back to a single reader, undoing
-    /// [`LockTable::try_upgrade`].
-    pub fn downgrade(&mut self, name: &str) {
-        match self.locks.get_mut(name) {
-            Some(kind @ LockKind::Writer) => *kind = LockKind::Readers(1),
-            s => panic!("downgrade without writer lock: {s:?}"),
-        }
-    }
-
     /// Drop every lock. Recovery uses this: a rebuilt metadata plane
     /// cannot tell live holders from crashed ones, so it reclaims
     /// conservatively — every pre-crash lock belonged to a handle that

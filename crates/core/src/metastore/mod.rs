@@ -241,17 +241,6 @@ impl Metastore {
         self.locks.reclaimed()
     }
 
-    /// Try to upgrade a sole-reader lock to the writer lock
-    /// (read-repair's commit window).
-    pub fn try_upgrade(&mut self, name: &str) -> bool {
-        self.locks.try_upgrade(name)
-    }
-
-    /// Downgrade the writer lock back to a single reader.
-    pub fn downgrade(&mut self, name: &str) {
-        self.locks.downgrade(name)
-    }
-
     /// Raise the durable id floor to at least `floor` (one `IdFloor`
     /// record on shard 0).
     fn ensure_id_floor(&mut self, floor: u64) -> Result<(), StoreError> {

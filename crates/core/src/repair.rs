@@ -1,11 +1,14 @@
 //! Store-wide repair: the one loop that turns the per-file scrub
 //! ([`Client::scrub`]) into a prioritised, rate-limited service.
 //!
-//! A read only heals the damage it happens to trip over; repair hunts.
-//! Every per-file pass reads *all* stored blocks (no early cancel),
-//! verifies checksums, decodes, re-encodes whatever is missing or
-//! corrupt, and puts it back through the restore path read-repair also
-//! takes — in place on its home disk, so the file keeps its
+//! A read heals nothing itself: one that decodes despite missing or
+//! corrupt blocks returns at its decode point and puts its file on the
+//! system's repair backlog ([`crate::SystemConfig::read_repair`]), so no
+//! repair I/O — and no slow disk it would wait on — sits on a reader's
+//! critical path. Repair drains that backlog and hunts the rest. Every
+//! per-file pass reads *all* stored blocks (no early cancel), verifies
+//! checksums, decodes, re-encodes whatever is missing or corrupt, and
+//! puts it back — in place on its home disk, so the file keeps its
 //! speed-proportional layout, and on the least-loaded disk that takes it
 //! only when the home refuses. Each file returns to its full target of N
 //! coded blocks before latent faults accumulate past the code's
@@ -29,11 +32,17 @@
 //!   surveys the store with presence probes, ranks files by surviving
 //!   redundancy margin weighted by per-disk health, and scrubs the damaged
 //!   ones most-at-risk-first; a [`run_enqueued`](RepairService::run_enqueued)
-//!   pass does the same for the backlog only. Every pass applies one cap
-//!   and one requeue rule: a file goes back on the backlog when it was
-//!   lock-busy, beyond the cap, or restored short of N; a ghost, a failed
-//!   decode and a healthy file leave (the next sweep or survey revisits a
-//!   failure anyway).
+//!   pass ranks the backlog the same way and scrubs every name on it that
+//!   still exists — each is suspect by construction, and the bit rot a
+//!   read found is invisible to presence probes. The backlog belongs to
+//!   the [`crate::System`], so every service on a system shares it; the
+//!   system's owner drains it (there is no repair thread: a scrub holds
+//!   the writer lock, and a worker racing the owner's next delete or
+//!   overwrite would turn client ops into lock conflicts). Every pass
+//!   applies one cap and one requeue rule: a file goes back on the
+//!   backlog when it was lock-busy, beyond the cap, or restored short of
+//!   N; a ghost, a failed decode and a healthy file leave (the next sweep
+//!   or survey revisits a failure anyway).
 //!
 //! The risk score follows the liquid-repair observation that not all
 //! missing blocks are equally urgent: a file with `k + 10` survivors on
@@ -270,7 +279,8 @@ impl RepairRunReport {
 }
 
 /// The store-wide repair loop: sweep or survey → rank → scrub under
-/// budget, with a backlog of files earlier passes left short.
+/// budget, with the system's backlog of files reads found damaged and
+/// earlier passes left short.
 ///
 /// Disk health defaults to [`DiskHealth::Healthy`]; a monitoring layer
 /// (or a test) feeds observations in via [`RepairService::set_disk_health`].
@@ -279,9 +289,6 @@ pub struct RepairService {
     bucket: Option<TokenBucket>,
     health: Mutex<BTreeMap<usize, DiskHealth>>,
     background: bool,
-    /// Files earlier passes could not fully restore, awaiting the next
-    /// [`RepairService::run_enqueued`] pass (deduplicated, name-ordered).
-    pending: Mutex<BTreeSet<String>>,
 }
 
 impl RepairService {
@@ -294,7 +301,6 @@ impl RepairService {
             bucket: None,
             health: Mutex::new(BTreeMap::new()),
             background: true,
-            pending: Mutex::new(BTreeSet::new()),
         }
     }
 
@@ -402,23 +408,22 @@ impl RepairService {
     /// fewer than `n` blocks, or any of its disks is reported
     /// non-healthy.
     pub fn run_cycle(&self, max_files: usize) -> RepairRunReport {
-        self.scrub_ranked(self.risk_queue(), max_files)
-    }
-
-    /// Drain the backlog: survey *only* the enqueued files, rank them
-    /// most-at-risk-first, and scrub the damaged ones — at most
-    /// `max_files` of them. Files found healthy or deleted leave the
-    /// queue; the rest follow the loop's requeue rule.
-    pub fn run_enqueued(&self, max_files: usize) -> RepairRunReport {
-        let names = std::mem::take(&mut *self.pending.lock());
-        self.scrub_ranked(self.rank_names(names.into_iter().collect()), max_files)
-    }
-
-    /// Scrub the damaged files of a ranked `queue`, in order.
-    fn scrub_ranked(&self, queue: Vec<RiskEntry>, max_files: usize) -> RepairRunReport {
+        let queue = self.risk_queue();
         let surveyed = queue.len();
         let damaged = queue.into_iter().filter(RiskEntry::is_damaged);
         self.scrub_names(surveyed, damaged.map(|e| e.name), max_files)
+    }
+
+    /// Drain the system's backlog: survey *only* the enqueued files, rank
+    /// them most-at-risk-first, and scrub every one that still exists —
+    /// at most `max_files` of them. Unfiltered by the probes: a name is
+    /// on the backlog because a read or an earlier pass found it
+    /// damaged, and a read's bit rot leaves every block present. Deleted
+    /// files leave the queue; the rest follow the loop's requeue rule.
+    pub fn run_enqueued(&self, max_files: usize) -> RepairRunReport {
+        let names = std::mem::take(&mut *self.backlog().lock());
+        let queue = self.rank_names(names.into_iter().collect());
+        self.scrub_names(queue.len(), queue.into_iter().map(|e| e.name), max_files)
     }
 
     /// The one repair loop every pass runs: scrub `names` in order under
@@ -439,7 +444,7 @@ impl RepairService {
             ..RepairRunReport::default()
         };
         let later = |name: String| {
-            self.pending.lock().insert(name);
+            self.backlog().lock().insert(name);
         };
         let opts = self.scrub_options();
         for name in names {
@@ -475,15 +480,21 @@ impl RepairService {
         self.client.scrub_with(name, &self.scrub_options())
     }
 
+    /// The system's backlog — shared by every service on the system.
+    fn backlog(&self) -> &Mutex<BTreeSet<String>> {
+        self.client.system().repair_backlog()
+    }
+
     /// Queue a file for the next [`RepairService::run_enqueued`] pass.
     /// Idempotent: the backlog is a set.
     pub fn enqueue(&self, name: impl Into<String>) {
-        self.pending.lock().insert(name.into());
+        self.backlog().lock().insert(name.into());
     }
 
-    /// The current backlog, name-ordered (for observability and tests).
+    /// The system's current backlog, name-ordered (for observability and
+    /// tests).
     pub fn pending(&self) -> Vec<String> {
-        self.pending.lock().iter().cloned().collect()
+        self.backlog().lock().iter().cloned().collect()
     }
 }
 

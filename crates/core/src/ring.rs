@@ -42,7 +42,7 @@
 //! a bounded number in flight runs on one state machine, [`Reorder`]: the
 //! speculative read reactor keeps one per access over a channel its
 //! accesses share, and [`OrderedWindow`] — writes, updates, scrub
-//! fetches, the restore path's audits and in-place rewrites — wraps one
+//! fetches, the restore path's in-place rewrites — wraps one
 //! with a channel of its own. Block deletes do not use the ring: they
 //! are garbage collection, called on the shards directly.
 //!

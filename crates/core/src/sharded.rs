@@ -138,8 +138,7 @@ impl ShardedBackend {
     /// Fetch a block with the shared bounded-retry policy: transient
     /// faults retry up to `max_attempts` total attempts, calling
     /// `backoff(attempt)` before each retry (the caller supplies the
-    /// sleep — plain exponential on the ring workers, nothing for the
-    /// read-repair audit). A successful read is counted against the disk
+    /// sleep — plain exponential on the ring workers). A successful read is counted against the disk
     /// here, so retry accounting and per-disk read counters cannot drift
     /// between callers.
     /// Returns the final result and the number of retries performed;

@@ -16,7 +16,8 @@
 //! coding/metadata/planning stack end to end, not multi-machine
 //! deployment). File metadata lives in the write-ahead-logged metastore
 //! under `DIR/meta/` (`shard-<s>/replica-<r>/`, quorum-replicated on the
-//! same filesystem). Every `put`, `rm`, read-repair and scrub follows one
+//! same filesystem). A `get` whose read found damage scrubs that file
+//! before it exits (read-repair). Every `put`, `rm` and scrub follows one
 //! order: coded blocks synced to their disks, then the metadata commit
 //! synced to the log, then garbage collection of what it superseded — so
 //! a process killed at any instant leaves each file at its old or its new
@@ -328,8 +329,17 @@ fn main() {
                 rr.blocks_fetched,
                 rr.blocks_cancelled
             );
-            if rr.blocks_repaired > 0 {
-                println!("read-repair restored {} damaged blocks", rr.blocks_repaired);
+            // The repair backlog lives in this process: drain what the
+            // read queued before exiting, or it is lost.
+            let repair = RepairService::new(client).eager().run_enqueued(usize::MAX);
+            if repair.blocks_restored() > 0 {
+                println!(
+                    "read-repair restored {} damaged blocks",
+                    repair.blocks_restored()
+                );
+            }
+            for (name, e) in &repair.failed {
+                eprintln!("{name}: read-repair failed: {e}");
             }
         }
         "rm" => {

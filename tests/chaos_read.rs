@@ -9,10 +9,12 @@
 //! * **silent corruption** (flipped bytes, torn reads) is caught by
 //!   checksum verification and demoted to a missing block the redundancy
 //!   absorbs — the returned bytes are always correct or the read errors;
-//! * **read-repair** re-encodes the damage from the decoded data and puts
-//!   it back, so the next read finds a healthy file — in place, or, when
-//!   the home disk refuses, relocated: committed for a sole reader, rolled
-//!   back beside a second one;
+//! * **read-repair** queues the damage a read found on the system's repair
+//!   backlog — the read itself writes nothing — and the backlog pass that
+//!   drains it puts the damage back, so the next read finds a healthy
+//!   file: in place, or, when the home disk refuses, relocated — committed
+//!   when the drain can take the writer lock, re-queued untouched while a
+//!   second reader holds the file;
 //! * the **scrubber** restores files to their full redundancy target
 //!   before latent faults accumulate past decodability;
 //! * every exit path — success, decode failure, hard I/O error — returns
@@ -32,7 +34,7 @@ mod common;
 use common::check_committed_state;
 use robustore::core::{
     AccessMode, ChaosBackend, Client, FaultSwitch, InMemoryBackend, QosOptions, ReadPolicy,
-    ReadReport, RepairService, StoreError, System, SystemConfig,
+    ReadReport, RepairRunReport, RepairService, StoreError, System, SystemConfig,
 };
 use robustore::simkit::{ReadFaultPlan, ReadFaultScenario, SeedSequence};
 
@@ -69,6 +71,11 @@ fn put(client: &Client, name: &str, data: &[u8]) {
         .unwrap();
     client.write(&mut h, data).unwrap();
     client.close(h).unwrap();
+}
+
+/// Drain the system's repair backlog, as its owner would.
+fn drain(sys: &System, client: &Client) -> RepairRunReport {
+    RepairService::new(Client::connect(sys, client.identity())).run_enqueued(usize::MAX)
 }
 
 fn read_with_report(sys: &System, client: &Client, name: &str) -> (Vec<u8>, ReadReport) {
@@ -165,7 +172,10 @@ fn read_repair_restores_damage_for_the_next_read() {
         rr.blocks_missing > 0 || rr.blocks_corrupt > 0,
         "damage was never observed"
     );
-    assert!(rr.blocks_repaired > 0, "read-repair never engaged");
+    assert_eq!(rr.blocks_repaired, 0, "the read repaired in line");
+    let repair = drain(&sys, &client);
+    assert_eq!(repair.repaired(), 1, "read-repair never engaged");
+    assert_eq!(repair.blocks_restored(), lost.len() + rotted.len());
 
     // The next read finds a healthy file: repaired blocks are back in
     // place and verify (repair keeps the original checksums).
@@ -176,7 +186,7 @@ fn read_repair_restores_damage_for_the_next_read() {
     let _ = switch;
 }
 
-/// A file with bit rot on a disk that refuses writes: read-repair cannot
+/// A file with bit rot on a disk that refuses writes: the drain cannot
 /// rewrite the damage in place, so it relocates it.
 fn rot_on_a_refusing_disk() -> (System, FaultSwitch, Client, Vec<u8>, usize) {
     let (sys, switch) = chaos_system();
@@ -199,8 +209,15 @@ fn read_repair_relocation_commits_for_a_sole_reader() {
 
     let (got, rr) = read_with_report(&sys, &client, "moved");
     assert_eq!(got, data);
+    assert!(rr.blocks_corrupt > 0, "the read never met the rot");
     assert_eq!(
-        rr.blocks_repaired, rotted,
+        sys.export_meta("moved").unwrap(),
+        before,
+        "the read committed"
+    );
+    assert_eq!(
+        drain(&sys, &client).blocks_restored(),
+        rotted,
         "the whole damage set, relocated"
     );
     let after = sys.export_meta("moved").unwrap();
@@ -226,18 +243,31 @@ fn read_repair_relocation_rolls_back_beside_a_second_reader() {
     let before = sys.export_meta("moved").unwrap();
     let used: Vec<u64> = (0..DISKS).map(|d| sys.disk_used(d)).collect();
 
-    // Another reader holds the file, so the repairing read cannot take
-    // the writer lock a layout commit needs.
+    // Another reader holds the file, so the drain cannot take the writer
+    // lock a scrub needs: it skips the file and re-queues it, untouched.
     let other = client
         .open("moved", AccessMode::Read, QosOptions::best_effort())
         .unwrap();
-    let (got, rr) = read_with_report(&sys, &client, "moved");
-    client.close(other).unwrap();
+    let (got, _) = read_with_report(&sys, &client, "moved");
     assert_eq!(got, data);
-    assert_eq!(rr.blocks_repaired, 0, "nothing restored in place");
-    assert_eq!(sys.export_meta("moved").unwrap().layout, before.layout);
+    let repair = drain(&sys, &client);
+    assert_eq!(repair.skipped, ["moved"], "a lock-busy file is a skip");
+    assert_eq!(repair.blocks_restored(), 0, "nothing restored");
+    assert_eq!(sys.export_meta("moved").unwrap(), before);
     let after: Vec<u64> = (0..DISKS).map(|d| sys.disk_used(d)).collect();
     assert_eq!(after, used, "relocated copies were left behind");
+    let service = RepairService::new(Client::connect(&sys, client.identity()));
+    assert_eq!(service.pending(), ["moved"], "re-queued for later");
+
+    // Released: the next drain relocates and commits.
+    client.close(other).unwrap();
+    let repair = drain(&sys, &client);
+    assert_eq!(repair.repaired(), 1);
+    assert_eq!(
+        sys.export_meta("moved").unwrap().version,
+        before.version + 1
+    );
+    assert!(service.pending().is_empty());
     switch.clear();
     check_committed_state(&sys);
 }
@@ -252,10 +282,9 @@ fn scrubber_restores_full_redundancy_unscrubbed_store_decays() {
 
     let run = |scrubbed: bool| -> (usize, usize) {
         // The control's self-healing is fully off (no scrubber AND no
-        // read-repair): the read-repair audit restores the *entire*
-        // damage set on any read that trips over damage, so a store
-        // that merely keeps reading never decays — only a store with no
-        // healer at all demonstrates the decay the scrubber prevents.
+        // read-repair). Its reads queue nothing, and nothing would drain
+        // the queue anyway: a store that reads but never drains decays
+        // like this control.
         let (sys, _switch) = chaos_system_with(ReadPolicy::default(), scrubbed);
         let client = Client::connect(&sys, sys.register_user());
         put(&client, "wear", &data);
@@ -335,6 +364,7 @@ fn seeded_read_chaos_replays_bit_identically() {
         );
         switch.apply_read(&plan);
         let (got, rr) = read_with_report(&sys, &client, "replay");
+        // A read repairs nothing itself: `blocks_repaired` is always 0.
         let decode_point = (
             (rr.blocks_fetched, rr.blocks_cancelled, rr.transient_retries),
             (rr.blocks_missing, rr.blocks_corrupt, rr.blocks_unverified),
@@ -346,6 +376,7 @@ fn seeded_read_chaos_replays_bit_identically() {
     let b = run(99);
     assert_eq!(a, b, "same seed must replay bit-identically");
     assert_eq!(a.2, (6, 6, 3), "every armed budget was spent");
+    assert_eq!(a.1 .2, 0, "a read repaired in line");
     let c = run(100);
     assert_eq!(a.0, c.0, "data is correct under any seed");
 }
@@ -426,9 +457,11 @@ fn legacy_metadata_without_checksums_reads_unverified() {
 #[test]
 fn legacy_read_repair_never_rewrites_from_an_unverified_decode() {
     // A legacy file has no digests, so its read feeds rotten blocks to
-    // the decoder unrecognised. Read-repair must not re-encode from that
-    // decode: it would overwrite good blocks with garbage. Such a file
-    // heals through `scrub`, which audits its decoder's inputs first.
+    // the decoder unrecognised. Nothing may be re-encoded from that
+    // decode: it would overwrite good blocks with garbage. The read
+    // queues the file all the same, and the drain is a scrub, which
+    // audits its decoder's inputs against a re-encode and refuses to
+    // commit anything derived from rot.
     let (sys, _switch) = chaos_system();
     let client = Client::connect(&sys, sys.register_user());
     put(&client, "vintage", &payload(120_000, 8));
@@ -448,7 +481,23 @@ fn legacy_read_repair_never_rewrites_from_an_unverified_decode() {
     let (_, rr) = client.read_with_report(&h).unwrap();
     client.close(h).unwrap();
     assert!(rr.blocks_unverified > 0);
-    assert_eq!(rr.blocks_repaired, 0, "repaired from an unverified decode");
+    let (before, (_, writes)) = (sys.export_meta("vintage").unwrap(), sys.backend_stats());
+    let repair = drain(&sys, &client);
+    assert_eq!(
+        repair
+            .failed
+            .iter()
+            .map(|(n, _)| n.as_str())
+            .collect::<Vec<_>>(),
+        ["vintage"],
+        "the drain's audit must refuse the rotten decode"
+    );
+    assert_eq!(
+        sys.backend_stats().1,
+        writes,
+        "repaired from an unverified decode"
+    );
+    assert_eq!(sys.export_meta("vintage").unwrap(), before);
 
     // Put the digests back: the scrub then counts every block that is
     // not what was written.

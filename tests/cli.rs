@@ -339,6 +339,74 @@ fn scrub_heals_bit_rot_on_a_durable_store() {
 }
 
 #[test]
+fn get_drains_its_read_repair_before_exiting() {
+    // A degraded read only queues its damage, and the backlog lives in
+    // the process: `get` must scrub what its read queued before it
+    // exits, or a one-shot CLI would never heal. A following scrub then
+    // finds nothing left to restore.
+    let dir = temp_dir("drain");
+    let store = dir.join("store");
+    let store_s = store.to_str().unwrap();
+    run(&["--store", store_s, "init", "--disks", "8"]);
+    let mut x = 0x9E37_79B9_7F4A_7C15u64;
+    let payload: Vec<u8> = (0..1_500_000)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x as u8
+        })
+        .collect();
+    let src = dir.join("p.bin");
+    std::fs::write(&src, &payload).unwrap();
+    let (ok, out) = run(&[
+        "--store",
+        store_s,
+        "put",
+        src.to_str().unwrap(),
+        "--name",
+        "x",
+    ]);
+    assert!(ok, "{out}");
+
+    // Lose the first block of every disk: a fresh write's keys ascend
+    // with the coded id, and each disk serves its share in id order, so
+    // whichever disks the read asks, its first block there is gone.
+    for d in 0..8 {
+        let mut blocks: Vec<PathBuf> = std::fs::read_dir(store.join(format!("disk-{d}")))
+            .unwrap()
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().is_some_and(|x| x == "blk"))
+            .collect();
+        blocks.sort();
+        std::fs::remove_file(&blocks[0]).unwrap();
+    }
+
+    let dst = dir.join("x.out");
+    let (ok, out) = run(&[
+        "--store",
+        store_s,
+        "get",
+        "x",
+        "--out",
+        dst.to_str().unwrap(),
+    ]);
+    assert!(ok, "degraded get failed: {out}");
+    assert_eq!(std::fs::read(&dst).unwrap(), payload);
+    assert!(
+        out.contains("read-repair restored 8 damaged blocks"),
+        "get did not drain its read-repair: {out}"
+    );
+
+    let (ok, out) = run(&["--store", store_s, "scrub"]);
+    assert!(ok, "scrub failed: {out}");
+    assert!(out.contains("0 missing) -> restored 0,"), "{out}");
+    assert_eq!(get(store_s, "x", &dst).unwrap(), payload);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn unknown_command_and_missing_store_fail_cleanly() {
     let (ok, _) = run(&["--store", "/nonexistent-robustore", "frobnicate"]);
     assert!(!ok);

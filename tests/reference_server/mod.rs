@@ -63,21 +63,6 @@ impl MetadataServer {
         self.locks.release(name, mode);
     }
 
-    /// Try to upgrade a sole-reader lock on `name` to the writer lock
-    /// (read-repair wants to commit an improved layout discovered during
-    /// a read). Succeeds only when the caller is the *only* reader; with
-    /// other readers present, or no read lock held, it returns `false`
-    /// and the lock is untouched. Pair with [`MetadataServer::downgrade`].
-    pub fn try_upgrade(&mut self, name: &str) -> bool {
-        self.locks.try_upgrade(name)
-    }
-
-    /// Downgrade the writer lock on `name` back to a single-reader lock,
-    /// undoing [`MetadataServer::try_upgrade`].
-    pub fn downgrade(&mut self, name: &str) {
-        self.locks.downgrade(name)
-    }
-
     /// Allocate a file id for a new file.
     pub fn allocate_file_id(&mut self) -> u64 {
         self.next_file_id += 1;
@@ -223,50 +208,6 @@ mod tests {
             m.commit(meta("f", 1)),
             Err(StoreError::StaleHandle)
         ));
-    }
-
-    #[test]
-    fn upgrade_requires_sole_reader() {
-        let mut m = MetadataServer::new();
-        m.open("f", AccessMode::Write).unwrap();
-        m.commit(meta("f", 1)).unwrap();
-        m.close("f", AccessMode::Write);
-
-        // Two readers: no upgrade possible.
-        m.open("f", AccessMode::Read).unwrap();
-        m.open("f", AccessMode::Read).unwrap();
-        assert!(!m.try_upgrade("f"));
-        m.close("f", AccessMode::Read);
-
-        // Sole reader: upgrade, commit, downgrade, then a balanced
-        // read-close still works.
-        assert!(m.try_upgrade("f"));
-        assert!(matches!(
-            m.open("f", AccessMode::Read),
-            Err(StoreError::LockConflict(_))
-        ));
-        let mut upd = meta("f", 1);
-        upd.version = 2;
-        m.commit(upd).unwrap();
-        m.downgrade("f");
-        m.open("f", AccessMode::Read).unwrap();
-        m.close("f", AccessMode::Read);
-        m.close("f", AccessMode::Read);
-        assert_eq!(m.stat("f").unwrap().version, 2);
-
-        // No lock at all: upgrade refused.
-        assert!(!m.try_upgrade("f"));
-        // Writer lock: upgrade refused (already exclusive).
-        m.open("f", AccessMode::Write).unwrap();
-        assert!(!m.try_upgrade("f"));
-        m.close("f", AccessMode::Write);
-    }
-
-    #[test]
-    #[should_panic(expected = "downgrade without writer lock")]
-    fn downgrade_without_writer_panics() {
-        let mut m = MetadataServer::new();
-        m.downgrade("f");
     }
 
     #[test]

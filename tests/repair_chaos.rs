@@ -28,7 +28,11 @@
 //!   or risk cycle could not finish (lock-busy, refused restores) is
 //!   enqueued and healed by a later backlog pass that probes only the
 //!   suspects, while a failed decode leaves; a continuous backlog-then-
-//!   sweep schedule converges without any on-demand store-wide survey.
+//!   sweep schedule converges without any on-demand store-wide survey;
+//! * **a read's damage rides the same backlog** — the backlog pass scrubs
+//!   every name a read queued, even bit rot its presence probes call
+//!   healthy, and a delete takes its name out, so benchmark-shaped
+//!   write → lose → degraded read → delete cycles leave it empty.
 
 mod common;
 
@@ -36,7 +40,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 use common::check_committed_state;
 use robustore::core::{
-    AccessMode, Client, InMemoryBackend, QosOptions, RepairService, System, SystemConfig,
+    AccessMode, Client, InMemoryBackend, QosOptions, ReadReport, RepairService, StoreError, System,
+    SystemConfig,
 };
 use robustore::diskmodel::DiskHealth;
 use robustore::simkit::SeedSequence;
@@ -44,16 +49,21 @@ use robustore::simkit::SeedSequence;
 const DISKS: usize = 8;
 const BLOCK: u64 = 4 << 10;
 
-fn system() -> System {
+fn system_with(read_repair: bool) -> System {
     let speeds: Vec<f64> = (0..DISKS).map(|i| 10e6 + i as f64 * 6e6).collect();
     System::with_backend(
         Box::new(InMemoryBackend::new(speeds)),
         SystemConfig {
             block_bytes: BLOCK,
-            read_repair: false,
+            read_repair,
             ..Default::default()
         },
     )
+}
+
+/// A store whose only healer is the repair service: reads queue nothing.
+fn system() -> System {
+    system_with(false)
 }
 
 fn payload(len: usize, tag: usize) -> Vec<u8> {
@@ -550,4 +560,88 @@ fn continuous_scrub_ticks_converge_without_on_demand_surveys() {
     for e in service.risk_queue() {
         assert_eq!(e.present, e.target, "{} not at full strength", e.name);
     }
+}
+
+fn read_with_report(client: &Client, name: &str) -> Result<(Vec<u8>, ReadReport), StoreError> {
+    let h = client
+        .open(name, AccessMode::Read, QosOptions::best_effort())
+        .unwrap();
+    let got = client.read_with_report(&h);
+    client.close(h).unwrap();
+    got
+}
+
+#[test]
+fn backlog_pass_restores_bit_rot_that_presence_probes_cannot_see() {
+    // Every block is present, some rotten: the presence probes call the
+    // file healthy, so a backlog pass that filtered by them would drop
+    // the one file a read just found damaged.
+    let sys = system_with(true);
+    let client = Client::connect(&sys, sys.register_user());
+    let data = payload(80_000, 50);
+    put(&client, "rotten", &data);
+    let seq = SeedSequence::new(0xB17);
+    let rotted: usize = (0..DISKS)
+        .map(|d| {
+            sys.corrupt_blocks(d, 0.4, &seq.subsequence("rot", d as u64))
+                .len()
+        })
+        .sum();
+    let (got, rr) = read_with_report(&client, "rotten").unwrap();
+    assert_eq!(got, data);
+    assert!(rr.blocks_corrupt > 0, "the read met no rot");
+
+    let service = RepairService::new(Client::connect(&sys, client.identity()));
+    for e in service.risk_queue() {
+        let full_margin = (e.target - e.k) as f64;
+        assert_eq!(
+            (e.present, e.margin),
+            (e.target, full_margin),
+            "probes saw the rot"
+        );
+    }
+    assert_eq!(service.pending(), vec!["rotten".to_string()]);
+    let r = service.run_enqueued(usize::MAX);
+    assert_eq!(
+        (r.surveyed, r.repaired()),
+        (1, 1),
+        "the backlog pass dropped it"
+    );
+    assert_eq!(r.blocks_restored(), rotted);
+    assert!(service.pending().is_empty());
+    let (again, rr) = read_with_report(&client, "rotten").unwrap();
+    assert_eq!((again, rr.blocks_corrupt), (data, 0));
+    check_committed_state(&sys);
+}
+
+#[test]
+fn benchmark_shaped_cycles_leave_the_backlog_empty() {
+    // write → lose 25 % → degraded read → delete, as the benchmark's
+    // degraded phase runs it: every damaged read queues its file and its
+    // delete takes it back out, so the backlog stays bounded by live
+    // files even though nothing ever drains it.
+    let sys = system_with(true);
+    let client = Client::connect(&sys, sys.register_user());
+    let service = RepairService::new(Client::connect(&sys, client.identity()));
+    let seq = SeedSequence::new(0xC7C);
+    let data = payload(24_000, 51);
+    let mut queued = 0;
+    for i in 0..500u64 {
+        let name = format!("cycle-{i}");
+        put(&client, &name, &data);
+        sys.lose_file_blocks(&name, 0.25, &seq.subsequence("loss", i));
+        // A 25 % loss can leave a file undecodable; the benchmark skips
+        // such a read, and so does this loop.
+        if let Ok((got, rr)) = read_with_report(&client, &name) {
+            assert_eq!(got, data);
+            if rr.blocks_missing > 0 {
+                assert_eq!(service.pending(), vec![name.clone()]);
+                queued += 1;
+            }
+        }
+        client.delete(&name).unwrap();
+        assert!(service.pending().is_empty(), "{name} outlived its delete");
+    }
+    assert!(queued > 250, "only {queued} of 500 reads met damage");
+    assert_eq!(sys.total_used(), 0, "the cycles leaked blocks");
 }

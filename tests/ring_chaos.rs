@@ -18,15 +18,20 @@
 //!   one coalesced batch in submission order (and that a cancelled
 //!   access's queued writes never reach the backend at all);
 //! * **multi-block accesses fan out across their disks** — with one
-//!   disk's I/O held at the gate, a write, and a degraded read's repair
-//!   audit and rewrites, still reach every other layout disk; and each
-//!   disk's write sequence is the slot-by-slot one, so what lands where
-//!   does not depend on the interleaving;
+//!   disk's I/O held at the gate, a write, and the reads and rewrites of
+//!   the scrub that repairs a degraded read's damage, still reach every
+//!   other layout disk; and each disk's write sequence is the
+//!   slot-by-slot one, so what lands where does not depend on the
+//!   interleaving;
+//! * **a degraded read stays on its own access** — it writes nothing and
+//!   reads nothing beyond the blocks it submitted; it only queues its
+//!   file on the repair backlog;
 //! * **every block read and write rides the ring** — including the
-//!   blocks a write, a read-repair or a scrub relocates because their
-//!   disk refused them;
+//!   blocks a write or a scrub relocates because their disk refused
+//!   them;
 //! * **seeded replay is identical under either wave policy** through
-//!   persistent damage (lost blocks, bit rot, an offline-disk window):
+//!   persistent damage (lost blocks, bit rot, an offline-disk window) and
+//!   the repair that drains what the reads queued:
 //!   decoded bytes, layouts, and per-disk byte counts all match, run to
 //!   run and Static to Adaptive. Budgeted fault switches are
 //!   deliberately absent here — the ring may service a few
@@ -605,12 +610,12 @@ fn per_disk_write_sequence_follows_the_layout() {
 
 #[test]
 fn a_held_disk_does_not_stall_read_repair_audit_or_rewrites() {
-    // A degraded read audits every block it did not verify, then rewrites
-    // the damage in place. Both passes are interleaved across the file's
-    // disks on the ring: holding one disk's audit reads, then its
-    // rewrites, must not keep the other disks from theirs. Slot 0 is
-    // held — where a walk that audits and rewrites one block at a time,
-    // layout order, id order, gets stuck first.
+    // A degraded read queues its file; the drain scrubs it: it reads every
+    // block, then rewrites the damage in place. Both passes are
+    // interleaved across the file's disks on the ring: holding one disk's
+    // late reads, then its rewrites, must not keep the other disks from
+    // theirs. Slot 0 is held — where a walk that reads and rewrites one
+    // block at a time, layout order, id order, gets stuck first.
     let audit_target: Arc<OnceLock<(usize, BTreeSet<u64>)>> = Arc::default();
     let rewrite_target: Arc<OnceLock<usize>> = Arc::default();
     let audit_gate = {
@@ -627,8 +632,6 @@ fn a_held_disk_does_not_stall_read_repair_audit_or_rewrites() {
         Gate::new(move |io| io.write && target.get() == Some(&io.disk))
     };
     let tap = Tap::new(vec![audit_gate.clone(), rewrite_gate.clone()]);
-    // Static: the read fetches in the nominal round-robin order, so the
-    // tail of every slot is touched only by the audit.
     let sys = tapped_system(vec![20e6; DISKS], &tap, ReadPolicy::Static);
     let client = Client::connect(&sys, sys.register_user());
     let data = payload(16 * 4096, 41); // K = 16, N = 128: 16 blocks per disk
@@ -650,23 +653,21 @@ fn a_held_disk_does_not_stall_read_repair_audit_or_rewrites() {
         lost.iter().all(|&n| n > 0),
         "every disk has damage: {lost:?}"
     );
+
+    // The read, ungated, only queues the file.
+    let h = client
+        .open("healed", AccessMode::Read, QosOptions::best_effort())
+        .unwrap();
+    assert_eq!(client.read(&h).unwrap(), data);
+    client.close(h).unwrap();
+    let service = RepairService::new(Client::connect(&sys, client.identity()));
+    assert_eq!(service.pending(), ["healed"]);
+
     let held = meta.layout[0].0;
     audit_target.set((held, late[0].clone())).unwrap();
     rewrite_target.set(held).unwrap();
-
     let mark = tap.log().len();
-    let reader = {
-        let (sys, owner) = (sys.clone(), meta.owner);
-        std::thread::spawn(move || {
-            let client = Client::connect(&sys, owner);
-            let h = client
-                .open("healed", AccessMode::Read, QosOptions::best_effort())
-                .unwrap();
-            let got = client.read_with_report(&h).unwrap();
-            client.close(h).unwrap();
-            got
-        })
-    };
+    let drain = std::thread::spawn(move || service.run_enqueued(usize::MAX));
     let audited = tap.wait_until(10, |log| {
         (0..DISKS).all(|slot| {
             log[mark..]
@@ -679,29 +680,86 @@ fn a_held_disk_does_not_stall_read_repair_audit_or_rewrites() {
         (0..DISKS).all(|d| log[mark..].iter().any(|io| io.write && io.disk == d))
     });
     rewrite_gate.release();
-    let (got, report) = reader.join().unwrap();
+    let report = drain.join().unwrap();
     assert!(
         audited,
-        "with disk {held}'s audit held, the other disks' audits never ran"
+        "with disk {held}'s reads held, the other disks' reads never ran"
     );
     assert!(
         rewritten,
         "with disk {held}'s rewrites held, the other disks' never ran"
     );
-    assert_eq!(got, data);
     let lost: usize = lost.iter().sum();
     assert_eq!(
-        report.blocks_repaired, lost,
-        "the canonical damage set, restored in place"
+        report.blocks_restored(),
+        lost,
+        "the whole damage set, restored in place"
     );
-    assert_eq!(sys.pool_outstanding_bytes(), 0, "audit leaked pool buffers");
+    assert_eq!(sys.pool_outstanding_bytes(), 0, "scrub leaked pool buffers");
     assert_eq!(check_committed_state(&sys)["healed"], data);
+}
+
+#[test]
+fn a_degraded_read_writes_nothing_and_reads_only_its_own_access() {
+    // Read-repair is off the reader's critical path: a read that decodes
+    // despite damage returns at its decode point. On the tap it issues
+    // no block write, and no block read beyond the ones it submitted —
+    // each of its own file's blocks at most once — and it leaves its
+    // file on the repair backlog.
+    let tap = Tap::new(Vec::new());
+    let sys = tapped_system(speeds(), &tap, ReadPolicy::Static);
+    let client = Client::connect(&sys, sys.register_user());
+    let data = payload(32 * 4096, 61);
+    put(&client, "queued", &data, all_disks(2.0));
+    let meta = sys.export_meta("queued").unwrap();
+    let seq = SeedSequence::new(0xDE6);
+    let lost: usize = (0..DISKS)
+        .map(|d| {
+            sys.lose_blocks(d, 0.3, &seq.subsequence("lose", d as u64))
+                .len()
+        })
+        .sum();
+    assert!(lost > 0);
+
+    let mark = tap.log().len();
+    let h = client
+        .open("queued", AccessMode::Read, QosOptions::best_effort())
+        .unwrap();
+    let (got, report) = client.read_with_report(&h).unwrap();
+    client.close(h).unwrap();
+    assert_eq!(got, data);
+    assert!(report.blocks_missing > 0, "the read met no damage");
+
+    let log = tap.log().split_off(mark);
+    let writes: Vec<&Io> = log.iter().filter(|io| io.write).collect();
+    assert!(writes.is_empty(), "a degraded read wrote: {writes:?}");
+    let stored: BTreeSet<u64> = meta
+        .layout
+        .iter()
+        .flat_map(|(_, ids)| ids.iter().map(|&id| meta.block_key(id)))
+        .collect();
+    let mut read = BTreeSet::new();
+    for io in &log {
+        assert!(stored.contains(&io.keys[0]), "read a foreign block");
+        assert!(read.insert(io.keys[0]), "read block {} twice", io.keys[0]);
+    }
+    let submitted = meta.stored_blocks() - report.blocks_deferred;
+    assert!(
+        read.len() <= submitted,
+        "{} block reads for {submitted} submitted",
+        read.len()
+    );
+    assert_eq!(report.blocks_repaired, 0);
+    let service = RepairService::new(Client::connect(&sys, client.identity()));
+    assert_eq!(service.pending(), ["queued"], "the damage was not queued");
+    assert_eq!(service.run_enqueued(usize::MAX).blocks_restored(), lost);
+    assert_eq!(check_committed_state(&sys)["queued"], data);
 }
 
 #[test]
 fn every_block_read_and_write_rides_the_ring() {
     // Blocks put back where a disk refused them — a write's displaced
-    // share, read-repair's and scrub's relocations — go through the ring
+    // share, a scrub's relocations — go through the ring
     // like every other block I/O, so its queues, load map and group
     // commits see all of the traffic. The tap records which thread did
     // each backend read and write; every one must be a ring worker.
@@ -724,18 +782,21 @@ fn every_block_read_and_write_rides_the_ring() {
     sys.set_disk_offline(3, false);
     assert_eq!(ids_on("routed", 3), 0, "the refused share was relocated");
 
-    // A degraded read whose home disk refuses the rewrites: relocation.
+    // A degraded read whose home disk refuses the rewrites of the drain
+    // that repairs it: relocation.
     put(&client, "repaired", &data, all_disks(2.0));
     let homed = ids_on("repaired", 5);
     sys.set_disk_offline(5, true);
     let h = client
         .open("repaired", AccessMode::Read, QosOptions::best_effort())
         .unwrap();
-    let (got, report) = client.read_with_report(&h).unwrap();
+    assert_eq!(client.read(&h).unwrap(), data);
     client.close(h).unwrap();
+    let drain = RepairService::new(Client::connect(&sys, client.identity()))
+        .eager()
+        .run_enqueued(usize::MAX);
     sys.set_disk_offline(5, false);
-    assert_eq!(got, data);
-    assert_eq!(report.blocks_repaired, homed, "disk 5's share, relocated");
+    assert_eq!(drain.blocks_restored(), homed, "disk 5's share, relocated");
     assert_eq!(ids_on("repaired", 5), 0);
 
     // A scrub with a disk offline: its share is restored elsewhere.
@@ -773,10 +834,10 @@ fn seeded_persistent_faults_replay_identically_under_either_policy() {
     //
     // The adaptive policy may legally reorder the speculative-read
     // prefix on a wall-clock EWMA hiccup, so which damaged blocks a read
-    // *observes* is schedule-dependent. Read-repair canonicalises: it
-    // audits every stored id the read didn't verify before committing,
-    // so the committed set is the full damage set in every run and the
-    // schedule moves wall-clock only. Static and Adaptive are two
+    // *observes* is schedule-dependent. Read-repair is canonical by
+    // construction: a read only queues its file, and the drain is a full
+    // scrub, so the committed set is the full damage set in every run and
+    // the schedule moves wall-clock only. Static and Adaptive are two
     // independent schedules over the same damage; each must also match
     // its own replay (completion timing differs between runs).
     let alpha = payload(200_000, 11);
@@ -807,6 +868,11 @@ fn seeded_persistent_faults_replay_identically_under_either_policy() {
             decoded.push(client.read(&h).unwrap());
             client.close(h).unwrap();
         }
+        let drain = RepairService::new(Client::connect(&sys, client.identity()))
+            .eager()
+            .run_enqueued(usize::MAX);
+        assert_eq!(drain.repaired(), 2, "the reads queued both files");
+        assert!(drain.failed.is_empty(), "drain failed: {:?}", drain.failed);
         sys.set_disk_offline(1, false);
         let sweep = RepairService::new(Client::connect(&sys, client.identity()))
             .eager()

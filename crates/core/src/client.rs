@@ -10,7 +10,9 @@
 //! The speculative behaviours are realised with real data movement:
 //!
 //! * **write** (§4.3.2) — rateless LT encoding; more blocks flow to faster
-//!   disks (blocks ∝ disk bandwidth, the §5.3.2 layout), stopping at
+//!   disks (blocks ∝ disk bandwidth, the §5.3.2 layout; a disk's
+//!   registered bandwidth is halved per doubling its ring measures it
+//!   short of that), stopping at
 //!   N = (1+D)·K committed blocks. Overwrites are crash-consistent: the
 //!   new generation lands under fresh (opposite-parity) keys while a
 //!   bounded pipeline overlaps encoding with disk I/O, the metadata
@@ -31,7 +33,6 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use robustore_erasure::lt::{LtCode, LtDecoder};
 use robustore_erasure::{Block, BlockPool, LtParams};
-use robustore_schemes::placement::Placement;
 use robustore_schemes::WaveSlot;
 use robustore_simkit::rng::uniform01;
 use robustore_simkit::SeedSequence;
@@ -43,7 +44,7 @@ use crate::error::StoreError;
 use crate::integrity::crc32c;
 use crate::metadata::{gen_key, AccessMode, CodingSpec, DiskInfo, FileMeta};
 use crate::metastore::{Metastore, MetastoreConfig, RecoveryReport};
-use crate::planner::{LayoutPlanner, ReadPolicy};
+use crate::planner::{speculative_placement, LayoutPlanner, ReadPolicy};
 use crate::qos::QosOptions;
 use crate::repair::{ScrubOptions, ScrubReport};
 use crate::ring::{
@@ -533,7 +534,7 @@ pub struct WriteReport {
     pub blocks_written: usize,
     /// Redundancy degree used.
     pub redundancy: f64,
-    /// Disks used.
+    /// Disks used: the layout's disks that received a block.
     pub disks: usize,
 }
 
@@ -696,7 +697,8 @@ impl Client {
     }
 
     /// `write(fdescriptor, data)` — §4.3.2: plan layout, encode, spread
-    /// coded blocks (more to faster disks), commit metadata.
+    /// coded blocks (more to faster disks — by registered speed, halved
+    /// for a disk the ring measures well short of it), commit metadata.
     pub fn write(&self, handle: &mut FileHandle, data: &[u8]) -> Result<WriteReport, StoreError> {
         if handle.mode != AccessMode::Write || handle.closed {
             return Err(StoreError::WrongMode);
@@ -771,9 +773,13 @@ impl Client {
         let code = LtCode::plan(k, n, params, seed)?;
 
         let backend = &self.system.inner.backend;
-        // Speculative spreading: block counts proportional to disk speed.
-        let weights: Vec<f64> = disks.iter().map(|&d| backend.disk_speed(d)).collect();
-        let placement = Placement::coded_weighted(k, n, &weights);
+        let ring = &self.system.inner.ring;
+        // Speculative spreading: block counts proportional to disk speed —
+        // the registered speed, halved per whole doubling the ring
+        // measures a disk's sustained speed short of it.
+        let registered: Vec<f64> = disks.iter().map(|&d| backend.disk_speed(d)).collect();
+        let sustained: Vec<Option<f64>> = disks.iter().map(|&d| ring.sustained_speed(d)).collect();
+        let placement = speculative_placement(k, n, &registered, &sustained);
 
         let layout: Vec<(usize, Vec<u32>)> = disks
             .iter()
@@ -912,11 +918,17 @@ impl Client {
                 meta_srv.update_disk(d, used, load);
             }
         }
+        // Disks that hold a block: an admitted disk can get none.
+        let used = meta
+            .layout
+            .iter()
+            .filter(|(_, ids)| !ids.is_empty())
+            .count();
         handle.meta = Some(meta);
         Ok(WriteReport {
             blocks_written: n,
             redundancy,
-            disks: disks.len(),
+            disks: used,
         })
     }
 
@@ -949,6 +961,8 @@ impl Client {
         // flight is about two writes per disk of a layout: every disk
         // stays busy, an abort has little to roll back, and reads running
         // beside the writer are not queued behind a deep write backlog.
+        // It bounds ops not yet completed, so one slow block at the head
+        // does not idle the other disks while it lands.
         let window = (2 * inner.config.group_commit.max(1))
             .max(2 * inner.encode_workers)
             .max(4);

@@ -118,7 +118,7 @@ pub use integrity::crc32c;
 pub use locks::LockTable;
 pub use metadata::{gen_key, AccessMode, CodingSpec, DiskInfo, FileMeta};
 pub use metastore::{MemReplica, MetaShard, Metastore, MetastoreConfig, RecoveryReport};
-pub use planner::{LayoutPlanner, ReadPolicy};
+pub use planner::{placement_weight, speculative_placement, LayoutPlanner, ReadPolicy};
 // The wave-policy vocabulary lives in `robustore-schemes` (pure
 // bookkeeping, like the RRAID-A planner); re-exported here because
 // `SystemConfig::read_policy` and `IoRing::load_map` speak it.
@@ -126,6 +126,9 @@ pub use qos::QosOptions;
 pub use repair::{
     health_weight, RepairRunReport, RepairService, RiskEntry, ScrubReport, TokenBucket,
 };
-pub use ring::{Completion, CompletionKind, IoRing, Priority, RingConfig, SubmitOp, WriteOutcome};
+pub use ring::{
+    Completion, CompletionKind, IoRing, Priority, RingConfig, SubmitOp, SustainedSpeed,
+    WriteOutcome,
+};
 pub use robustore_schemes::{AdaptiveReadPolicy, DiskLoad, DiskLoadMap, WaveSchedule, WaveSlot};
 pub use sharded::ShardedBackend;

@@ -12,7 +12,13 @@
 //! * **Redundancy** (§5.3.2): D = (1+ε)·(peak disk bandwidth / average
 //!   disk bandwidth) − 1, the ratio that leaves every disk enough blocks
 //!   to stream for the whole read.
+//! * **Speculative spreading** (§5.3.2, [`speculative_placement`]): a
+//!   write gives each disk coded blocks in proportion to its speed — the
+//!   registered speed, halved for every whole doubling the disk's ring
+//!   measures it short of that — so a slow disk never sets the write's
+//!   latency.
 
+use robustore_schemes::placement::Placement;
 use robustore_schemes::{AdaptiveReadPolicy, DiskLoadMap, WaveSchedule, WaveSlot};
 
 use crate::error::StoreError;
@@ -208,6 +214,94 @@ impl LayoutPlanner {
     }
 }
 
+/// A write's placement weight for a disk registered at `registered`
+/// bytes/s whose ring measures `sustained`
+/// ([`crate::ring::SustainedSpeed`]): `registered ÷ 2^h`, where `h` is
+/// the whole number of doublings `sustained` falls short of
+/// `registered`. A disk that keeps up with its registered speed, or has
+/// no estimate yet, keeps its registered weight bit for bit, and jitter
+/// of less than 2× moves nothing.
+pub fn placement_weight(registered: f64, sustained: Option<f64>) -> f64 {
+    match sustained {
+        Some(measured) if measured < registered => {
+            let halvings = (registered / measured).log2().floor();
+            registered / 2f64.powi(halvings as i32)
+        }
+        _ => registered,
+    }
+}
+
+/// The layout of a write of `k` originals as `n` coded blocks over disks
+/// registered at `registered` bytes/s, whose rings measure `sustained`:
+/// [`Placement::coded_weighted`] by [`placement_weight`]. With no disk
+/// measured short by 2× or more this is the registered apportionment,
+/// bit for bit.
+///
+/// Durability cap: no disk holds more than the larger of what its
+/// registered weight gives it and N − ⌈(1 + o)·K⌉, where `o` is the
+/// adaptive read policy's first-wave overhead — the store's estimate of
+/// what a decode needs. So losing the fullest disk still leaves a
+/// decode's worth, unless the registered layout already put that much
+/// there. Surplus goes to the other disks by weight.
+pub fn speculative_placement(
+    k: usize,
+    n: usize,
+    registered: &[f64],
+    sustained: &[Option<f64>],
+) -> Placement {
+    let weights: Vec<f64> = registered
+        .iter()
+        .zip(sustained)
+        .map(|(&r, &s)| placement_weight(r, s))
+        .collect();
+    let measured = Placement::coded_weighted(k, n, &weights);
+    if weights == registered {
+        return measured;
+    }
+    let overhead = AdaptiveReadPolicy::default().first_wave_overhead;
+    let spare = n.saturating_sub(((1.0 + overhead) * k as f64).ceil() as usize);
+    let cap: Vec<usize> = Placement::coded_weighted(k, n, registered)
+        .per_disk
+        .iter()
+        .map(|ids| ids.len().max(spare))
+        .collect();
+    let mut counts: Vec<usize> = measured.per_disk.iter().map(Vec::len).collect();
+    // Each round caps the disks over their cap and spreads the surplus
+    // over the disks still under theirs; a capped disk takes nothing
+    // more, so this ends within one round per disk. The caps sum to at
+    // least `n`, so some disk always has room.
+    loop {
+        let surplus: usize = counts
+            .iter()
+            .zip(&cap)
+            .map(|(&c, &m)| c.saturating_sub(m))
+            .sum();
+        if surplus == 0 {
+            break;
+        }
+        let room: Vec<f64> = (0..counts.len())
+            .map(|d| if counts[d] < cap[d] { weights[d] } else { 0.0 })
+            .collect();
+        for (c, &m) in counts.iter_mut().zip(&cap) {
+            *c = (*c).min(m);
+        }
+        let extra = Placement::coded_weighted(k, surplus, &room);
+        for (c, ids) in counts.iter_mut().zip(&extra.per_disk) {
+            *c += ids.len();
+        }
+    }
+    // The same fill as `coded_weighted`: ids in order, disk by disk.
+    let mut next = 0u32;
+    let lists = counts
+        .iter()
+        .map(|&c| {
+            next += c as u32;
+            (next - c as u32..next).collect()
+        })
+        .collect();
+    Placement::from_lists(k, lists)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -368,6 +462,44 @@ mod tests {
                 &disks
             )
             .is_err());
+    }
+
+    #[test]
+    fn measured_weights_halve_per_doubling_short() {
+        assert_eq!(placement_weight(16e6, None), 16e6);
+        assert_eq!(placement_weight(16e6, Some(40e6)), 16e6);
+        assert_eq!(placement_weight(16e6, Some(8.1e6)), 16e6, "under 2x short");
+        assert_eq!(placement_weight(16e6, Some(2.0e6)), 2e6);
+        assert_eq!(placement_weight(16e6, Some(1.9e6)), 2e6);
+    }
+
+    #[test]
+    fn one_slow_disk_gets_its_quantised_share() {
+        let registered = vec![16.384e6; 8];
+        let mut sustained = vec![Some(16e6); 8];
+        sustained[2] = Some(2.0e6);
+        let p = speculative_placement(16, 48, &registered, &sustained);
+        let counts: Vec<usize> = p.per_disk.iter().map(Vec::len).collect();
+        assert_eq!(counts, vec![7, 7, 1, 7, 7, 7, 6, 6]);
+        // Unmeasured, or keeping up: the registered layout.
+        let p = speculative_placement(16, 48, &registered, &[None; 8]);
+        assert!(p.per_disk.iter().all(|ids| ids.len() == 6));
+    }
+
+    #[test]
+    fn durability_cap_binds_when_most_disks_are_slow() {
+        // Seven of eight disks measure 8x slow: by weight the healthy one
+        // would take 26 of 48, and losing it would leave 22 < 24 = 1.5 K.
+        let registered = vec![16.384e6; 8];
+        let mut sustained = vec![Some(2.0e6); 8];
+        sustained[0] = None;
+        let p = speculative_placement(16, 48, &registered, &sustained);
+        let counts: Vec<usize> = p.per_disk.iter().map(Vec::len).collect();
+        assert_eq!(counts.iter().sum::<usize>(), 48);
+        assert_eq!(counts[0], 24, "capped at N - ceil(1.5 K)");
+        // Ids run 0..N in disk order, as `coded_weighted` fills them.
+        let ids: Vec<u32> = p.per_disk.iter().flatten().map(|b| b.semantic).collect();
+        assert_eq!(ids, (0..48).collect::<Vec<u32>>());
     }
 
     #[test]

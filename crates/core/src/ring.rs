@@ -49,13 +49,19 @@
 //! Each worker also exports live load telemetry — queue depth, in-flight
 //! count, and an EWMA of per-op service time — behind the lock-free
 //! [`IoRing::load_map`] snapshot, which feeds the queue-aware
-//! [`robustore_schemes::AdaptiveReadPolicy`].
+//! [`robustore_schemes::AdaptiveReadPolicy`]. Beside the EWMA it keeps a
+//! [`SustainedSpeed`] per disk ([`IoRing::sustained_speed`]): the
+//! fastest of its last 8 serviced ops, which a write's placement
+//! weighs its disks by. The EWMA follows the moment, which is what a
+//! read's speculative prefix wants; the sustained speed moves only when
+//! a disk is slow op after op, because a layout is committed state.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
+use std::time::{Duration, Instant};
 
 use robustore_schemes::{DiskLoad, DiskLoadMap};
 
@@ -206,10 +212,56 @@ impl DiskQueue {
 /// straggling disk.
 const EWMA_ALPHA: f64 = 0.2;
 
+/// Ops a [`SustainedSpeed`] remembers; also how many it must have seen
+/// before it gives an estimate.
+pub const SUSTAINED_WINDOW: usize = 8;
+
+/// A disk's sustained speed: the fastest, in bytes per second, of the
+/// last [`SUSTAINED_WINDOW`] serviced ops that moved bytes (a
+/// group-commit batch is one op). Refusals, misses and failed reads are
+/// not samples. Being a maximum, it falls only when every one of the
+/// last [`SUSTAINED_WINDOW`] ops was slow: one stalled op never moves
+/// it. One writer (the disk's ring worker) records; any thread may read.
+#[derive(Debug, Default)]
+pub struct SustainedSpeed {
+    /// Bytes per second of the last samples (`f64` bits), a ring indexed
+    /// by `seen` modulo the window.
+    samples: [AtomicU64; SUSTAINED_WINDOW],
+    /// Samples recorded so far.
+    seen: AtomicU64,
+}
+
+impl SustainedSpeed {
+    /// Record one serviced op that moved `bytes` in `service`. A zero
+    /// duration is an infinitely fast sample. Single writer only.
+    pub fn record(&self, bytes: u64, service: Duration) {
+        if bytes == 0 {
+            return;
+        }
+        let speed = bytes as f64 / service.as_secs_f64();
+        let seen = self.seen.load(Ordering::Relaxed);
+        self.samples[seen as usize % SUSTAINED_WINDOW].store(speed.to_bits(), Ordering::Relaxed);
+        self.seen.store(seen + 1, Ordering::Relaxed);
+    }
+
+    /// The fastest of the last [`SUSTAINED_WINDOW`] samples, bytes per
+    /// second; `None` until that many have been recorded.
+    pub fn estimate(&self) -> Option<f64> {
+        if self.seen.load(Ordering::Relaxed) < SUSTAINED_WINDOW as u64 {
+            return None;
+        }
+        let speeds = self
+            .samples
+            .iter()
+            .map(|s| f64::from_bits(s.load(Ordering::Relaxed)));
+        Some(speeds.fold(0.0, f64::max))
+    }
+}
+
 /// Live load counters for one disk, updated lock-free around queue and
 /// service events. `queued`/`in_flight` are multi-writer counters;
-/// `ewma_bits` (an `f64` as bits) has a single writer — the disk's
-/// worker — so plain relaxed load/store suffices.
+/// `ewma_bits` (an `f64` as bits) and `sustained` have a single writer —
+/// the disk's worker — so plain relaxed load/store suffices.
 #[derive(Debug, Default)]
 struct DiskStat {
     /// Foreground queue depth. Background entries are tracked separately
@@ -225,6 +277,7 @@ struct DiskStat {
     /// would make the *next* sample re-seed the EWMA with full weight,
     /// discarding history.
     ewma_seeded: AtomicU64,
+    sustained: SustainedSpeed,
 }
 
 impl DiskStat {
@@ -365,6 +418,13 @@ impl IoRing {
         }
     }
 
+    /// `disk`'s [`SustainedSpeed`] estimate, bytes per second: `None`
+    /// until its worker has serviced [`SUSTAINED_WINDOW`] ops that moved
+    /// bytes, and for a disk past the end of the backend.
+    pub fn sustained_speed(&self, disk: usize) -> Option<f64> {
+        self.stats.get(disk)?.sustained.estimate()
+    }
+
     /// Background (repair-class) queue depth per disk. Telemetry for the
     /// repair service and its tests; not part of [`IoRing::load_map`]
     /// because background ops never delay foreground completions.
@@ -423,10 +483,13 @@ impl IoRing {
 pub(crate) type OnCompletion<'h> = dyn FnMut(u64, CompletionKind) -> Result<(), StoreError> + 'h;
 
 /// One access's reorder state over the ring: ops are tagged in
-/// submission order, at most `window` are in flight, and completions are
-/// handed back strictly in tag order — so the caller's bookkeeping sees a
-/// deterministic sequence whatever order the disks finish in. It owns no
-/// channel, so accesses that share one can each keep their own.
+/// submission order, `window` bounds how many are outstanding (the read
+/// reactor counts ops not yet handed back, [`Reorder::has_room`];
+/// [`OrderedWindow`] counts ops not yet completed,
+/// [`Reorder::in_flight`]), and completions are handed back strictly in
+/// tag order — so the caller's bookkeeping sees a deterministic sequence
+/// whatever order the disks finish in. It owns no channel, so accesses
+/// that share one can each keep their own.
 pub(crate) struct Reorder {
     window: usize,
     /// Target disk per tag; `disks.len()` ops have been submitted.
@@ -455,14 +518,20 @@ impl Reorder {
         self.disks.len()
     }
 
-    /// Fewer than `window` submitted ops are not yet handed back.
+    /// Fewer than `window` submitted ops are not yet handed back. The
+    /// read reactor's bound: its parked completions hold buffers.
     pub(crate) fn has_room(&self) -> bool {
         self.submitted() - self.next < self.window
     }
 
+    /// Submitted ops that have not completed yet.
+    pub(crate) fn in_flight(&self) -> usize {
+        self.submitted() - self.received
+    }
+
     /// Some submitted op has not completed yet.
     pub(crate) fn outstanding(&self) -> bool {
-        self.received < self.submitted()
+        self.in_flight() > 0
     }
 
     /// Record an op submitted to `disk`; returns its tag.
@@ -494,7 +563,11 @@ impl Reorder {
 }
 
 /// A [`Reorder`] over a channel of its own, with blocking submission:
-/// one access, one window.
+/// one access, one window. The window bounds ops *in flight* — submitted
+/// but not yet completed — not ops not yet handed back: a slow op at the
+/// head parks the completions behind it, but does not stop submission
+/// to the other disks. Completions still reach the handler strictly in
+/// tag order.
 ///
 /// A completion channel that closes with ops still outstanding (the
 /// worker servicing them died) surfaces as [`StoreError::DiskFault`] on
@@ -525,15 +598,16 @@ impl<'a> OrderedWindow<'a> {
         }
     }
 
-    /// Submit one op, first handing completions to `handle` until fewer
-    /// than `window` ops are in flight.
+    /// Submit one op, first taking in completions — and handing the
+    /// in-order ones to `handle` — until fewer than `window` ops are in
+    /// flight.
     pub(crate) fn submit(
         &mut self,
         disk: usize,
         op: SubmitOp,
         handle: &mut OnCompletion<'_>,
     ) -> Result<(), StoreError> {
-        while !self.order.has_room() {
+        while self.order.in_flight() >= self.order.window {
             self.pump(handle)?;
         }
         // `None` only after `finish`: refuse rather than queue an op whose
@@ -664,9 +738,18 @@ fn worker_loop(
             service_write_batch(disk, popped, stat, backend);
         } else {
             for entry in popped {
-                let begun = std::time::Instant::now();
+                let begun = Instant::now();
                 let kind = service_op(disk, entry.op, backend, config);
-                stat.record_service(begun.elapsed().as_secs_f64() * 1e6);
+                let took = begun.elapsed();
+                stat.record_service(took.as_secs_f64() * 1e6);
+                if let CompletionKind::Read {
+                    result: Ok(()),
+                    buf,
+                    ..
+                } = &kind
+                {
+                    stat.sustained.record(buf.len() as u64, took);
+                }
                 stat.in_flight.fetch_sub(1, Ordering::Relaxed);
                 let _ = entry.done.send(Completion {
                     access: entry.access,
@@ -690,6 +773,7 @@ fn service_write_batch(
     backend: &ShardedBackend,
 ) {
     let n = entries.len() as u64;
+    let mut bytes = 0;
     let mut meta = Vec::with_capacity(entries.len());
     let mut batch = Vec::with_capacity(entries.len());
     for entry in entries {
@@ -703,13 +787,19 @@ fn service_write_batch(
             unreachable!("write batch holds only writes");
         };
         meta.push((access, tag, done));
+        bytes += data.len() as u64;
         batch.push((key, data));
     }
-    let begun = std::time::Instant::now();
+    let begun = Instant::now();
     let results = backend.commit_batch(disk, batch);
+    let took = begun.elapsed();
     // One EWMA sample per op (the batch's wall time split evenly), folded
-    // before the sends for the same reason as the read path.
-    stat.record_service(begun.elapsed().as_secs_f64() * 1e6 / n as f64);
+    // before the sends for the same reason as the read path. The batch
+    // is one sustained-speed sample, if every write in it landed.
+    stat.record_service(took.as_secs_f64() * 1e6 / n as f64);
+    if results.len() == meta.len() && results.iter().all(Result::is_ok) {
+        stat.sustained.record(bytes, took);
+    }
     stat.in_flight.fetch_sub(n, Ordering::Relaxed);
     let mut results = results.into_iter();
     for (access, tag, done) in meta {
@@ -740,7 +830,7 @@ fn service_op(
                 backend.read_block_retry(disk, key, &mut buf, config.read_attempts, |attempt| {
                     if config.backoff_micros > 0 {
                         let us = config.backoff_micros << (attempt - 1);
-                        std::thread::sleep(std::time::Duration::from_micros(us));
+                        std::thread::sleep(Duration::from_micros(us));
                     }
                 });
             CompletionKind::Read {
@@ -1014,6 +1104,29 @@ mod tests {
     }
 
     #[test]
+    fn sustained_speed_is_the_fastest_of_the_last_window() {
+        let s = SustainedSpeed::default();
+        let ms = Duration::from_millis;
+        for _ in 0..SUSTAINED_WINDOW - 1 {
+            s.record(1000, ms(1));
+        }
+        assert_eq!(s.estimate(), None, "no estimate before a full window");
+        s.record(0, ms(1)); // moved no bytes: not a sample
+        assert_eq!(s.estimate(), None);
+        s.record(1000, ms(1));
+        assert_eq!(s.estimate(), Some(1e6));
+        // One stall does not move it; a window of slow ops does.
+        s.record(1000, ms(20));
+        assert_eq!(s.estimate(), Some(1e6));
+        for _ in 0..SUSTAINED_WINDOW {
+            s.record(1000, ms(8));
+        }
+        assert_eq!(s.estimate(), Some(125e3));
+        s.record(1000, Duration::ZERO);
+        assert_eq!(s.estimate(), Some(f64::INFINITY));
+    }
+
+    #[test]
     fn ring_background_ops_wait_for_foreground() {
         // Park the single worker on a slow foreground op (a read that
         // fails transiently twice, so the worker really sleeps its retry
@@ -1124,7 +1237,9 @@ mod tests {
                 data: vec![tag as u8; 8],
             };
             w.submit((tag % 4) as usize, op, &mut on).unwrap();
-            max_in_flight = max_in_flight.max(w.order.submitted() - w.order.next);
+            // The window bounds ops not yet completed; ops completed but
+            // parked behind an earlier tag do not count.
+            max_in_flight = max_in_flight.max(w.order.submitted() - w.order.received);
         }
         w.finish(&mut |t, _| {
             seen.push(t);
@@ -1134,6 +1249,51 @@ mod tests {
         assert_eq!(seen, (0..32).collect::<Vec<u64>>());
         assert!(max_in_flight <= 4, "window overrun: {max_in_flight}");
         assert!(w.abort().is_empty(), "nothing left to drain");
+    }
+
+    #[test]
+    fn ordered_window_submits_past_a_held_head_op() {
+        // The window's first op is held in service on disk 0. Ops behind
+        // it on other disks complete and free the window, so submission
+        // keeps going; a window that counted ops not yet handed back would
+        // stop after three more, until the held op lands.
+        let r = ring(4);
+        let held = r.backend.hold(0);
+        let seen = Mutex::new(Vec::new());
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| {
+                let mut w = OrderedWindow::new(&r, 5, Priority::Foreground, 4);
+                let mut on = |t: u64, kind: CompletionKind| {
+                    assert!(matches!(kind, CompletionKind::Write(WriteOutcome::Done)));
+                    seen.lock().unwrap().push(t);
+                    Ok(())
+                };
+                for tag in 0..9u64 {
+                    let disk = if tag == 0 { 0 } else { 1 + tag as usize % 3 };
+                    let op = SubmitOp::Write {
+                        key: tag,
+                        data: vec![tag as u8; 8],
+                    };
+                    w.submit(disk, op, &mut on).unwrap();
+                }
+                w.finish(&mut on).unwrap();
+            });
+            // Blocks landed on disks 1-3 (disk 0's shard is locked here).
+            let landed = || (1..4).map(|d| r.backend.disk_used(d)).sum::<u64>() / 8;
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while landed() < 8 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            let passed = landed();
+            assert!(
+                seen.lock().unwrap().is_empty(),
+                "a completion overtook the held head op"
+            );
+            drop(held);
+            writer.join().unwrap();
+            assert_eq!(passed, 8, "the held head op stalled the window");
+        });
+        assert_eq!(seen.into_inner().unwrap(), (0..9).collect::<Vec<u64>>());
     }
 
     #[test]

@@ -81,6 +81,13 @@ impl ShardedBackend {
         self.shards.get(disk).map(|s| s.lock())
     }
 
+    /// Hold disk `disk`'s shard lock until the guard drops: an op a ring
+    /// worker starts on it meanwhile stays in service.
+    #[cfg(test)]
+    pub(crate) fn hold(&self, disk: usize) -> impl Sized + '_ {
+        self.shards[disk].lock()
+    }
+
     /// Number of disks.
     pub fn num_disks(&self) -> usize {
         self.speeds.len()

@@ -189,6 +189,31 @@ fn qos_disk_count_is_respected() {
 }
 
 #[test]
+fn write_report_counts_only_disks_that_got_a_block() {
+    // K = 2, N = 6 over 8 equal disks: the apportionment leaves two of
+    // the eight admitted disks without a block.
+    let sys = System::new(
+        InMemoryBackend::uniform(8, 20e6),
+        SystemConfig {
+            block_bytes: 16 << 10,
+            ..Default::default()
+        },
+    );
+    let client = Client::connect(&sys, sys.register_user());
+    let qos = QosOptions::best_effort()
+        .with_redundancy(2.0)
+        .with_pinned_disks((0..8).collect());
+    let mut h = client.open("small", AccessMode::Write, qos).unwrap();
+    let report = client.write(&mut h, &payload(32 << 10, 3)).unwrap();
+    let meta = h.meta().unwrap().clone();
+    client.close(h).unwrap();
+    assert_eq!(report.blocks_written, 6);
+    let holding = meta.layout.iter().filter(|(_, ids)| !ids.is_empty());
+    assert_eq!(holding.count(), 6);
+    assert_eq!(report.disks, 6, "disks that received no block were counted");
+}
+
+#[test]
 fn updates_preserve_unpatched_bytes_across_many_patches() {
     let sys = system(8);
     let user = sys.register_user();

@@ -2,12 +2,31 @@
 
 use proptest::prelude::*;
 use rand::seq::SliceRandom;
+use robustore::core::{placement_weight, speculative_placement, SustainedSpeed};
 use robustore::erasure::lt::{LtCode, LtDecoder};
 use robustore::erasure::parity::ParityCode;
 use robustore::erasure::replication::Replication;
 use robustore::erasure::{LtParams, ReedSolomon};
 use robustore::schemes::placement::Placement;
 use robustore::simkit::SeedSequence;
+use std::time::Duration;
+
+/// A disk's ring estimator after one of the states a placement must
+/// handle: 0 = too few samples, 1 = zero-duration samples, 2 = a disk
+/// 1000x slower than registered, 3 = one keeping up with it.
+fn estimator(state: u8, registered: f64) -> SustainedSpeed {
+    let s = SustainedSpeed::default();
+    let (samples, secs) = match state {
+        0 => (3, 0.001),
+        1 => (8, 0.0),
+        2 => (8, 1000.0 * 4096.0 / registered),
+        _ => (8, 4096.0 / registered / 2.0),
+    };
+    for _ in 0..samples {
+        s.record(4096, Duration::from_secs_f64(secs));
+    }
+    s
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -190,5 +209,49 @@ proptest! {
                 "disk {} got {} for quota {:.2}", d, got, quota
             );
         }
+    }
+
+    /// A write's measured placement: weights stay finite and positive;
+    /// a disk with no estimate, or one keeping up, leaves the registered
+    /// apportionment exactly as it was; and no disk holds more than the
+    /// larger of its registered count and N − ⌈1.5 K⌉, so the layout
+    /// minus its fullest slot still holds a decode's worth unless the
+    /// registered layout already put more there.
+    #[test]
+    fn measured_placement_keeps_registered_layouts_and_a_decodes_worth(
+        k in 1usize..64,
+        extra in 0usize..4,
+        disks in proptest::collection::vec((1e6f64..100e6, 0u8..4), 1..12),
+    ) {
+        let n = k * (1 + extra) + extra;
+        let registered: Vec<f64> = disks.iter().map(|&(r, _)| r).collect();
+        let sustained: Vec<Option<f64>> = disks
+            .iter()
+            .map(|&(r, state)| estimator(state, r).estimate())
+            .collect();
+        for (&r, &s) in registered.iter().zip(&sustained) {
+            let w = placement_weight(r, s);
+            prop_assert!(w.is_finite() && w > 0.0, "weight {} for {} / {:?}", w, r, s);
+        }
+        let counts = |p: &Placement| p.per_disk.iter().map(Vec::len).collect::<Vec<_>>();
+        let nominal = counts(&Placement::coded_weighted(k, n, &registered));
+        let p = speculative_placement(k, n, &registered, &sustained);
+        let got = counts(&p);
+        prop_assert_eq!(got.iter().sum::<usize>(), n);
+        let mut ids: Vec<u32> = p.per_disk.iter().flatten().map(|b| b.semantic).collect();
+        ids.sort_unstable();
+        prop_assert_eq!(ids, (0..n as u32).collect::<Vec<_>>());
+        if disks.iter().all(|&(_, state)| state != 2) {
+            prop_assert_eq!(&got, &nominal);
+        }
+        let need = (1.5 * k as f64).ceil() as usize;
+        for (d, &c) in got.iter().enumerate() {
+            prop_assert!(
+                c <= nominal[d].max(n.saturating_sub(need)),
+                "disk {} holds {} of {}: registered {}, need {}", d, c, n, nominal[d], need
+            );
+        }
+        let fullest = got.iter().enumerate().max_by_key(|&(_, &c)| c).map(|(d, _)| d).unwrap();
+        prop_assert!(n - got[fullest] >= need || got[fullest] <= nominal[fullest]);
     }
 }

@@ -26,6 +26,10 @@
 //! * **a degraded read stays on its own access** — it writes nothing and
 //!   reads nothing beyond the blocks it submitted; it only queues its
 //!   file on the repair backlog;
+//! * **a write places its blocks by measured disk speed** — a disk that
+//!   serves 8× slower than it claims gets its quantised share of a
+//!   write once its ring has measured that, and one stalled op moves no
+//!   layout;
 //! * **every block read and write rides the ring** — including the
 //!   blocks a write or a scrub relocates because their disk refused
 //!   them;
@@ -55,6 +59,7 @@ use robustore::core::{
     QosOptions, ReadPolicy, RefusedWrite, RepairService, RingConfig, ShardedBackend,
     StorageBackend, StoreError, SubmitOp, System, SystemConfig, WriteOutcome,
 };
+use robustore::schemes::placement::Placement;
 use robustore::simkit::SeedSequence;
 
 const DISKS: usize = 8;
@@ -245,10 +250,15 @@ impl Gate {
     }
 }
 
-/// What the tapped shards share: the gates every I/O passes, and the
-/// log of every I/O in dispatch order (logged before it may park).
+/// How long an I/O stays in service before the disk does it.
+type Pace = Box<dyn Fn(&Io) -> Duration + Send + Sync>;
+
+/// What the tapped shards share: the gates every I/O passes, the pace
+/// that delays it, and the log of every I/O in dispatch order (logged
+/// before it may park).
 struct Tap {
     gates: Vec<Arc<Gate>>,
+    pace: Pace,
     log: Mutex<Vec<Io>>,
 }
 
@@ -256,12 +266,23 @@ impl Tap {
     fn new(gates: Vec<Arc<Gate>>) -> Arc<Tap> {
         Arc::new(Tap {
             gates,
+            pace: Box::new(|_| Duration::ZERO),
+            log: Mutex::default(),
+        })
+    }
+
+    /// A tap with no gates that keeps each I/O in service for `pace(io)`.
+    fn paced(pace: impl Fn(&Io) -> Duration + Send + Sync + 'static) -> Arc<Tap> {
+        Arc::new(Tap {
+            gates: Vec::new(),
+            pace: Box::new(pace),
             log: Mutex::default(),
         })
     }
 
     fn see(&self, io: Io) {
         self.log.lock().unwrap().push(io.clone());
+        std::thread::sleep((self.pace)(&io));
         for gate in &self.gates {
             gate.pass(&io);
         }
@@ -417,6 +438,9 @@ impl StorageBackend for GateBackend {
     }
 }
 
+/// Block size of [`tapped_system`].
+const BLOCK: usize = 4 << 10;
+
 /// A ring-backed system over disks of these speeds, every block I/O
 /// shown to `tap`.
 fn tapped_system(speeds: Vec<f64>, tap: &Arc<Tap>, read_policy: ReadPolicy) -> System {
@@ -426,7 +450,7 @@ fn tapped_system(speeds: Vec<f64>, tap: &Arc<Tap>, read_policy: ReadPolicy) -> S
             tap: tap.clone(),
         }),
         SystemConfig {
-            block_bytes: 4 << 10,
+            block_bytes: BLOCK as u64,
             read_policy,
             ..Default::default()
         },
@@ -918,4 +942,92 @@ fn seeded_persistent_faults_replay_identically_under_either_policy() {
         ring_adaptive,
         "adaptive replay diverged"
     );
+}
+
+/// Write a K = 64 file over every disk, then scrub it: every disk
+/// services two dozen block reads — enough for its ring to hold a
+/// sustained-speed estimate. Returns the file's layout.
+fn seed_estimates(client: &Client) -> FileMeta {
+    put(client, "seed", &payload(64 * BLOCK, 41), all_disks(2.0));
+    assert_eq!(client.scrub("seed").unwrap().blocks_verified, 192);
+    client.system().export_meta("seed").unwrap()
+}
+
+/// The per-disk block counts of a K = 16, N = 48 write over every disk.
+fn write_counts(client: &Client, name: &str) -> Vec<usize> {
+    put(client, name, &payload(16 * BLOCK, 42), all_disks(2.0));
+    let meta = client.system().export_meta(name).unwrap();
+    assert_eq!(meta.stored_blocks(), 48);
+    let mut counts = vec![0; DISKS];
+    for (disk, ids) in &meta.layout {
+        counts[*disk] = ids.len();
+    }
+    counts
+}
+
+fn counts_for(weights: &[f64]) -> Vec<usize> {
+    let p = Placement::coded_weighted(16, 48, weights);
+    p.per_disk.iter().map(Vec::len).collect()
+}
+
+#[test]
+fn a_disk_measured_slow_gets_its_quantised_share_of_a_write() {
+    // Disk 2 claims 20 MB/s like the rest but serves every I/O 8x slower.
+    // Once its ring has seen that, a write weighs it at 1/8: one block of
+    // 48 instead of six, so it no longer sets the write's latency.
+    const SPEED: f64 = 20e6;
+    let tap = Tap::paced(|io| match io.disk {
+        2 => Duration::from_secs_f64((io.keys.len() * BLOCK) as f64 * 8.0 / SPEED),
+        _ => Duration::ZERO,
+    });
+    let sys = tapped_system(vec![SPEED; DISKS], &tap, ReadPolicy::default());
+    let client = Client::connect(&sys, sys.register_user());
+    seed_estimates(&client);
+
+    let mut weights = vec![SPEED; DISKS];
+    weights[2] /= 8.0;
+    let want = counts_for(&weights);
+    assert_eq!(want[2], 1);
+    assert_eq!(write_counts(&client, "measured"), want);
+    check_committed_state(&sys);
+}
+
+#[test]
+fn one_stalled_op_does_not_move_a_layout() {
+    // Every disk keeps up with its registered speed, but the last read of
+    // disk 3's seed blocks stalls for 20 ms. A maximum over the last eight
+    // ops ignores it: the next write's layout is the registered one. (A
+    // moving average would still see disk 3 as several times too slow.)
+    let stall = Arc::new(OnceLock::<u64>::new());
+    let tap = Tap::paced({
+        let stall = stall.clone();
+        let taken = std::sync::atomic::AtomicBool::new(false);
+        move |io| match stall.get() {
+            Some(&key)
+                if io.disk == 3
+                    && !io.write
+                    && io.keys == [key]
+                    && !taken.swap(true, std::sync::atomic::Ordering::Relaxed) =>
+            {
+                Duration::from_millis(20)
+            }
+            _ => Duration::ZERO,
+        }
+    });
+    let sys = tapped_system(vec![20e6; DISKS], &tap, ReadPolicy::default());
+    let client = Client::connect(&sys, sys.register_user());
+    let seed = seed_estimates(&client);
+    let (_, slot) = seed.layout.iter().find(|(d, _)| *d == 3).unwrap();
+    stall.set(seed.block_key(*slot.last().unwrap())).unwrap();
+    client.scrub("seed").unwrap();
+    let log = tap.log();
+    let last_read_on_3 = log.iter().rev().find(|io| io.disk == 3 && !io.write);
+    assert_eq!(
+        last_read_on_3.map(|io| io.keys.clone()),
+        Some(vec![*stall.get().unwrap()]),
+        "the stalled read is disk 3's last"
+    );
+
+    assert_eq!(write_counts(&client, "steady"), counts_for(&[20e6; DISKS]));
+    check_committed_state(&sys);
 }

@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, BTreeSet, HashSet};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::Mutex;
+use parking_lot::{Condvar, Mutex};
 use robustore_erasure::lt::{LtCode, LtDecoder};
 use robustore_erasure::{Block, BlockPool, LtParams};
 use robustore_schemes::WaveSlot;
@@ -166,9 +166,10 @@ struct SystemInner {
     /// The async submission/completion ring over `backend`: the one data
     /// path every access's block I/O takes.
     ring: IoRing,
-    /// Encode workers per write/update (coded blocks are independent,
-    /// §7.3's parallel-coding direction); committed state is
-    /// byte-identical at any count.
+    /// Encode workers a write/update spawns once its encode work reaches
+    /// [`PARALLEL_ENCODE_MIN_BYTES`] (coded blocks are independent,
+    /// §7.3's parallel-coding direction); smaller ones encode inline.
+    /// Committed state is byte-identical at any count.
     encode_workers: usize,
     admission: Mutex<Vec<AdmissionController>>,
     authority: Mutex<KeyAuthority>,
@@ -933,13 +934,16 @@ impl Client {
     }
 
     /// The write leg shared by `write` and `update`: encode the coded
-    /// blocks `ids` on the encode workers and stream each to
-    /// `target(idx) = (disk, key)` through the ring, overlapping encode
-    /// with disk I/O. The ring workers coalesce the writes — and any
-    /// concurrent access's — into cross-access group commits; outcomes
-    /// are consumed strictly in `ids` order. Each landed write goes to
-    /// `written`; a disk's refusal goes to `on_refused(idx, error, data)`
-    /// (reroute, or fail the access), anything worse fails the access.
+    /// blocks `ids` and stream each to `target(idx) = (disk, key)` through
+    /// the ring, overlapping encode with disk I/O. This is where an access
+    /// picks its encode worker count: [`encode_threads`] keeps a write
+    /// whose encode work is below [`PARALLEL_ENCODE_MIN_BYTES`] on the
+    /// calling thread, and gives a larger one the system's encode workers.
+    /// The ring workers coalesce the writes — and any concurrent access's —
+    /// into cross-access group commits; outcomes are consumed strictly in
+    /// `ids` order. Each landed write goes to `written`; a disk's refusal
+    /// goes to `on_refused(idx, error, data)` (reroute, or fail the
+    /// access), anything worse fails the access.
     /// Returns the digest of every coded block, taken once as it leaves
     /// the encoder — end-to-end integrity, whatever disk it lands on.
     ///
@@ -963,8 +967,10 @@ impl Client {
         // beside the writer are not queued behind a deep write backlog.
         // It bounds ops not yet completed, so one slow block at the head
         // does not idle the other disks while it lands.
+        let block_len = blocks.first().map_or(0, Vec::len);
+        let threads = encode_threads(ids.len(), block_len, inner.encode_workers);
         let window = (2 * inner.config.group_commit.max(1))
-            .max(2 * inner.encode_workers)
+            .max(2 * threads)
             .max(4);
         let mut writer = OrderedWindow::new(
             &inner.ring,
@@ -987,17 +993,11 @@ impl Client {
                 WriteOutcome::Aborted { disk } => Err(StoreError::DiskFault { disk }),
             }
         };
-        let result = encode_write_pipelined(
-            code,
-            blocks,
-            ids,
-            inner.encode_workers,
-            |idx, coded, data| {
-                let (disk, key) = target(idx);
-                checksums.insert(coded, crc32c(&data));
-                writer.submit(disk, SubmitOp::Write { key, data }, &mut on_write)
-            },
-        )
+        let result = encode_write_pipelined(code, blocks, ids, threads, |idx, coded, data| {
+            let (disk, key) = target(idx);
+            checksums.insert(coded, crc32c(&data));
+            writer.submit(disk, SubmitOp::Write { key, data }, &mut on_write)
+        })
         .and_then(|()| writer.finish(&mut on_write));
         if result.is_err() {
             for (tag, kind) in writer.abort() {
@@ -2199,6 +2199,33 @@ fn stored_keys(meta: &FileMeta) -> Vec<(usize, u64)> {
         .collect()
 }
 
+/// Encode work (coded ids × block bytes) at or above which a write or
+/// update spawns its encode workers; below it the blocks are encoded
+/// inline on the writer's thread.
+///
+/// Measured as `encode_write_pipelined` at 1 worker against 2 workers
+/// (`min(cores, 8)` on a 2-core Xeon with GFNI), with the consumer taking
+/// each block's CRC32C; each point is the median of 21–85 timed calls,
+/// taken in three passes. At 64 KiB blocks the spawned pipeline ran at
+/// 0.73–1.05× inline's speed at 768 KiB–1.25 MiB of work (below 1 in 9
+/// of 12 runs), 0.98–1.16× at 1.5 MiB, and 1.02–1.35× from 1.75 to
+/// 8 MiB bar three noisy points. The bound sits at that crossover. At 4 and 16 KiB blocks the spawned
+/// pipeline lost at every size up to 8 MiB, so there the bound errs
+/// towards spawning.
+pub const PARALLEL_ENCODE_MIN_BYTES: usize = 1536 << 10;
+
+/// How many encode workers a write of `ids` coded blocks of `block_bytes`
+/// each runs, given the system's `workers`: one — inline, no spawn — when
+/// there is a single id or the work is below [`PARALLEL_ENCODE_MIN_BYTES`],
+/// otherwise all of them.
+pub fn encode_threads(ids: usize, block_bytes: usize, workers: usize) -> usize {
+    if ids < 2 || ids.saturating_mul(block_bytes) < PARALLEL_ENCODE_MIN_BYTES {
+        1
+    } else {
+        workers
+    }
+}
+
 /// Encode the coded blocks named by `ids` on up to `threads` workers and
 /// feed each encoded block to `consume` **in `ids` order**, overlapping
 /// encode (CPU) with whatever `consume` does (ring submission) — the
@@ -2212,7 +2239,9 @@ fn stored_keys(meta: &FileMeta) -> Vec<(usize, u64)> {
 /// `encode_block` loop would produce — byte-identical at every thread
 /// count, which is why two hosts with different core counts commit
 /// identical state. With one worker or a single id there is nothing to
-/// overlap and the blocks are encoded inline, without spawning.
+/// overlap and the blocks are encoded inline, without spawning; the write
+/// path asks for one worker whenever [`encode_threads`] finds the work too
+/// small to pay for a spawn.
 ///
 /// An error from `consume` stops the pipeline: workers drain promptly
 /// (in-flight buffers are dropped) and the error is returned.
@@ -2236,7 +2265,6 @@ where
     let depth = 2 * threads;
     let block_len = blocks.first().map_or(0, |b| b.len());
 
-    use std::sync::{Condvar, Mutex as StdMutex};
     struct Shared {
         /// Encoded blocks parked until the consumer reaches their index.
         slots: Vec<Option<Block>>,
@@ -2245,7 +2273,7 @@ where
         /// Abort flag (consumer error): workers drain without depositing.
         stop: bool,
     }
-    let shared = StdMutex::new(Shared {
+    let shared = Mutex::new(Shared {
         slots: vec![None; ids.len()],
         cursor: 0,
         stop: false,
@@ -2265,9 +2293,9 @@ where
                         break;
                     }
                     {
-                        let mut s = shared.lock().unwrap();
+                        let mut s = shared.lock();
                         while !s.stop && i >= s.cursor + depth {
-                            s = space.wait(s).unwrap();
+                            space.wait(&mut s);
                         }
                         if s.stop {
                             break;
@@ -2276,7 +2304,7 @@ where
                     let mut buf = pool.get_scratch();
                     code.encode_block_into(blocks, ids[i] as usize, &mut buf);
                     pool.mark_consumed(1); // ownership moves to the consumer
-                    let mut s = shared.lock().unwrap();
+                    let mut s = shared.lock();
                     if s.stop {
                         break;
                     }
@@ -2285,13 +2313,13 @@ where
                 }
             });
         }
-        let mut s = shared.lock().unwrap();
+        let mut s = shared.lock();
         for (i, &coded) in ids.iter().enumerate() {
             let data = loop {
                 if let Some(d) = s.slots[i].take() {
                     break d;
                 }
-                s = ready.wait(s).unwrap();
+                ready.wait(&mut s);
             };
             // Open the window before the (slow) consume call, so workers
             // encode the next blocks while this one is being written.
@@ -2300,11 +2328,11 @@ where
             drop(s);
             if let Err(e) = consume(i, coded, data) {
                 result = Err(e);
-                shared.lock().unwrap().stop = true;
+                shared.lock().stop = true;
                 space.notify_all();
                 break;
             }
-            s = shared.lock().unwrap();
+            s = shared.lock();
         }
         // Scope exit joins the workers; with `stop` set they bail out.
     });
@@ -2762,34 +2790,67 @@ mod tests {
         // A hard mid-write fault aborts the access; the pipeline must
         // drain its workers, delete the partial new generation, and leave
         // the pool/backed accounting clean (no leaked or orphaned blocks).
+        // The small write encodes inline; the large one is above the
+        // inline bound, so on a multi-core host its encode workers are
+        // running when the fault lands.
         use crate::chaos::ChaosBackend;
-        let speeds: Vec<f64> = (0..8).map(|i| 10e6 + i as f64 * 6e6).collect();
-        let (backend, switch) = ChaosBackend::new(InMemoryBackend::new(speeds));
-        let sys = System::with_backend(
-            Box::new(backend),
-            SystemConfig {
-                block_bytes: 4 << 10,
-                ..Default::default()
-            },
-        );
-        let u = sys.register_user();
-        let client = Client::connect(&sys, u);
-        switch.fail_disk_after(3, 5);
-        let mut h = client
-            .open("f", AccessMode::Write, QosOptions::best_effort())
-            .unwrap();
-        let err = client.write(&mut h, &payload(200_000)).unwrap_err();
-        assert!(matches!(err, StoreError::DiskFault { disk: 3 }), "{err:?}");
-        // `>=`, not `==`: a write already queued behind the faulted one on
-        // disk 3 may still be serviced (and fault again) before the abort
-        // revokes it. The rollback below stays exact regardless.
-        assert!(switch.injected_hard_faults() >= 1);
-        assert_eq!(sys.total_used(), 0, "aborted write left orphans");
-        assert!(h.meta().is_none(), "nothing was committed");
-        // The system stays usable once the fault clears.
-        switch.clear();
-        client.write(&mut h, &payload(200_000)).unwrap();
-        client.close(h).unwrap();
+        for (len, spawns) in [(200_000, false), (1_000_000, true)] {
+            let speeds: Vec<f64> = (0..8).map(|i| 10e6 + i as f64 * 6e6).collect();
+            let (backend, switch) = ChaosBackend::new(InMemoryBackend::new(speeds));
+            let sys = System::with_backend(
+                Box::new(backend),
+                SystemConfig {
+                    block_bytes: 4 << 10,
+                    ..Default::default()
+                },
+            );
+            let u = sys.register_user();
+            let client = Client::connect(&sys, u);
+            switch.fail_disk_after(3, 5);
+            let mut h = client
+                .open("f", AccessMode::Write, QosOptions::best_effort())
+                .unwrap();
+            let err = client.write(&mut h, &payload(len)).unwrap_err();
+            assert!(matches!(err, StoreError::DiskFault { disk: 3 }), "{err:?}");
+            // `>=`, not `==`: a write already queued behind the faulted one on
+            // disk 3 may still be serviced (and fault again) before the abort
+            // revokes it. The rollback below stays exact regardless.
+            assert!(switch.injected_hard_faults() >= 1);
+            assert_eq!(sys.total_used(), 0, "aborted write left orphans");
+            assert!(h.meta().is_none(), "nothing was committed");
+            // The system stays usable once the fault clears.
+            switch.clear();
+            client.write(&mut h, &payload(len)).unwrap();
+            let meta = h.meta().unwrap();
+            let threads = encode_threads(meta.stored_blocks(), meta.coding.block_bytes as usize, 2);
+            assert_eq!(threads > 1, spawns, "{len} bytes: {threads} encode threads");
+            client.close(h).unwrap();
+        }
+    }
+
+    #[test]
+    fn pipeline_spawns_encode_workers_only_at_the_inline_bound() {
+        let bound = PARALLEL_ENCODE_MIN_BYTES;
+        for workers in [1, 2, 8] {
+            // Below the bound: inline at any worker count.
+            assert_eq!(encode_threads(2, bound / 2 - 1, workers), 1);
+            assert_eq!(encode_threads(bound / 4096 - 1, 4096, workers), 1);
+            assert_eq!(encode_threads(0, 64 << 10, workers), 1);
+            // At or above it: every worker.
+            assert_eq!(encode_threads(bound / 4096, 4096, workers), workers);
+            assert_eq!(encode_threads(2, bound / 2, workers), workers);
+            assert_eq!(encode_threads(768, 64 << 10, workers), workers);
+            // A single id has nothing to overlap, however large.
+            assert_eq!(encode_threads(1, bound, workers), 1);
+            assert_eq!(encode_threads(1, 4 * bound, workers), 1);
+        }
+        // The benchmark's shapes: small-files (6 × 16 KiB) and
+        // straggler-read (768 KiB) writes stay inline; disk-bound
+        // (192 × 64 KiB) and bulk-cpu (768 × 64 KiB) spawn.
+        assert_eq!(encode_threads(6, 16 << 10, 2), 1);
+        assert_eq!(encode_threads(48, 16 << 10, 2), 1);
+        assert_eq!(encode_threads(192, 64 << 10, 2), 2);
+        assert_eq!(encode_threads(768, 64 << 10, 2), 2);
     }
 
     #[test]

@@ -231,6 +231,13 @@ pub fn placement_weight(registered: f64, sustained: Option<f64>) -> f64 {
     }
 }
 
+/// Coded blocks beyond K, as a fraction of K, that [`speculative_placement`]
+/// keeps off the fullest disk: a decode's worth, (1 + margin)·K, must
+/// survive losing it. Equal to the adaptive read policy's default first
+/// wave today, but named apart so that the first wave can be sized per K
+/// without moving layouts.
+pub const DURABILITY_MARGIN: f64 = 0.5;
+
 /// The layout of a write of `k` originals as `n` coded blocks over disks
 /// registered at `registered` bytes/s, whose rings measure `sustained`:
 /// [`Placement::coded_weighted`] by [`placement_weight`]. With no disk
@@ -238,11 +245,10 @@ pub fn placement_weight(registered: f64, sustained: Option<f64>) -> f64 {
 /// bit for bit.
 ///
 /// Durability cap: no disk holds more than the larger of what its
-/// registered weight gives it and N − ⌈(1 + o)·K⌉, where `o` is the
-/// adaptive read policy's first-wave overhead — the store's estimate of
-/// what a decode needs. So losing the fullest disk still leaves a
-/// decode's worth, unless the registered layout already put that much
-/// there. Surplus goes to the other disks by weight.
+/// registered weight gives it and N − ⌈(1 + [`DURABILITY_MARGIN`])·K⌉ —
+/// the store's estimate of what a decode needs. So losing the fullest
+/// disk still leaves a decode's worth, unless the registered layout
+/// already put that much there. Surplus goes to the other disks by weight.
 pub fn speculative_placement(
     k: usize,
     n: usize,
@@ -258,8 +264,7 @@ pub fn speculative_placement(
     if weights == registered {
         return measured;
     }
-    let overhead = AdaptiveReadPolicy::default().first_wave_overhead;
-    let spare = n.saturating_sub(((1.0 + overhead) * k as f64).ceil() as usize);
+    let spare = n.saturating_sub(((1.0 + DURABILITY_MARGIN) * k as f64).ceil() as usize);
     let cap: Vec<usize> = Placement::coded_weighted(k, n, registered)
         .per_disk
         .iter()
@@ -328,6 +333,16 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    #[test]
+    fn durability_margin_is_the_default_first_wave() {
+        // Pinned until the first wave is sized per K: moving either one
+        // alone changes write layouts or read waves.
+        assert_eq!(
+            DURABILITY_MARGIN,
+            AdaptiveReadPolicy::default().first_wave_overhead
+        );
     }
 
     #[test]

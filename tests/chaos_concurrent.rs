@@ -27,6 +27,7 @@
 mod common;
 
 use common::check_committed_state;
+use robustore::core::client::encode_threads;
 use robustore::core::{
     AccessMode, ChaosBackend, Client, FaultSwitch, InMemoryBackend, PublicKey, QosOptions,
     RepairService, StoreError, System, SystemConfig,
@@ -135,6 +136,60 @@ fn concurrent_writers_commit_disjoint_files() {
     let batched = run(8);
     assert_eq!(
         unbatched, batched,
+        "group commit changed committed on-disk state"
+    );
+}
+
+/// One writer above the inline-encode bound beside the inline ones: its
+/// encode workers race the other writers' ring traffic (the TSan job runs
+/// this suite), and committed state is still byte-identical with group
+/// commit on and off.
+#[test]
+fn an_encode_worker_writer_races_inline_writers() {
+    const BIG_BYTES: usize = 800_000;
+    let big = |version: u8| -> Vec<u8> {
+        (0..BIG_BYTES)
+            .map(|i| ((i * 37 + version as usize * 101) % 251) as u8)
+            .collect()
+    };
+    let run = |group_commit: usize| {
+        let (sys, _switch) = chaos_system(group_commit);
+        let owner = sys.register_user();
+        let client = Client::connect(&sys, owner);
+        precreate(&client);
+        let mut h = client
+            .open("cc-big", AccessMode::Write, pinned_qos())
+            .unwrap();
+        client.write(&mut h, &big(1)).unwrap();
+        let meta = h.meta().unwrap();
+        let threads = encode_threads(meta.stored_blocks(), meta.coding.block_bytes as usize, 2);
+        assert!(threads > 1, "the big write must spawn encode workers");
+        client.close(h).unwrap();
+        std::thread::scope(|scope| {
+            for f in 0..FILES {
+                let sys = sys.clone();
+                scope.spawn(move || overwrite(&sys, owner, f, 2).unwrap());
+            }
+            let sys = sys.clone();
+            scope.spawn(move || {
+                let client = Client::connect(&sys, owner);
+                let mut h = client
+                    .open("cc-big", AccessMode::Write, pinned_qos())
+                    .unwrap();
+                client.write(&mut h, &big(2)).unwrap();
+                client.close(h).unwrap();
+            });
+        });
+        let committed = check_committed_state(&sys);
+        for f in 0..FILES {
+            assert_eq!(committed[&name(f)], payload(f, 2), "file {f} corrupted");
+        }
+        assert_eq!(committed["cc-big"], big(2), "the big file is corrupted");
+        used_snapshot(&sys)
+    };
+    assert_eq!(
+        run(1),
+        run(8),
         "group commit changed committed on-disk state"
     );
 }

@@ -18,9 +18,10 @@
 mod common;
 
 use common::check_committed_state;
+use robustore::core::client::encode_threads;
 use robustore::core::{
-    AccessMode, ChaosBackend, Client, FaultSwitch, InMemoryBackend, QosOptions, StoreError, System,
-    SystemConfig,
+    AccessMode, ChaosBackend, Client, FaultSwitch, FileMeta, InMemoryBackend, QosOptions,
+    StoreError, System, SystemConfig,
 };
 use robustore::simkit::{SeedSequence, WriteFaultPlan, WriteFaultScenario};
 
@@ -138,13 +139,36 @@ fn refusing_disks_reroute_without_reencoding() {
     // Refusals are routine for a rateless write: the displaced blocks move
     // to healthy disks (reusing their already-encoded bytes) and the
     // access commits. The refused disks must hold zero bytes.
+    let meta = reroute_around_refusing_disks(200_000);
+    assert_eq!(encode_threads_for(&meta), 1, "this write encodes inline");
+}
+
+#[test]
+fn refusing_disks_reroute_from_the_encode_workers() {
+    // The same, for a write whose encode work is above the inline bound:
+    // on a multi-core host its refused blocks come from encode workers.
+    let meta = reroute_around_refusing_disks(1_000_000);
+    assert!(
+        encode_threads_for(&meta) > 1,
+        "this write spawns encode workers"
+    );
+}
+
+/// Encode threads a two-worker host gives a write of `meta`'s shape.
+fn encode_threads_for(meta: &FileMeta) -> usize {
+    encode_threads(meta.stored_blocks(), meta.coding.block_bytes as usize, 2)
+}
+
+/// Write `len` bytes with 3 seeded disks refusing every write, assert the
+/// write routed around them and committed whole, and return its metadata.
+fn reroute_around_refusing_disks(len: usize) -> FileMeta {
     let (sys, switch) = chaos_system();
     let client = Client::connect(&sys, sys.register_user());
     let seq = SeedSequence::new(77);
     let plan = WriteFaultPlan::generate(&WriteFaultScenario::RefusingDisks { n: 3 }, DISKS, &seq);
     switch.apply(&plan);
 
-    let data = payload(200_000, 4);
+    let data = payload(len, 4);
     let mut h = client
         .open("routed", AccessMode::Write, QosOptions::best_effort())
         .unwrap();
@@ -174,6 +198,7 @@ fn refusing_disks_reroute_without_reencoding() {
     );
     switch.clear();
     assert_eq!(check_committed_state(&sys)["routed"], data);
+    meta
 }
 
 #[test]

@@ -18,7 +18,7 @@
 //!   measures it short of that — so a slow disk never sets the write's
 //!   latency.
 
-use robustore_schemes::placement::Placement;
+use robustore_schemes::placement::{apportion, Placement};
 use robustore_schemes::{AdaptiveReadPolicy, DiskLoadMap, WaveSchedule, WaveSlot};
 
 use crate::error::StoreError;
@@ -240,9 +240,12 @@ pub const DURABILITY_MARGIN: f64 = 0.5;
 
 /// The layout of a write of `k` originals as `n` coded blocks over disks
 /// registered at `registered` bytes/s, whose rings measure `sustained`:
-/// [`Placement::coded_weighted`] by [`placement_weight`]. With no disk
-/// measured short by 2× or more this is the registered apportionment,
-/// bit for bit.
+/// per-disk counts apportioned by [`placement_weight`], ids filled by
+/// [`Placement::coded_paired`]. With no disk measured short by 2× or more
+/// this is [`Placement::coded_weighted`] over the registered speeds, bit
+/// for bit. Each disk holds the ids every earlier version of the store
+/// gave it; only their on-disk order changed, when the fill became
+/// paired.
 ///
 /// Durability cap: no disk holds more than the larger of what its
 /// registered weight gives it and N − ⌈(1 + [`DURABILITY_MARGIN`])·K⌉ —
@@ -260,17 +263,15 @@ pub fn speculative_placement(
         .zip(sustained)
         .map(|(&r, &s)| placement_weight(r, s))
         .collect();
-    let measured = Placement::coded_weighted(k, n, &weights);
+    let mut counts = apportion(n, &weights);
     if weights == registered {
-        return measured;
+        return Placement::coded_paired(k, &counts);
     }
     let spare = n.saturating_sub(((1.0 + DURABILITY_MARGIN) * k as f64).ceil() as usize);
-    let cap: Vec<usize> = Placement::coded_weighted(k, n, registered)
-        .per_disk
-        .iter()
-        .map(|ids| ids.len().max(spare))
+    let cap: Vec<usize> = apportion(n, registered)
+        .into_iter()
+        .map(|c| c.max(spare))
         .collect();
-    let mut counts: Vec<usize> = measured.per_disk.iter().map(Vec::len).collect();
     // Each round caps the disks over their cap and spreads the surplus
     // over the disks still under theirs; a capped disk takes nothing
     // more, so this ends within one round per disk. The caps sum to at
@@ -290,21 +291,11 @@ pub fn speculative_placement(
         for (c, &m) in counts.iter_mut().zip(&cap) {
             *c = (*c).min(m);
         }
-        let extra = Placement::coded_weighted(k, surplus, &room);
-        for (c, ids) in counts.iter_mut().zip(&extra.per_disk) {
-            *c += ids.len();
+        for (c, extra) in counts.iter_mut().zip(apportion(surplus, &room)) {
+            *c += extra;
         }
     }
-    // The same fill as `coded_weighted`: ids in order, disk by disk.
-    let mut next = 0u32;
-    let lists = counts
-        .iter()
-        .map(|&c| {
-            next += c as u32;
-            (next - c as u32..next).collect()
-        })
-        .collect();
-    Placement::from_lists(k, lists)
+    Placement::coded_paired(k, &counts)
 }
 
 #[cfg(test)]
@@ -512,9 +503,36 @@ mod tests {
         let counts: Vec<usize> = p.per_disk.iter().map(Vec::len).collect();
         assert_eq!(counts.iter().sum::<usize>(), 48);
         assert_eq!(counts[0], 24, "capped at N - ceil(1.5 K)");
-        // Ids run 0..N in disk order, as `coded_weighted` fills them.
-        let ids: Vec<u32> = p.per_disk.iter().flatten().map(|b| b.semantic).collect();
-        assert_eq!(ids, (0..48).collect::<Vec<u32>>());
+        assert_eq!(counts, vec![24, 5, 4, 3, 3, 3, 3, 3]);
+        // Ids run 0..N slot after slot, as `coded_weighted` fills them,
+        // every other slot's run stored in descending order.
+        let ids: Vec<Vec<u32>> = p
+            .per_disk
+            .iter()
+            .map(|d| d.iter().map(|b| b.semantic).collect())
+            .collect();
+        let runs = [
+            0..24,
+            24..29,
+            29..33,
+            33..36,
+            36..39,
+            39..42,
+            42..45,
+            45..48,
+        ];
+        let want: Vec<Vec<u32>> = runs
+            .into_iter()
+            .enumerate()
+            .map(|(d, r)| {
+                if d % 2 == 0 {
+                    r.rev().collect()
+                } else {
+                    r.collect()
+                }
+            })
+            .collect();
+        assert_eq!(ids, want);
     }
 
     #[test]

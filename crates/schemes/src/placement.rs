@@ -82,39 +82,48 @@ impl Placement {
 
     /// RobuSTore unbalanced striping: per-disk block counts proportional
     /// to `weights` (per-disk write bandwidth from a speculative write),
-    /// allocated by largest remainder so counts sum exactly to `n_coded`.
+    /// allocated by largest remainder ([`apportion`]) so counts sum
+    /// exactly to `n_coded`; ids follow [`Placement::coded_paired`].
     pub fn coded_weighted(k: usize, n_coded: usize, weights: &[f64]) -> Self {
-        assert!(!weights.is_empty() && n_coded > 0);
-        assert!(weights.iter().all(|&w| w >= 0.0));
-        let total: f64 = weights.iter().sum();
-        assert!(total > 0.0, "at least one positive weight");
-        let disks = weights.len();
-        // Largest-remainder apportionment.
-        let quotas: Vec<f64> = weights.iter().map(|w| w / total * n_coded as f64).collect();
-        let mut counts: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
-        let assigned: usize = counts.iter().sum();
-        let mut order: Vec<usize> = (0..disks).collect();
-        order.sort_by(|&a, &b| {
-            let ra = quotas[a] - quotas[a].floor();
-            let rb = quotas[b] - quotas[b].floor();
-            rb.partial_cmp(&ra).unwrap().then(a.cmp(&b))
-        });
-        for &d in order.iter().take(n_coded - assigned) {
-            counts[d] += 1;
-        }
-        let mut per_disk = vec![Vec::new(); disks];
+        assert!(n_coded > 0);
+        Self::coded_paired(k, &apportion(n_coded, weights))
+    }
+
+    /// A coded layout with `counts[d]` blocks on slot `d`. Ids `0..N` go
+    /// to the slots one after another, each slot taking a contiguous run,
+    /// and every other slot that holds blocks stores its run in
+    /// descending order. So the slots pair up: a read takes each slot's
+    /// blocks in on-disk order, and both slots of a pair read outward
+    /// from the id boundary they share. Whatever each has served, a
+    /// pair's blocks read so far are one contiguous run of ids.
+    ///
+    /// Which coded id lands where matters, although coded blocks are
+    /// interchangeable to the decoder. The LT graph draws neighbours from
+    /// successive permutations of the originals, so a run of consecutive
+    /// ids covers every original evenly, and the fewer runs a read's
+    /// blocks form, the sooner it decodes: over 8 equal disks a read is 4
+    /// runs instead of 8. Each slot still holds the one run a
+    /// disk-by-disk fill gives it, because that is what a disk loss takes
+    /// away: a fill that gives each slot two shorter runs decodes a
+    /// quiescent first wave sooner but leaves 2–3× as many files
+    /// undecodable when 3 of 8 disks are lost (DESIGN §3d).
+    pub fn coded_paired(k: usize, counts: &[usize]) -> Self {
         let mut next = 0u32;
-        // Fill disk by disk; which coded index lands where is irrelevant
-        // because coded blocks are symmetric.
-        for (d, &c) in counts.iter().enumerate() {
-            for _ in 0..c {
-                per_disk[d].push(StoredBlock {
-                    semantic: next,
-                    copy: 0,
-                });
-                next += 1;
-            }
-        }
+        let mut filled = 0usize;
+        let per_disk = counts
+            .iter()
+            .map(|&c| {
+                let run = (next..next + c as u32).map(|semantic| StoredBlock { semantic, copy: 0 });
+                next += c as u32;
+                let descending = c > 0 && filled.is_multiple_of(2);
+                filled += usize::from(c > 0);
+                if descending {
+                    run.rev().collect()
+                } else {
+                    run.collect()
+                }
+            })
+            .collect();
         Placement { per_disk, k }
     }
 
@@ -159,6 +168,29 @@ impl Placement {
         }
         m
     }
+}
+
+/// Largest-remainder apportionment of `n` over `weights`: every slot gets
+/// the floor of its quota, and the slots with the largest remainders
+/// (lowest index first on ties) one more, so the counts sum to `n`.
+pub fn apportion(n: usize, weights: &[f64]) -> Vec<usize> {
+    assert!(!weights.is_empty());
+    assert!(weights.iter().all(|&w| w >= 0.0));
+    let total: f64 = weights.iter().sum();
+    assert!(total > 0.0, "at least one positive weight");
+    let quotas: Vec<f64> = weights.iter().map(|w| w / total * n as f64).collect();
+    let mut counts: Vec<usize> = quotas.iter().map(|q| q.floor() as usize).collect();
+    let assigned: usize = counts.iter().sum();
+    let mut order: Vec<usize> = (0..weights.len()).collect();
+    order.sort_by(|&a, &b| {
+        let ra = quotas[a] - quotas[a].floor();
+        let rb = quotas[b] - quotas[b].floor();
+        rb.partial_cmp(&ra).unwrap().then(a.cmp(&b))
+    });
+    for &d in order.iter().take(n - assigned) {
+        counts[d] += 1;
+    }
+    counts
 }
 
 #[cfg(test)]
@@ -246,6 +278,83 @@ mod tests {
         let p = Placement::coded_weighted(4, 12, &[0.0, 1.0, 2.0]);
         assert_eq!(p.per_disk[0].len(), 0);
         assert_eq!(p.total_blocks(), 12);
+    }
+
+    fn ids(p: &Placement) -> Vec<Vec<u32>> {
+        p.per_disk
+            .iter()
+            .map(|d| d.iter().map(|b| b.semantic).collect())
+            .collect()
+    }
+
+    #[test]
+    fn placement_pairs_equal_disks() {
+        // K = 16, N = 48: slot d holds [6d, 6d + 6), descending on even
+        // slots, so each pair reads outward from its shared boundary.
+        let p = Placement::coded_weighted(16, 48, &[1.0; 8]);
+        let want: Vec<Vec<u32>> = (0..8u32)
+            .map(|d| {
+                let run = 6 * d..6 * d + 6;
+                if d % 2 == 0 {
+                    run.rev().collect()
+                } else {
+                    run.collect()
+                }
+            })
+            .collect();
+        assert_eq!(ids(&p), want);
+    }
+
+    #[test]
+    fn placement_pairs_weighted() {
+        let p = Placement::coded_weighted(8, 100, &[1.0, 3.0, 1.0, 5.0]);
+        let want: Vec<Vec<u32>> = vec![
+            (0..10).rev().collect(),
+            (10..40).collect(),
+            (40..50).rev().collect(),
+            (50..100).collect(),
+        ];
+        assert_eq!(ids(&p), want);
+    }
+
+    #[test]
+    fn placement_pairs_skip_an_empty_slot() {
+        // The empty slot takes no part in the pairing: slots 1 and 2 pair.
+        let p = Placement::coded_weighted(4, 12, &[0.0, 1.0, 2.0]);
+        let want: Vec<Vec<u32>> = vec![vec![], vec![3, 2, 1, 0], (4..12).collect()];
+        assert_eq!(ids(&p), want);
+    }
+
+    #[test]
+    fn placement_of_two_originals_over_eight_disks_is_disk_by_disk() {
+        // K = 2, N = 6: one block on each of the first six slots, the
+        // layout a disk-by-disk fill gives.
+        let p = Placement::coded_weighted(2, 6, &[1.0; 8]);
+        let want: Vec<Vec<u32>> = (0..8u32)
+            .map(|d| if d < 6 { vec![d] } else { vec![] })
+            .collect();
+        assert_eq!(ids(&p), want);
+    }
+
+    #[test]
+    fn placement_pair_reads_stay_contiguous() {
+        // However many blocks each slot of a pair has served, the ids read
+        // so far form one run.
+        let p = Placement::coded_paired(10, &[5, 9, 0, 7, 4]);
+        assert_eq!(p.total_blocks(), 25);
+        for (lo, hi) in [(0, 1), (3, 4)] {
+            for i in 0..=p.per_disk[lo].len() {
+                for j in 0..=p.per_disk[hi].len() {
+                    let mut got: Vec<u32> = p.per_disk[lo][..i]
+                        .iter()
+                        .chain(&p.per_disk[hi][..j])
+                        .map(|b| b.semantic)
+                        .collect();
+                    got.sort_unstable();
+                    assert!(got.windows(2).all(|w| w[1] == w[0] + 1), "{got:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -8,6 +8,7 @@ pub mod competitive;
 pub mod disk;
 pub mod faults;
 pub mod layoutvar;
+pub mod ltsweep;
 pub mod metadata;
 pub mod multiuser;
 pub mod repair;

@@ -154,6 +154,11 @@ pub fn registry() -> Vec<Experiment> {
             run: ablation::ablation_lt,
         },
         Experiment {
+            id: "lt-sweep",
+            covers: "Extension: LT (C, delta) by K - decode point, mean degree, random and disk-loss survival; the source of LtParams::for_k",
+            run: ltsweep::lt_sweep,
+        },
+        Experiment {
             id: "ablation-xor",
             covers: "Ablation: lazy vs greedy XOR decoding (the §5.2.3 lazy-XOR claim)",
             run: ablation::ablation_xor,
@@ -326,7 +331,7 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), n);
-        assert_eq!(n, 29, "one entry per paper artifact group plus extensions");
+        assert_eq!(n, 30, "one entry per paper artifact group plus extensions");
     }
 
     #[test]

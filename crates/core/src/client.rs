@@ -59,8 +59,6 @@ pub struct SystemConfig {
     /// Coding block size, bytes (1 MB is the paper's sweet spot; small
     /// values keep tests fast).
     pub block_bytes: u64,
-    /// LT parameters used for new files.
-    pub lt: LtParams,
     /// Concurrent accesses each storage server admits (§5.4).
     pub admission_capacity: usize,
     /// Application domain stamped into credentials.
@@ -144,7 +142,6 @@ impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
             block_bytes: 1 << 20,
-            lt: LtParams::default(),
             admission_capacity: 4,
             app_domain: "RobuSTore".into(),
             read_retry: ReadRetry::default(),
@@ -770,7 +767,9 @@ impl Client {
         let seed = file_id
             .wrapping_mul(0x9E37_79B9_7F4A_7C15)
             .wrapping_add(version);
-        let params = self.system.inner.config.lt;
+        // A new file, or an overwrite, takes the store's rule for its K;
+        // `update` keeps the parameters the file was written with.
+        let params = LtParams::for_k(k);
         let code = LtCode::plan(k, n, params, seed)?;
 
         let backend = &self.system.inner.backend;

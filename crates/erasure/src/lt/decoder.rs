@@ -324,7 +324,7 @@ impl<'a> LtDecoder<'a> {
 }
 
 /// Index of the lowest set bit across a little-endian word array.
-fn lowest_set(bits: &[u64]) -> Option<usize> {
+pub(super) fn lowest_set(bits: &[u64]) -> Option<usize> {
     for (w, &word) in bits.iter().enumerate() {
         if word != 0 {
             return Some(w * 64 + word.trailing_zeros() as usize);

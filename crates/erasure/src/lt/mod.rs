@@ -75,6 +75,33 @@ impl LtParams {
             ..Default::default()
         }
     }
+
+    /// The store's rule for new files with `k` originals: put the robust
+    /// Soliton's spike on degree 3.
+    ///
+    /// The paper's C = 1, δ = 0.5 were tuned at K = 1024. At the K this
+    /// store writes (2–256) they put the spike k/R on degree 2, so coded
+    /// blocks cover the originals thinly: a quiescent read decodes after
+    /// ≈ 1.42 K blocks, and 3-of-8 disk losses leave many codes
+    /// rank-deficient. With δ = 0.9, C = √K / (3.5 · ln(K/δ)) makes
+    /// R = K/3.5, which lands the spike on degree 3 at every K. C never
+    /// drops below 0.5; under K ≈ 50 that floor leaves the spike on
+    /// degree 2, but δ = 0.9 still decodes sooner and survives more
+    /// losses than the default at K ≥ 24 and K ≤ 4. For K = 5–23 no
+    /// (C, δ) tried beats the default on every column of `xp lt-sweep`
+    /// (`results/lt-sweep.txt`), so those K keep it.
+    pub fn for_k(k: usize) -> Self {
+        const DELTA: f64 = 0.9;
+        if (5..24).contains(&k) {
+            return Self::default();
+        }
+        let kf = k as f64;
+        LtParams {
+            c: (kf.sqrt() / (3.5 * (kf / DELTA).ln())).max(0.5),
+            delta: DELTA,
+            ..Default::default()
+        }
+    }
 }
 
 /// A planned LT code instance: K originals, N coded blocks, and the coding
@@ -299,8 +326,14 @@ impl LtCode {
     /// Panics if `out` is not exactly one data-block long.
     pub fn encode_block_into(&self, data: &[Block], j: usize, out: &mut [u8]) {
         assert_eq!(out.len(), data[0].len(), "output buffer length mismatch");
-        out.fill(0);
-        for &i in self.neighbors(j) {
+        // Start from a copy of the first neighbour rather than zeroing
+        // and XORing it in: one pass over `out` fewer per block.
+        let (&first, rest) = self
+            .neighbors(j)
+            .split_first()
+            .expect("every coded block has a neighbour");
+        out.copy_from_slice(&data[first as usize]);
+        for &i in rest {
             xor_into(out, &data[i as usize]);
         }
     }
@@ -560,6 +593,57 @@ mod tests {
             code.encode_block_into(&data, j, &mut scratch);
             assert_eq!(&scratch, block, "encode_block_into block {j}");
         }
+    }
+
+    #[test]
+    fn for_k_puts_the_spike_on_degree_three() {
+        for k in [2usize, 4, 24, 50, 64, 256, 512, 1024, 4096] {
+            let p = LtParams::for_k(k);
+            assert_eq!(p.delta, 0.9, "K = {k}");
+            assert!(p.c >= 0.5, "K = {k}: C {}", p.c);
+            let kf = k as f64;
+            let spike = kf / (p.c * (kf / p.delta).ln() * kf.sqrt());
+            if p.c > 0.5 {
+                assert!((3.0..4.0).contains(&spike), "K = {k}: spike {spike}");
+            }
+        }
+        for k in 5..24 {
+            assert_eq!(LtParams::for_k(k), LtParams::default(), "K = {k}");
+        }
+        // Every K the store writes plans on the first attempt.
+        for k in [2usize, 24, 64, 256] {
+            let code = LtCode::plan(k, 3 * k, LtParams::for_k(k), 1).unwrap();
+            assert_eq!((code.attempts(), code.repairs()), (1, 0), "K = {k}");
+        }
+    }
+
+    #[test]
+    fn copy_first_encode_matches_the_fill_then_xor_reference() {
+        let code = LtCode::plan(256, 768, LtParams::for_k(256), 5).unwrap();
+        let data = make_data(256, 100);
+        let reference = |j: usize| {
+            let mut acc = vec![0u8; 100];
+            for &i in code.neighbors(j) {
+                for (a, b) in acc.iter_mut().zip(&data[i as usize]) {
+                    *a ^= b;
+                }
+            }
+            acc
+        };
+        let mut covered = [false; 3];
+        let mut out = vec![0x5Au8; 100];
+        for j in 0..code.n() {
+            let class = match code.degree(j) {
+                1 => 0,
+                2 => 1,
+                d if d >= 8 => 2,
+                _ => continue,
+            };
+            covered[class] = true;
+            code.encode_block_into(&data, j, &mut out);
+            assert_eq!(out, reference(j), "block {j}, degree {}", code.degree(j));
+        }
+        assert_eq!(covered, [true; 3], "degrees 1, 2 and >= 8 all exercised");
     }
 
     #[test]

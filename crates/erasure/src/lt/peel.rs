@@ -11,7 +11,11 @@
 //!   reception overhead exactly as the paper measures it (§6.2.5,
 //!   "Erasure Coding");
 //! * Figure 5-2 — `edges_used` counts the XORs a real decode would perform.
+//!
+//! [`SymbolDecoder::solvable`] finishes a stalled peel by GF(2) rank, so
+//! `xp lt-sweep` can count which block losses leave a code undecodable.
 
+use super::decoder::lowest_set;
 use super::LtCode;
 
 /// Peeling state over coded-block indices.
@@ -150,6 +154,54 @@ impl<'a> SymbolDecoder<'a> {
     pub fn reception_overhead(&self) -> f64 {
         self.received_count as f64 / self.code.k() as f64 - 1.0
     }
+
+    /// True when the received blocks determine every original: at once
+    /// if the peel completed, else by GF(2) elimination over the blocks
+    /// the peel left unresolved — the index-only twin of
+    /// [`super::LtDecoder::solve`]. `false` means no decoder can recover
+    /// the originals from what arrived (the file is lost, not just slow).
+    pub fn solvable(&self) -> bool {
+        if self.is_complete() {
+            return true;
+        }
+        let mut col_of = vec![usize::MAX; self.code.k()];
+        let mut unknowns = 0;
+        for (col, &done) in col_of.iter_mut().zip(&self.original_decoded) {
+            if !done {
+                *col = unknowns;
+                unknowns += 1;
+            }
+        }
+        let words = unknowns.div_ceil(64);
+        let mut pivots: Vec<Option<Vec<u64>>> = vec![None; unknowns];
+        let mut rank = 0;
+        for j in 0..self.code.n() {
+            if self.remaining[j] == u32::MAX || self.remaining[j] == 0 {
+                continue; // not received, or resolved by the peel
+            }
+            let mut bits = vec![0u64; words];
+            for &i in self.code.neighbors(j) {
+                let c = col_of[i as usize];
+                if c != usize::MAX {
+                    bits[c / 64] ^= 1u64 << (c % 64);
+                }
+            }
+            while let Some(c) = lowest_set(&bits) {
+                let Some(pivot) = &pivots[c] else {
+                    pivots[c] = Some(bits);
+                    rank += 1;
+                    break;
+                };
+                for (b, p) in bits.iter_mut().zip(pivot) {
+                    *b ^= p;
+                }
+            }
+            if rank == unknowns {
+                return true;
+            }
+        }
+        false
+    }
 }
 
 /// Feed blocks in `order` until decoding completes; returns
@@ -249,6 +301,40 @@ mod tests {
         }
         assert!(dec.is_complete());
         assert_eq!(dec.decoded(), c.k());
+    }
+
+    #[test]
+    fn solvable_agrees_with_the_data_decoders_elimination() {
+        // Random survivor sets around the rank threshold: the index-only
+        // verdict must match what `LtDecoder::solve` achieves on bytes,
+        // with stalled-but-full-rank peels among the cases.
+        let (k, n) = (30, 75);
+        let (mut stalled_solvable, mut lost) = (0, 0);
+        for seed in 0..40u64 {
+            let c = code(k, n, seed);
+            let coded = c.encode(&vec![vec![seed as u8; 4]; k]).unwrap();
+            for pattern in 0..10u64 {
+                let mut rng = SeedSequence::new(seed).fork("drop", pattern);
+                let mut survivors: Vec<usize> = (0..n).collect();
+                survivors.shuffle(&mut rng);
+                survivors.truncate(n - 25 - pattern as usize);
+                let mut probe = SymbolDecoder::new(&c);
+                let mut dec = crate::lt::LtDecoder::new(&c, 4);
+                let mut peeled = false;
+                for &j in &survivors {
+                    probe.receive(j);
+                    peeled |= dec.receive(j, coded[j].clone());
+                }
+                let solved = peeled || dec.solve();
+                assert_eq!(probe.solvable(), solved, "seed {seed} pattern {pattern}");
+                stalled_solvable += usize::from(solved && !probe.is_complete());
+                lost += usize::from(!solved);
+            }
+        }
+        assert!(
+            stalled_solvable > 0 && lost > 0,
+            "{stalled_solvable} / {lost}"
+        );
     }
 
     #[test]

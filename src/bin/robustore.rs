@@ -398,9 +398,11 @@ fn main() {
                     println!("name:        {}", m.name);
                     println!("size:        {} bytes", m.size_bytes);
                     println!(
-                        "coding:      LT K={} N={} ({} KiB blocks, seed {:#x})",
+                        "coding:      LT K={} N={} C={} delta={} ({} KiB blocks, seed {:#x})",
                         m.coding.k,
                         m.coding.n,
+                        m.coding.params.c,
+                        m.coding.params.delta,
                         m.coding.block_bytes >> 10,
                         m.coding.seed
                     );

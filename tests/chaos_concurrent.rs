@@ -363,11 +363,19 @@ fn concurrent_read_write_scrub_stress() {
     );
     switch.apply_read(&plan);
 
-    let retry_open = |client: &Client, file: usize, mode: AccessMode| loop {
-        match client.open(&name(file), mode, pinned_qos()) {
-            Ok(h) => return h,
-            Err(StoreError::LockConflict(_)) => std::thread::yield_now(),
-            Err(e) => panic!("open {} for {mode:?}: {e:?}", name(file)),
+    // A thread that panics while it holds a file's lock never releases
+    // it: give up after a deadline instead of spinning forever, so the
+    // panic surfaces as a test failure rather than a hang.
+    let retry_open = |client: &Client, file: usize, mode: AccessMode| {
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        loop {
+            match client.open(&name(file), mode, pinned_qos()) {
+                Ok(h) => return h,
+                Err(StoreError::LockConflict(_)) if std::time::Instant::now() < deadline => {
+                    std::thread::yield_now()
+                }
+                Err(e) => panic!("open {} for {mode:?}: {e:?}", name(file)),
+            }
         }
     };
 

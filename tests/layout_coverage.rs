@@ -17,7 +17,10 @@
 //!   each disk two shorter runs decodes sooner but loses 2–3× as many
 //!   files to a 3-of-8 disk loss; DESIGN §3d.)
 //! * **End to end**: fresh K = 64 files read on quiescent in-memory disks
-//!   fetch fewer blocks than they did under the disk-by-disk fill.
+//!   fetch fewer blocks than they did under the disk-by-disk fill, and
+//!   fewer again with the store's degree distribution for K = 64
+//!   (`LtParams::for_k`); the coverage test above keeps the paper's
+//!   default, because it pins the fill, not the code.
 //!
 //! Run under `--release` in CI; the index-only decodes move no bytes, so
 //! a debug run takes a few seconds too.
@@ -151,10 +154,10 @@ fn fresh_reads_on_quiescent_disks_fetch_fewer_blocks() {
     let mean = fetched as f64 / (FILES * K) as f64;
     println!("mean blocks fetched {mean:.3} K; one wave on {one_wave} of {FILES} reads");
     // The disk-by-disk fill fetched 1.494 K here, in one wave on 48 of
-    // the 80 reads; the paired fill fetches 1.387 K, in one wave on 64.
-    assert!(mean <= 1.44, "mean blocks fetched {mean:.3} K");
-    assert!(
-        one_wave * 4 >= FILES * 3,
-        "one wave on {one_wave} of {FILES}"
-    );
+    // the 80 reads; the paired fill fetched 1.387 K, in one wave on 64,
+    // with the paper's C = 1, δ = 0.5. `LtParams::for_k(64)` puts the
+    // degree distribution's spike on degree 3, and the same reads fetch
+    // 1.262 K, in one wave on 77.
+    assert!(mean <= 1.32, "mean blocks fetched {mean:.3} K");
+    assert!(one_wave >= 72, "one wave on {one_wave} of {FILES}");
 }
